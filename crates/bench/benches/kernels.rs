@@ -1,5 +1,6 @@
 //! Criterion microbenches for the hot kernels: content hashing, DEFLATE,
-//! chunking, similarity computation.
+//! chunking, similarity computation, and the guest-tree walk and mkfs
+//! that make up most of a paper-scale retrieve.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use xpl_chunking::rabin::{chunk_cdc, CdcParams};
@@ -104,12 +105,30 @@ fn bench_content_gen(c: &mut Criterion) {
     g.finish();
 }
 
+/// The two kernels of a paper-scale retrieve, on an 80 k-record Table II
+/// tree (one shared base layer under an overlay with tombstones).
+fn bench_guest_tree(c: &mut Criterion) {
+    let fs = World::standard().build_image("Cassandra").fs;
+    let mut g = c.benchmark_group("guestfs");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(fs.file_count() as u64));
+    g.bench_function("fstree-walk", |b| {
+        b.iter(|| {
+            fs.iter()
+                .fold((0u64, 0u64), |(n, bytes), r| (n + 1, bytes + r.size as u64))
+        })
+    });
+    g.bench_function("mkfs", |b| b.iter(|| xpl_guestfs::mkfs::mkfs("bench", &fs)));
+    g.finish();
+}
+
 criterion_group!(
     kernels,
     bench_sha256,
     bench_deflate,
     bench_chunking,
     bench_similarity,
-    bench_content_gen
+    bench_content_gen,
+    bench_guest_tree
 );
 criterion_main!(kernels);

@@ -157,14 +157,10 @@ pub fn publish(
             .iter()
             .map(|&id| catalog.get(id).name)
             .collect();
-        for name in primary_names {
-            handle.remove_package(catalog, name);
-        }
+        handle.remove_packages(&primary_names);
         handle.autoremove(catalog);
-        let work = handle.vmi_mut();
-        let junk = work.fs.remove_junk();
-        let data = work.fs.remove_user_data();
-        env.local.charge_fixed(env.costs.pkg_remove(junk + data));
+        let dropped = handle.vmi_mut().fs.remove_user_data_and_junk();
+        env.local.charge_fixed(env.costs.pkg_remove(dropped));
     });
 
     // ---- Base-image selection (line 14 / Algorithm 2). ---------------

@@ -43,6 +43,10 @@ pub fn retrieve(
     retrieve_impl(state, catalog, request, true).map(|(vmi, report, _)| (vmi, report))
 }
 
+/// The packages an assembly installs, each resolved once to the exported
+/// package and the digest of its stored `.deb`.
+type Installs = Vec<(PackageId, Digest)>;
+
 /// The assembler body. `materialize` distinguishes the two callers:
 ///
 /// * `true` — full Algorithm 3: charge the base copy, read every data
@@ -60,7 +64,7 @@ fn retrieve_impl(
     catalog: &Catalog,
     request: &RetrieveRequest,
     materialize: bool,
-) -> Result<(Vmi, RetrieveReport, Vec<PackageId>), StoreError> {
+) -> Result<(Vmi, RetrieveReport, Installs), StoreError> {
     let env = state.env.clone();
     let t0 = env.clock.now();
     let reads_before = env.repo.stats().bytes_read;
@@ -102,11 +106,13 @@ fn retrieve_impl(
             )));
         }
     }
-    // Dependency closure; skip what the base provides.
+    // Dependency closure; skip what the base provides. Each package to
+    // install is resolved here, once, to the exported package and its
+    // blob; the import loop and the range fetch carry the pair.
     let closure = catalog
         .install_closure(&roots, request.base.arch)
         .map_err(StoreError::Resolve)?;
-    let mut to_install: Vec<PackageId> = Vec::new();
+    let mut to_install: Installs = Vec::new();
     for id in closure {
         let meta = catalog.get(id);
         if base.pkgdb.is_installed(meta.name) {
@@ -114,19 +120,20 @@ fn retrieve_impl(
         }
         // Prefer the exact exported version; fall back to any exported
         // version of the same package (semantically similar assembly).
-        if package_index.contains_key(&meta.identity()) {
-            to_install.push(id);
-        } else if let Some(alt) = package_index
-            .values()
-            .find(|p| catalog.get(p.package).name == meta.name)
-        {
-            to_install.push(alt.package);
-        } else {
-            return Err(StoreError::NotFound(format!(
-                "package {} required but never published",
-                meta.identity()
-            )));
-        }
+        let indexed = package_index
+            .get(&meta.identity())
+            .or_else(|| {
+                package_index
+                    .values()
+                    .find(|p| catalog.get(p.package).name == meta.name)
+            })
+            .ok_or_else(|| {
+                StoreError::NotFound(format!(
+                    "package {} required but never published",
+                    meta.identity()
+                ))
+            })?;
+        to_install.push((indexed.package, indexed.digest));
     }
 
     // ---- Phase 1: base image copy. ------------------------------------
@@ -159,13 +166,13 @@ fn retrieve_impl(
     });
 
     // ---- Phase 4: import (data + packages). -----------------------------
-    let data = state.data_index.read().unwrap().get(&request.name).cloned();
+    let data_index = state.data_index.read().unwrap();
     report
         .breakdown
         .measure(&env.clock, PHASES[3], || -> Result<(), StoreError> {
             // User data: prefer repository-stored data for this image name;
             // otherwise import what the request carries.
-            let files = match &data {
+            let files = match data_index.get(&request.name) {
                 Some(d) => {
                     if materialize {
                         for digest in &d.digests {
@@ -175,11 +182,11 @@ fn retrieve_impl(
                                 .map_err(|_| StoreError::Corrupt(format!("data blob {digest}")))?;
                         }
                     }
-                    d.files.clone()
+                    &d.files
                 }
-                None => request.user_data.clone(),
+                None => &request.user_data,
             };
-            for f in files {
+            for &f in files {
                 env.local.charge_create(f.size as u64);
                 env.local.charge_write(f.size as u64);
                 handle.vmi_mut().fs.add_file(f);
@@ -187,23 +194,17 @@ fn retrieve_impl(
 
             // Packages: read the deb, register in the local repository, and
             // install through the guest package manager.
-            for id in &to_install {
-                let meta = catalog.get(*id);
-                let indexed = package_index
-                    .get(&meta.identity())
-                    .or_else(|| {
-                        package_index
-                            .values()
-                            .find(|p| catalog.get(p.package).name == meta.name)
-                    })
-                    .expect("checked during resolution");
+            for &(package, digest) in &to_install {
                 if materialize {
-                    state.packages.get(&indexed.digest).map_err(|_| {
-                        StoreError::Corrupt(format!("package blob {}", meta.identity()))
+                    state.packages.get(&digest).map_err(|_| {
+                        StoreError::Corrupt(format!(
+                            "package blob {}",
+                            catalog.get(package).identity()
+                        ))
                     })?;
                 }
                 env.local.charge_fixed(env.costs.repo_scan_per_pkg);
-                handle.install_package(catalog, indexed.package, InstallReason::Auto);
+                handle.install_package(catalog, package, InstallReason::Auto);
             }
             // Primary packages were installed as part of the loop; mark them.
             for &root in &roots {
@@ -259,14 +260,14 @@ pub fn retrieve_range(
     let reads_before = env.repo.stats().bytes_read;
 
     let (vmi, mut report, to_install) = retrieve_impl(state, catalog, request, false)?;
-    let to_install: FxHashSet<PackageId> = to_install.into_iter().collect();
+    let to_install: FxHashMap<PackageId, Digest> = to_install.into_iter().collect();
 
-    // Blob addresses for the two repository-backed owners. Data files
-    // and digests are parallel vectors from publish; images assembled
-    // from request-carried user data have no stored blobs and fall back
-    // to local generation (the bytes arrived with the request).
-    let data = state.data_index.read().unwrap().get(&request.name).cloned();
-    let data_digests: FxHashMap<IStr, Digest> = match &data {
+    // Blob addresses of the image's stored user data. Files and digests
+    // are parallel vectors from publish; images assembled from
+    // request-carried user data have no stored blobs and fall back to
+    // local generation (the bytes arrived with the request).
+    let data_index = state.data_index.read().unwrap();
+    let data_digests: FxHashMap<IStr, Digest> = match data_index.get(&request.name) {
         Some(d) => d
             .files
             .iter()
@@ -275,13 +276,6 @@ pub fn retrieve_range(
             .collect(),
         None => FxHashMap::default(),
     };
-    let pkg_digests: FxHashMap<PackageId, Digest> = state
-        .package_index
-        .read()
-        .unwrap()
-        .values()
-        .map(|p| (p.package, p.digest))
-        .collect();
 
     let mut touched_pkgs: FxHashSet<PackageId> = FxHashSet::default();
     let bytes = report
@@ -300,16 +294,15 @@ pub fn retrieve_range(
                             .map_err(|e| format!("data blob for {}: {e:?}", rec.path)),
                         None => local_slice(),
                     },
-                    FileOwner::Package(id) if to_install.contains(&id) => {
+                    FileOwner::Package(id) if to_install.contains_key(&id) => {
                         // A deb is fetched whole: charge the full blob
                         // the first time any of its files is touched.
                         if touched_pkgs.insert(id) {
-                            if let Some(dg) = pkg_digests.get(&id) {
-                                state
-                                    .packages
-                                    .get(dg)
-                                    .map_err(|e| format!("package blob {dg}: {e:?}"))?;
-                            }
+                            let dg = &to_install[&id];
+                            state
+                                .packages
+                                .get(dg)
+                                .map_err(|e| format!("package blob {dg}: {e:?}"))?;
                         }
                         local_slice()
                     }

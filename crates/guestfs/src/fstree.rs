@@ -5,8 +5,18 @@
 //! tombstones for deletions. File *content* is not stored here — every
 //! record carries a `(seed, size)` pair from which
 //! [`xpl_pkg::content::generate`] reproduces the bytes deterministically.
+//!
+//! **One walk per operation.** The effective view — overlay over newest
+//! layer over older layers, minus tombstones — is never built. The
+//! layers and the overlay are each path-sorted already, so
+//! [`FsTree::iter`] merges them as it goes: O(n), borrowing, and the only
+//! thing it allocates is one cursor per layer. `file_count`,
+//! `total_bytes` and every removal stream over that merge. The rule for
+//! callers is the same: no operation walks the tree more than once per
+//! phase, and nothing is collected that can be streamed.
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
+use std::iter::Peekable;
 use std::sync::Arc;
 
 use xpl_pkg::PackageId;
@@ -105,19 +115,20 @@ impl FsTree {
         existed
     }
 
-    /// Remove every file owned by `pkg`; returns bytes removed.
-    pub fn remove_owned_by(&mut self, pkg: PackageId) -> u64 {
+    /// Remove every effective file `doomed` accepts, in one walk; returns
+    /// the bytes removed. `doomed` sees each effective record exactly
+    /// once, in path order, so a caller can keep its own tally per match.
+    pub fn remove_where(&mut self, mut doomed: impl FnMut(&FileRecord) -> bool) -> u64 {
+        let hits: Vec<Merged> = self.merge().filter(|m| doomed(&m.rec)).collect();
         let mut removed = 0u64;
-        let doomed: Vec<IStr> = self
-            .iter()
-            .filter(|r| r.owner == FileOwner::Package(pkg))
-            .map(|r| r.path)
-            .collect();
-        for path in doomed {
-            if let Some(r) = self.get(path) {
-                removed += r.size as u64;
+        for hit in hits {
+            removed += hit.rec.size as u64;
+            if hit.from_overlay {
+                self.overlay.remove(hit.rec.path.as_str());
             }
-            self.remove_path(path);
+            if hit.in_layer {
+                self.tombstones.insert(hit.rec.path);
+            }
         }
         removed
     }
@@ -135,36 +146,18 @@ impl FsTree {
 
     /// Remove all junk files; returns bytes removed.
     pub fn remove_junk(&mut self) -> u64 {
-        let mut removed = 0u64;
-        let doomed: Vec<IStr> = self
-            .iter()
-            .filter(|r| Self::is_junk_path(r.path))
-            .map(|r| r.path)
-            .collect();
-        for path in doomed {
-            if let Some(r) = self.get(path) {
-                removed += r.size as u64;
-            }
-            self.remove_path(path);
-        }
-        removed
+        self.remove_where(|r| Self::is_junk_path(r.path))
     }
 
     /// Remove all user-data files; returns bytes removed.
     pub fn remove_user_data(&mut self) -> u64 {
-        let mut removed = 0u64;
-        let doomed: Vec<IStr> = self
-            .iter()
-            .filter(|r| r.owner == FileOwner::UserData)
-            .map(|r| r.path)
-            .collect();
-        for path in doomed {
-            if let Some(r) = self.get(path) {
-                removed += r.size as u64;
-            }
-            self.remove_path(path);
-        }
-        removed
+        self.remove_where(|r| r.owner == FileOwner::UserData)
+    }
+
+    /// Remove user data and junk together (what a `virt-sysprep` reset
+    /// and a publish's strip both drop); returns bytes removed.
+    pub fn remove_user_data_and_junk(&mut self) -> u64 {
+        self.remove_where(|r| r.owner == FileOwner::UserData || Self::is_junk_path(r.path))
     }
 
     /// Effective lookup: overlay wins, then newest layer, unless
@@ -186,33 +179,23 @@ impl FsTree {
 
     /// Iterate effective files in deterministic (path) order.
     pub fn iter(&self) -> impl Iterator<Item = FileRecord> + '_ {
-        self.effective().into_iter()
+        self.merge().map(|m| m.rec)
     }
 
-    fn effective(&self) -> Vec<FileRecord> {
-        // Merge: paths from overlay + all layers, overlay shadowing,
-        // tombstones filtered.
-        let mut out: BTreeMap<&'static str, FileRecord> = BTreeMap::new();
-        for layer in &self.layers {
-            for r in layer.iter() {
-                out.insert(r.path.as_str(), *r);
-            }
+    fn merge(&self) -> Merge<'_> {
+        Merge {
+            heads: self.layers.iter().map(|l| l.as_slice()).collect(),
+            overlay: self.overlay.iter().peekable(),
+            tombstones: &self.tombstones,
         }
-        for path in &self.tombstones {
-            out.remove(path.as_str());
-        }
-        for (k, r) in &self.overlay {
-            out.insert(k, *r);
-        }
-        out.into_values().collect()
     }
 
     pub fn file_count(&self) -> usize {
-        self.effective().len()
+        self.merge().count()
     }
 
     pub fn total_bytes(&self) -> u64 {
-        self.iter().map(|r| r.size as u64).sum()
+        self.merge().map(|m| m.rec.size as u64).sum()
     }
 
     /// Files owned by a specific package.
@@ -220,6 +203,74 @@ impl FsTree {
         self.iter()
             .filter(|r| r.owner == FileOwner::Package(pkg))
             .collect()
+    }
+}
+
+/// One effective record and where the tree holds its path — what a
+/// removal needs to hide it without looking it up again.
+struct Merged {
+    rec: FileRecord,
+    /// The record is the overlay's.
+    from_overlay: bool,
+    /// Some layer holds the path (the record itself, or one it shadows).
+    in_layer: bool,
+}
+
+/// The k-way merge behind every walk: each layer and the overlay are
+/// path-sorted, so the effective view is their merge with the overlay
+/// winning a tie, then the newest layer, and tombstoned layer paths
+/// skipped. Each step looks only at the heads.
+struct Merge<'a> {
+    /// What is left of each layer, oldest first.
+    heads: Vec<&'a [FileRecord]>,
+    overlay: Peekable<btree_map::Iter<'a, &'static str, FileRecord>>,
+    tombstones: &'a FxHashSet<IStr>,
+}
+
+impl Iterator for Merge<'_> {
+    type Item = Merged;
+
+    fn next(&mut self) -> Option<Merged> {
+        loop {
+            // Smallest path at any layer's head; `<=` over oldest-first
+            // heads lets the newest layer win a tie.
+            let mut low: Option<(&'static str, FileRecord)> = None;
+            for head in &self.heads {
+                if let Some(r) = head.first() {
+                    let path = r.path.as_str();
+                    if low.is_none_or(|(low_path, _)| path <= low_path) {
+                        low = Some((path, *r));
+                    }
+                }
+            }
+            let from_overlay = match (self.overlay.peek(), low) {
+                (None, None) => return None,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (Some((&overlay_path, _)), Some((low_path, _))) => overlay_path <= low_path,
+            };
+            let rec = if from_overlay {
+                *self.overlay.next()?.1
+            } else {
+                low?.1
+            };
+            // Every layer's copy of this path is now either emitted or
+            // shadowed; interned paths compare by id.
+            let mut in_layer = false;
+            for head in &mut self.heads {
+                if head.first().is_some_and(|r| r.path == rec.path) {
+                    *head = &head[1..];
+                    in_layer = true;
+                }
+            }
+            if from_overlay || !self.tombstones.contains(&rec.path) {
+                return Some(Merged {
+                    rec,
+                    from_overlay,
+                    in_layer,
+                });
+            }
+        }
     }
 }
 
@@ -287,7 +338,7 @@ mod tests {
         let mut fs = FsTree::with_base(base_layer());
         fs.add_file(rec("/opt/tool/bin", 500, FileOwner::Package(PackageId(9))));
         fs.add_file(rec("/opt/tool/conf", 50, FileOwner::Package(PackageId(9))));
-        let removed = fs.remove_owned_by(PackageId(9));
+        let removed = fs.remove_where(|r| r.owner == FileOwner::Package(PackageId(9)));
         assert_eq!(removed, 550);
         assert_eq!(fs.file_count(), 3);
         // Base-layer files of another package untouched.
@@ -337,6 +388,175 @@ mod tests {
             rec("/x", 1, FileOwner::System),
             rec("/x", 2, FileOwner::System),
         ]);
+    }
+
+    /// The reference model: the `BTreeMap`-rebuilding merge the streaming
+    /// view replaced, with lookups read off that map and removals done
+    /// the way they were (collect doomed paths, then look up and remove
+    /// each).
+    #[derive(Default)]
+    struct Model {
+        layers: Vec<FsLayer>,
+        overlay: BTreeMap<&'static str, FileRecord>,
+        tombstones: FxHashSet<IStr>,
+    }
+
+    impl Model {
+        fn effective(&self) -> Vec<FileRecord> {
+            let mut out: BTreeMap<&'static str, FileRecord> = BTreeMap::new();
+            for layer in &self.layers {
+                for r in layer.iter() {
+                    out.insert(r.path.as_str(), *r);
+                }
+            }
+            for path in &self.tombstones {
+                out.remove(path.as_str());
+            }
+            for (k, r) in &self.overlay {
+                out.insert(k, *r);
+            }
+            out.into_values().collect()
+        }
+
+        fn get(&self, path: IStr) -> Option<FileRecord> {
+            self.effective().into_iter().find(|r| r.path == path)
+        }
+
+        fn add_file(&mut self, rec: FileRecord) {
+            self.tombstones.remove(&rec.path);
+            self.overlay.insert(rec.path.as_str(), rec);
+        }
+
+        fn remove_path(&mut self, path: IStr) -> bool {
+            let existed = self.get(path).is_some();
+            self.overlay.remove(path.as_str());
+            if self.layers.iter().any(|l| l.iter().any(|r| r.path == path)) {
+                self.tombstones.insert(path);
+            }
+            existed
+        }
+
+        fn remove_where(&mut self, doomed: impl Fn(&FileRecord) -> bool) -> u64 {
+            let mut removed = 0u64;
+            let paths: Vec<IStr> = self
+                .effective()
+                .iter()
+                .filter(|r| doomed(r))
+                .map(|r| r.path)
+                .collect();
+            for path in paths {
+                if let Some(r) = self.get(path) {
+                    removed += r.size as u64;
+                }
+                self.remove_path(path);
+            }
+            removed
+        }
+    }
+
+    /// A small path universe (two of them junk) so that layers, overlay
+    /// and tombstones collide constantly.
+    fn universe() -> Vec<IStr> {
+        [
+            "/bin/a",
+            "/bin/b",
+            "/etc/c",
+            "/home/u/d",
+            "/home/u/e",
+            "/opt/f",
+            "/tmp/g",
+            "/usr/lib/h",
+            "/usr/lib/i",
+            "/var/log/j",
+        ]
+        .iter()
+        .map(|p| IStr::new(p))
+        .collect()
+    }
+
+    fn owner_of(k: u8) -> FileOwner {
+        match k % 4 {
+            0 => FileOwner::UserData,
+            1 => FileOwner::System,
+            k => FileOwner::Package(PackageId(k as u32)),
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn streaming_view_equals_the_map_model(
+            ops in proptest::collection::vec(
+                (0u8..10, 0usize..10, 1u32..5000, proptest::any::<u8>()),
+                1..60,
+            ),
+        ) {
+            let paths = universe();
+            let mut fs = FsTree::new();
+            let mut model = Model::default();
+            for (kind, at, size, k) in ops {
+                let path = paths[at];
+                match kind {
+                    // A layer holding the paths whose bit is set in
+                    // `size` (none: an empty layer); three layers at most.
+                    0 | 1 if model.layers.len() < 3 => {
+                        let layer = layer_from(
+                            paths
+                                .iter()
+                                .enumerate()
+                                .filter(|(i, _)| size >> i & 1 == 1)
+                                .map(|(i, &p)| FileRecord {
+                                    path: p,
+                                    size: size + i as u32,
+                                    seed: k as u64,
+                                    owner: owner_of(k.wrapping_add(i as u8)),
+                                })
+                                .collect(),
+                        );
+                        fs.push_layer(Arc::clone(&layer));
+                        model.layers.push(layer);
+                    }
+                    0..=4 => {
+                        let rec = FileRecord { path, size, seed: k as u64, owner: owner_of(k) };
+                        fs.add_file(rec);
+                        model.add_file(rec);
+                    }
+                    5 | 6 => {
+                        proptest::prop_assert_eq!(fs.remove_path(path), model.remove_path(path));
+                    }
+                    7 => {
+                        let owner = owner_of(k);
+                        proptest::prop_assert_eq!(
+                            fs.remove_where(|r| r.owner == owner),
+                            model.remove_where(|r| r.owner == owner)
+                        );
+                    }
+                    8 => {
+                        proptest::prop_assert_eq!(
+                            fs.remove_user_data_and_junk(),
+                            model.remove_where(|r| {
+                                r.owner == FileOwner::UserData || FsTree::is_junk_path(r.path)
+                            })
+                        );
+                    }
+                    _ => {
+                        proptest::prop_assert_eq!(
+                            fs.remove_where(|r| r.size % 2 == 0),
+                            model.remove_where(|r| r.size % 2 == 0)
+                        );
+                    }
+                }
+                let want = model.effective();
+                proptest::prop_assert_eq!(fs.iter().collect::<Vec<_>>(), want.clone());
+                proptest::prop_assert_eq!(fs.file_count(), want.len());
+                proptest::prop_assert_eq!(
+                    fs.total_bytes(),
+                    want.iter().map(|r| r.size as u64).sum::<u64>()
+                );
+                for &p in &paths {
+                    proptest::prop_assert_eq!(fs.get(p), model.get(p));
+                }
+            }
+        }
     }
 
     #[test]

@@ -63,10 +63,20 @@ impl<'a> GuestHandle<'a> {
 
     /// Remove a package by name, charged by the bytes removed.
     pub fn remove_package(&mut self, _catalog: &Catalog, name: IStr) -> SimDuration {
-        let removed = self.vmi.remove_package_raw(name);
-        let d = self.env.costs.pkg_remove(removed);
-        self.env.local.charge_fixed(d);
-        d
+        self.remove_packages(&[name])
+    }
+
+    /// Remove packages by name in one walk of the tree. Each package is
+    /// charged by its own removed bytes, in `names` order — the same
+    /// charges as removing them one at a time. Returns their sum.
+    pub fn remove_packages(&mut self, names: &[IStr]) -> SimDuration {
+        let mut total = SimDuration::ZERO;
+        for removed in self.vmi.remove_packages_raw(names) {
+            let d = self.env.costs.pkg_remove(removed);
+            self.env.local.charge_fixed(d);
+            total += d;
+        }
+        total
     }
 
     /// Remove every auto-installed package no longer required by a manual
@@ -82,11 +92,9 @@ impl<'a> GuestHandle<'a> {
             if unused.is_empty() {
                 break;
             }
-            for id in unused {
-                let name = catalog.get(id).name;
-                self.remove_package(catalog, name);
-                all_removed.push(id);
-            }
+            let names: Vec<IStr> = unused.iter().map(|&id| catalog.get(id).name).collect();
+            self.remove_packages(&names);
+            all_removed.extend(unused);
         }
         all_removed
     }
@@ -106,7 +114,7 @@ impl<'a> GuestHandle<'a> {
     /// charges the fixed reset cost.
     pub fn sysprep_reset(&mut self) -> u64 {
         self.env.local.charge_fixed(self.env.costs.sysprep_reset);
-        self.vmi.fs.remove_user_data() + self.vmi.fs.remove_junk()
+        self.vmi.fs.remove_user_data_and_junk()
     }
 
     /// Refresh the dpkg status file after package operations.

@@ -25,5 +25,5 @@ pub mod vmi;
 pub use builder::{BaseTemplate, ImageBuilder, ImageRecipe, JunkGroup};
 pub use fstree::{FileOwner, FileRecord, FsTree};
 pub use handle::GuestHandle;
-pub use mkfs::{disk_size_for, extents, materialize_range, Extent};
+pub use mkfs::{extents, materialize_range, Extent};
 pub use vmi::Vmi;

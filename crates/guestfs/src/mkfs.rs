@@ -11,6 +11,14 @@
 //!
 //! Files larger than a group's capacity (and group overflow) go to a
 //! spill region after the groups, packed in path order.
+//!
+//! **One walk per operation.** Everything a caller can ask of a tree's
+//! placement — disk size, superblock counts, every extent — comes from
+//! one [`Layout`], and a `Layout` costs one walk of the tree. No
+//! operation walks the tree more than once per phase; nothing is
+//! collected that can be streamed: extents leave the layout in offset
+//! order (no sort), and `mkfs` generates content straight into one
+//! buffer per block group, written with one `write_at`.
 
 use crate::fstree::{FileRecord, FsTree};
 use xpl_util::FxHasher;
@@ -47,65 +55,6 @@ fn file_span(rec: &FileRecord) -> u64 {
     align_up(INODE_BYTES + rec.size as u64, ALIGN)
 }
 
-/// Geometry derived from a tree: per-group capacity and spill size.
-struct Geometry {
-    group_capacity: u64,
-    groups_end: u64,
-    disk_size: u64,
-}
-
-fn geometry(fs: &FsTree) -> (Geometry, Vec<Vec<FileRecord>>, Vec<FileRecord>) {
-    let mut groups: Vec<Vec<FileRecord>> = (0..NGROUPS).map(|_| Vec::new()).collect();
-    let mut total_span = 0u64;
-    for rec in fs.iter() {
-        total_span += file_span(&rec);
-        groups[group_of(&rec) as usize].push(rec);
-    }
-    // Fixed capacity for every group. Rounding the raw capacity up to a
-    // power of two makes the geometry *coarse*: images whose populations
-    // differ by less than the headroom share identical group addresses,
-    // which preserves cross-image allocation stability (and hence block
-    // dedup) within an image family.
-    let raw_cap = (total_span * HEADROOM_NUM / HEADROOM_DEN).div_ceil(NGROUPS);
-    let group_capacity = raw_cap.max(256).next_power_of_two();
-    // Files that don't fit their group spill.
-    let mut spill: Vec<FileRecord> = Vec::new();
-    for g in groups.iter_mut() {
-        // Pack in path order (already sorted by fs.iter()), overflow to
-        // spill.
-        let mut used = 0u64;
-        let mut keep = Vec::with_capacity(g.len());
-        for rec in g.drain(..) {
-            let span = file_span(&rec);
-            if used + span <= group_capacity {
-                used += span;
-                keep.push(rec);
-            } else {
-                spill.push(rec);
-            }
-        }
-        *g = keep;
-    }
-    spill.sort_by_key(|r| r.path.as_str());
-    let spill_span: u64 = spill.iter().map(file_span).sum();
-    let groups_end = SUPERBLOCK_BYTES + NGROUPS * group_capacity;
-    let disk_size = align_up(groups_end + spill_span + 4096, 4096);
-    (
-        Geometry {
-            group_capacity,
-            groups_end,
-            disk_size,
-        },
-        groups,
-        spill,
-    )
-}
-
-/// Size the virtual disk for a tree.
-pub fn disk_size_for(fs: &FsTree) -> u64 {
-    geometry(fs).0.disk_size
-}
-
 /// One file's placement on disk: the [`INODE_BYTES`] boundary marker
 /// sits at `offset`, content immediately after.
 #[derive(Clone, Debug)]
@@ -125,44 +74,96 @@ impl Extent {
     pub fn end(&self) -> u64 {
         self.offset + INODE_BYTES + self.rec.size as u64
     }
+
+    /// Boundary marker derived from the content seed (stable across
+    /// runs, unlike interner ids).
+    fn marker(&self) -> [u8; INODE_BYTES as usize] {
+        (self.rec.seed as u16).to_le_bytes()
+    }
 }
 
-/// The single placement walk both [`mkfs`] and [`extents`] follow —
-/// groups in index order, then spill — so the extent map and the
+/// Where every file of a tree goes, and the numbers the superblock
+/// carries, from one walk of the tree. [`mkfs`], [`extents`] and
+/// [`materialize_range`] all read this, so the extent map and the
 /// materialized disk can never drift apart.
-fn placements(fs: &FsTree) -> (Geometry, Vec<Extent>) {
-    let (geo, groups, spill) = geometry(fs);
-    let mut out = Vec::with_capacity(fs.file_count());
-    let mut place = |cursor: &mut u64, rec: FileRecord| {
-        let next = align_up(*cursor + INODE_BYTES + rec.size as u64, ALIGN);
-        out.push(Extent {
-            rec,
-            offset: *cursor,
-        });
-        *cursor = next;
-    };
-    for (gi, group) in groups.into_iter().enumerate() {
-        let mut cursor = SUPERBLOCK_BYTES + gi as u64 * geo.group_capacity;
-        for rec in group {
-            place(&mut cursor, rec);
+struct Layout {
+    group_capacity: u64,
+    disk_size: u64,
+    files: u64,
+    bytes: u64,
+    /// In offset order by construction: groups in index order, each
+    /// packed in path order, then the spill region in path order.
+    extents: Vec<Extent>,
+}
+
+impl Layout {
+    fn of(fs: &FsTree) -> Layout {
+        // The one walk: bucket by group (path order survives inside a
+        // bucket) and count files, bytes and span on the way.
+        let mut groups: Vec<Vec<FileRecord>> = vec![Vec::new(); NGROUPS as usize];
+        let (mut files, mut bytes, mut total_span) = (0u64, 0u64, 0u64);
+        for rec in fs.iter() {
+            files += 1;
+            bytes += rec.size as u64;
+            total_span += file_span(&rec);
+            groups[group_of(&rec) as usize].push(rec);
+        }
+        // Fixed capacity for every group. Rounding the raw capacity up to a
+        // power of two makes the geometry *coarse*: images whose populations
+        // differ by less than the headroom share identical group addresses,
+        // which preserves cross-image allocation stability (and hence block
+        // dedup) within an image family.
+        let raw_cap = (total_span * HEADROOM_NUM / HEADROOM_DEN).div_ceil(NGROUPS);
+        let group_capacity = raw_cap.max(256).next_power_of_two();
+
+        let mut extents = Vec::with_capacity(files as usize);
+        let mut spill: Vec<FileRecord> = Vec::new();
+        for (gi, group) in groups.into_iter().enumerate() {
+            let start = SUPERBLOCK_BYTES + gi as u64 * group_capacity;
+            let mut used = 0u64;
+            for rec in group {
+                let span = file_span(&rec);
+                if used + span <= group_capacity {
+                    extents.push(Extent {
+                        rec,
+                        offset: start + used,
+                    });
+                    used += span;
+                } else {
+                    // Files that don't fit their group spill.
+                    spill.push(rec);
+                }
+            }
+        }
+        spill.sort_by_key(|r| r.path.as_str());
+        let mut cursor = SUPERBLOCK_BYTES + NGROUPS * group_capacity;
+        for rec in spill {
+            let span = file_span(&rec);
+            extents.push(Extent {
+                rec,
+                offset: cursor,
+            });
+            cursor += span;
+        }
+        Layout {
+            group_capacity,
+            disk_size: align_up(cursor + 4096, 4096),
+            files,
+            bytes,
+            extents,
         }
     }
-    let mut cursor = geo.groups_end;
-    for rec in spill {
-        place(&mut cursor, rec);
-    }
-    (geo, out)
-}
 
-fn superblock(fs: &FsTree, geo: &Geometry) -> Vec<u8> {
-    // Superblock: magic + counts (deterministic, participates in content).
-    let mut sb = Vec::with_capacity(SUPERBLOCK_BYTES as usize);
-    sb.extend_from_slice(b"XFS2");
-    sb.extend_from_slice(&(fs.file_count() as u64).to_le_bytes());
-    sb.extend_from_slice(&fs.total_bytes().to_le_bytes());
-    sb.extend_from_slice(&geo.group_capacity.to_le_bytes());
-    sb.resize(SUPERBLOCK_BYTES as usize, 0);
-    sb
+    /// Superblock: magic + counts (deterministic, participates in content).
+    fn superblock(&self) -> Vec<u8> {
+        let mut sb = Vec::with_capacity(SUPERBLOCK_BYTES as usize);
+        sb.extend_from_slice(b"XFS2");
+        sb.extend_from_slice(&self.files.to_le_bytes());
+        sb.extend_from_slice(&self.bytes.to_le_bytes());
+        sb.extend_from_slice(&self.group_capacity.to_le_bytes());
+        sb.resize(SUPERBLOCK_BYTES as usize, 0);
+        sb
+    }
 }
 
 /// Every file's disk placement, sorted by offset. Computable from tree
@@ -170,24 +171,26 @@ fn superblock(fs: &FsTree, geo: &Geometry) -> Vec<u8> {
 /// semantics-aware map from disk byte ranges to owning files that range
 /// retrieval walks to decide which blobs to fetch.
 pub fn extents(fs: &FsTree) -> Vec<Extent> {
-    let (_, mut ex) = placements(fs);
-    ex.sort_by_key(|e| e.offset);
-    ex
+    Layout::of(fs).extents
 }
 
 /// Write the tree into a fresh qcow image named `name`.
+///
+/// Files packed back to back (a block group, the spill region) are
+/// generated into one buffer and written with one `write_at`.
 pub fn mkfs(name: &str, fs: &FsTree) -> QcowImage {
-    let (geo, extents) = placements(fs);
-    let mut img = QcowImage::create(name, geo.disk_size);
-    img.write_at(0, &superblock(fs, &geo))
+    let layout = Layout::of(fs);
+    let mut img = QcowImage::create(name, layout.disk_size);
+    img.write_at(0, &layout.superblock())
         .expect("superblock fits");
-    for e in &extents {
-        // Boundary marker derived from the content seed (stable across
-        // runs, unlike interner ids).
-        let marker = (e.rec.seed as u16).to_le_bytes();
-        img.write_at(e.offset, &marker).expect("inode fits");
-        img.write_at(e.content_offset(), &e.rec.content())
-            .expect("content fits");
+    let mut run: Vec<u8> = Vec::new();
+    for packed in layout.extents.chunk_by(|a, b| a.end() == b.offset) {
+        run.clear();
+        for e in packed {
+            run.extend_from_slice(&e.marker());
+            xpl_pkg::content::generate_into(e.rec.seed, e.rec.size as usize, &mut run);
+        }
+        img.write_at(packed[0].offset, &run).expect("run fits");
     }
     img
 }
@@ -210,25 +213,23 @@ pub fn materialize_range<F>(
 where
     F: FnMut(&FileRecord, u64, u64) -> Result<Vec<u8>, String>,
 {
-    let (geo, mut extents) = placements(fs);
-    extents.sort_by_key(|e| e.offset);
-    let end = start.saturating_add(len).min(geo.disk_size);
+    let layout = Layout::of(fs);
+    let end = start.saturating_add(len).min(layout.disk_size);
     if start >= end {
         return Ok(Vec::new());
     }
     let mut out = vec![0u8; (end - start) as usize];
     if start < SUPERBLOCK_BYTES {
-        let sb = superblock(fs, &geo);
+        let sb = layout.superblock();
         let to = end.min(SUPERBLOCK_BYTES);
         out[..(to - start) as usize].copy_from_slice(&sb[start as usize..to as usize]);
     }
-    let first = extents.partition_point(|e| e.end() <= start);
-    for e in &extents[first..] {
+    let first = layout.extents.partition_point(|e| e.end() <= start);
+    for e in &layout.extents[first..] {
         if e.offset >= end {
             break;
         }
-        let marker = (e.rec.seed as u16).to_le_bytes();
-        for (k, &b) in marker.iter().enumerate() {
+        for (k, &b) in e.marker().iter().enumerate() {
             let pos = e.offset + k as u64;
             if (start..end).contains(&pos) {
                 out[(pos - start) as usize] = b;
@@ -368,7 +369,8 @@ mod tests {
                 owner: FileOwner::UserData,
             });
         }
-        assert!(disk_size_for(&big) > disk_size_for(&small) + 90_000);
+        let size = |fs: &FsTree| mkfs("img", fs).virtual_size();
+        assert!(size(&big) > size(&small) + 90_000);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::fstree::{FileOwner, FileRecord, FsTree};
 use crate::mkfs;
 use xpl_pkg::dpkgdb::InstallReason;
 use xpl_pkg::{BaseImageAttrs, Catalog, DpkgDb, PackageId};
-use xpl_util::IStr;
+use xpl_util::{FxHashMap, IStr};
 use xpl_vdisk::QcowImage;
 
 /// A virtual machine image.
@@ -128,12 +128,29 @@ impl Vmi {
         self.pkgdb.install(catalog, id, reason);
     }
 
-    /// Remove a package's files + DB record; returns removed bytes.
-    pub fn remove_package_raw(&mut self, name: IStr) -> u64 {
-        match self.pkgdb.remove(name) {
-            Some(id) => self.fs.remove_owned_by(id),
-            None => 0,
+    /// Remove the named packages' DB records, then all their files in one
+    /// walk of the tree; returns each package's removed bytes in `names`
+    /// order (0 for a name that is not installed).
+    pub fn remove_packages_raw(&mut self, names: &[IStr]) -> Vec<u64> {
+        let mut removed = vec![0u64; names.len()];
+        let slot_of: FxHashMap<PackageId, usize> = names
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, &name)| Some((self.pkgdb.remove(name)?, slot)))
+            .collect();
+        if !slot_of.is_empty() {
+            self.fs.remove_where(|r| {
+                let FileOwner::Package(id) = r.owner else {
+                    return false;
+                };
+                let Some(&slot) = slot_of.get(&id) else {
+                    return false;
+                };
+                removed[slot] += r.size as u64;
+                true
+            });
         }
+        removed
     }
 }
 
@@ -204,8 +221,8 @@ mod tests {
         let (c, id) = tiny_catalog();
         let mut vmi = empty_vmi();
         vmi.install_package_raw(&c, id, InstallReason::Manual);
-        let removed = vmi.remove_package_raw(IStr::new("redis"));
-        assert_eq!(removed, 350);
+        let removed = vmi.remove_packages_raw(&[IStr::new("redis"), IStr::new("absent")]);
+        assert_eq!(removed, [350, 0]);
         assert_eq!(vmi.file_count(), 0);
         assert!(!vmi.pkgdb.is_installed(IStr::new("redis")));
     }

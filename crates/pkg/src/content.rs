@@ -60,14 +60,23 @@ const SPARSE_WEIGHT: u64 = 25;
 
 /// Generate `size` bytes of content for the given seed.
 pub fn generate(seed: u64, size: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(size);
+    let mut out = Vec::new();
+    generate_into(seed, size, &mut out);
+    out
+}
+
+/// Append the `size` bytes [`generate`] returns for `seed` to `out`, so a
+/// caller laying many files into one buffer allocates nothing per file.
+pub fn generate_into(seed: u64, size: usize, out: &mut Vec<u8>) {
+    let end = out.len() + size;
+    out.reserve(size);
     let mut rng = SplitMix64::new(seed ^ 0xC0FF_EE00_D15E_A5E5);
-    while out.len() < size {
-        let remaining = size - out.len();
+    while out.len() < end {
+        let remaining = end - out.len();
         let class = rng.next_below(100);
         let run = rng.next_range(64, 512).min(remaining as u64) as usize;
         if class < TEXT_WEIGHT {
-            fill_text(&mut rng, &mut out, run);
+            fill_text(&mut rng, out, run);
         } else if class < TEXT_WEIGHT + SPARSE_WEIGHT {
             // Sparse/zero region (padding, .bss-like, alignment).
             out.extend(std::iter::repeat_n(0u8, run));
@@ -78,8 +87,6 @@ pub fn generate(seed: u64, size: usize) -> Vec<u8> {
             rng.fill_bytes(&mut out[start..]);
         }
     }
-    out.truncate(size);
-    out
 }
 
 fn fill_text(rng: &mut SplitMix64, out: &mut Vec<u8>, run: usize) {
@@ -120,6 +127,17 @@ mod tests {
     fn deterministic() {
         assert_eq!(generate(42, 1000), generate(42, 1000));
         assert_ne!(generate(42, 1000), generate(43, 1000));
+    }
+
+    #[test]
+    fn generate_into_appends_the_same_bytes() {
+        let mut out = vec![0xAB; 3];
+        for (seed, size) in [(7u64, 0usize), (7, 1), (8, 63), (9, 1000), (10, 4096)] {
+            let at = out.len();
+            generate_into(seed, size, &mut out);
+            assert_eq!(out[at..], generate(seed, size));
+        }
+        assert_eq!(out[..3], [0xAB; 3]);
     }
 
     #[test]
