@@ -11,7 +11,6 @@
 //!   each storage codec (raw, blocked DEFLATE, blocked LZ4) over the
 //!   same synthetic image payload (`repro ablate-codec`).
 
-use crate::microbench::time_median;
 use serde::Serialize;
 use xpl_baselines::{CdcDedupStore, FixedBlockDedupStore};
 use xpl_compress::{
@@ -109,6 +108,24 @@ pub fn master_graph_speedup(world: &World, n: usize) -> MasterSpeedup {
     }
 }
 
+/// Median seconds per iteration: warm up once, then iterate until the
+/// budget is spent (at least 3 iterations).
+fn time_median<F: FnMut()>(budget_s: f64, mut f: F) -> f64 {
+    f(); // warm-up
+    let mut samples = Vec::new();
+    let started = std::time::Instant::now();
+    while samples.len() < 3 || started.elapsed().as_secs_f64() < budget_s {
+        let t0 = std::time::Instant::now();
+        f();
+        samples.push(t0.elapsed().as_secs_f64());
+        if samples.len() >= 10_000 {
+            break;
+        }
+    }
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 /// One row of the codec ablation: a storage codec measured over the
 /// shared synthetic payload.
 #[derive(Clone, Debug, Serialize)]
@@ -144,13 +161,13 @@ pub fn codec_ablation_sweep(payload_len: usize, budget_s: f64) -> Vec<CodecAblat
     // slice copy. This is the throughput ceiling the codecs trade away.
     let encoded = data.clone();
     assert_eq!(encoded, data);
-    let (_, t_enc) = time_median(budget_s, || {
+    let t_enc = time_median(budget_s, || {
         std::hint::black_box(data.clone());
     });
-    let (_, t_dec) = time_median(budget_s, || {
+    let t_dec = time_median(budget_s, || {
         std::hint::black_box(encoded.clone());
     });
-    let (_, t_rng) = time_median(budget_s, || {
+    let t_rng = time_median(budget_s, || {
         let s = range_start as usize;
         std::hint::black_box(encoded[s..s + range_len as usize].to_vec());
     });
@@ -178,13 +195,13 @@ pub fn codec_ablation_sweep(payload_len: usize, budget_s: f64) -> Vec<CodecAblat
             "{} range read",
             codec.name()
         );
-        let (_, t_enc) = time_median(budget_s, || {
+        let t_enc = time_median(budget_s, || {
             std::hint::black_box(blocked_compress_inner(&data, DEFAULT_BLOCK_SIZE, codec));
         });
-        let (_, t_dec) = time_median(budget_s, || {
+        let t_dec = time_median(budget_s, || {
             std::hint::black_box(decompress_auto(&encoded).expect("container decodes"));
         });
-        let (_, t_rng) = time_median(budget_s, || {
+        let t_rng = time_median(budget_s, || {
             std::hint::black_box(read_range(&encoded, range_start, range_len).expect("range"));
         });
         rows.push(CodecAblationRow {

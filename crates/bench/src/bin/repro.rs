@@ -20,10 +20,10 @@
 //!             [--threads N] [--durable] [--crashes K] [--crash-seed N]
 //!             [--codec raw|deflate|lz4|mixed]
 //!                     trace-driven lifecycle replay + differential oracle
-//!                     (exits 1 on any oracle violation). With --threads
-//!                     the concurrent driver replays store replicas and
-//!                     per-image retrieval groups on the worker pool; the
-//!                     report is byte-identical for every thread count.
+//!                     (exits 1 on any oracle violation). Store replicas
+//!                     and per-image retrieval groups replay on a pool
+//!                     of --threads workers (default 1); the report is
+//!                     byte-identical for every thread count.
 //!                     With --durable, Expelliarmus and Mirage write
 //!                     through to log-structured on-disk backends
 //!                     (xpl-persist) and the trace gains K (default 3)
@@ -72,13 +72,6 @@
 //!                     third of the images, then run every store's deep
 //!                     integrity audit (refcounts + full content re-hash);
 //!                     exits 1 if any store fails.
-//! repro bench [--quick] [--json F] [--codec deflate|lz4]
-//!                     wall-clock substrate microbenchmarks → BENCH.json
-//!                     (--codec picks the blocked container's inner
-//!                     codec; the codec-tier comparison section always
-//!                     measures both)
-//! repro bench --check F
-//!                     validate an existing BENCH.json (nonzero throughputs)
 //! repro all [dir] [--threads N]
 //!                     everything; JSON results into dir (default results/).
 //!                     Multi-store sweeps run one store per pool worker
@@ -91,7 +84,7 @@
 //! catalog-driven commands — table2, fig3b, fig4b, fig5a, fig5b;
 //! fig3a/fig3c/fig4a reference images only the standard world defines.
 //!
-//! `churn`, `serve`, and `bench` additionally take `--metrics FILE`:
+//! `churn` and `serve` additionally take `--metrics FILE`:
 //! an xpl-obs registry is attached to every store/server in the run
 //! and its snapshot (deterministic + wall sections, with fingerprints)
 //! is written to FILE as canonical JSON. Attaching the registry never
@@ -104,11 +97,15 @@ use xpl_bench::experiments::*;
 use xpl_bench::{ablations, churn, render};
 use xpl_workloads::World;
 
+/// `--flag VALUE`. A flag that is last, or followed by another `--…`
+/// token, is a usage error: treating it as absent (or swallowing the
+/// next flag as its value) would silently drop the output it names.
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    let i = args.iter().position(|a| a == flag)?;
+    match args.get(i + 1) {
+        Some(value) if !value.starts_with("--") => Some(value.clone()),
+        _ => fail(format!("{flag} needs a value")),
+    }
 }
 
 /// Print a one-line usage error and exit 2.
@@ -217,10 +214,6 @@ fn parse_metrics(args: &[String]) -> Option<Metrics> {
 }
 
 impl Metrics {
-    fn registry(&self) -> Option<&std::sync::Arc<xpl_obs::Registry>> {
-        Some(&self.registry)
-    }
-
     /// Snapshot the registry into the requested file. Written even when
     /// the run's oracle fails, so a red CI job still uploads metrics.
     fn finish(&self) {
@@ -262,21 +255,19 @@ fn run_churn_cmd(args: &[String]) -> ! {
         }
         cfg = cfg.with_durable(dcfg);
     }
+    let json = flag_value(args, "--json");
     let metrics = parse_metrics(args);
-    let registry = metrics.as_ref().and_then(Metrics::registry);
-    let threads = parse_threads(args);
-    let report = match threads {
+    cfg.registry = metrics.as_ref().map(|m| m.registry.clone());
+    match parse_threads(args) {
         Some(n) => {
             eprintln!(
                 "[repro] churn replay: seed={seed:#x} ops={ops} threads={n} durable={durable}"
             );
-            churn::run_churn_threads_with(&cfg, n, registry)
+            cfg.threads = n;
         }
-        None => {
-            eprintln!("[repro] churn replay: seed={seed:#x} ops={ops} durable={durable}");
-            churn::run_churn_with(&cfg, registry)
-        }
-    };
+        None => eprintln!("[repro] churn replay: seed={seed:#x} ops={ops} durable={durable}"),
+    }
+    let report = churn::run_churn(&cfg);
     println!("CHURN: {} ops replayed against 5 stores", report.ops);
     println!(
         "  mix: {} publish / {} retrieve (+{} ranged) / {} upgrade / {} delete / \
@@ -319,22 +310,37 @@ fn run_churn_cmd(args: &[String]) -> ! {
             );
         }
     }
-    if let Some(path) = flag_value(args, "--json") {
-        let json = serde_json::to_string_pretty(&report).expect("serialize churn report");
+    finish_oracle_run("churn", &report, &report.violations, json, metrics)
+}
+
+/// The shared tail of `churn`, `serve` and `serve --net`: write the
+/// `--json` report and the `--metrics` snapshot (both even when the
+/// oracle failed, so a red CI job still uploads them), then exit 0 on
+/// a clean oracle, or 1 after printing the first 20 violations.
+fn finish_oracle_run(
+    what: &str,
+    report: &impl serde::Serialize,
+    violations: &[String],
+    json: Option<String>,
+    metrics: Option<Metrics>,
+) -> ! {
+    if let Some(path) = json {
+        let json = serde_json::to_string_pretty(report)
+            .unwrap_or_else(|e| panic!("serialize {what} report: {e:?}"));
         std::fs::File::create(&path)
             .and_then(|mut f| f.write_all(json.as_bytes()))
-            .expect("write churn JSON");
+            .unwrap_or_else(|e| panic!("write {what} JSON: {e:?}"));
         eprintln!("[repro] wrote {path}");
     }
-    if let Some(m) = &metrics {
+    if let Some(m) = metrics {
         m.finish();
     }
-    if report.violations.is_empty() {
+    if violations.is_empty() {
         println!("  oracle: PASS");
         std::process::exit(0);
     }
-    eprintln!("  oracle: {} VIOLATIONS", report.violations.len());
-    for v in report.violations.iter().take(20) {
+    eprintln!("  oracle: {} VIOLATIONS", violations.len());
+    for v in violations.iter().take(20) {
         eprintln!("    {v}");
     }
     std::process::exit(1);
@@ -429,8 +435,9 @@ fn run_serve_cmd(args: &[String]) -> ! {
     if let Some(tier) = parse_codec_tier(args) {
         cfg.tier = tier;
     }
+    let json = flag_value(args, "--json");
     let metrics = parse_metrics(args);
-    let registry = metrics.as_ref().and_then(Metrics::registry);
+    cfg.registry = metrics.as_ref().map(|m| m.registry.clone());
 
     // `--net`: serve the schedule over the wire layer instead of the
     // virtual-time registry simulation (see `xpl_bench::serve_net`).
@@ -463,27 +470,9 @@ fn run_serve_cmd(args: &[String]) -> ! {
              transport={:?} faults={}/256",
             cfg.scale_name, cfg.tenants, cfg.requests, cfg.store, net.transport, net.fault_rate
         );
-        let report = xpl_bench::run_serve_net_with(&cfg, &net, registry);
+        let report = xpl_bench::run_serve_net(&cfg, &net);
         print!("{}", xpl_bench::serve_net::render_net(&report));
-        if let Some(path) = flag_value(args, "--json") {
-            let json = serde_json::to_string_pretty(&report).expect("serialize net serve report");
-            std::fs::File::create(&path)
-                .and_then(|mut f| f.write_all(json.as_bytes()))
-                .expect("write net serve JSON");
-            eprintln!("[repro] wrote {path}");
-        }
-        if let Some(m) = &metrics {
-            m.finish();
-        }
-        if report.violations.is_empty() {
-            println!("  oracle: PASS");
-            std::process::exit(0);
-        }
-        eprintln!("  oracle: {} VIOLATIONS", report.violations.len());
-        for v in report.violations.iter().take(20) {
-            eprintln!("    {v}");
-        }
-        std::process::exit(1);
+        finish_oracle_run("net serve", &report, &report.violations, json, metrics)
     }
 
     let threads = parse_threads(args);
@@ -491,82 +480,13 @@ fn run_serve_cmd(args: &[String]) -> ! {
         "[repro] serve: seed={seed:#x} scale={} tenants={} requests={} store={:?}",
         cfg.scale_name, cfg.tenants, cfg.requests, cfg.store
     );
-    let run = || xpl_bench::run_serve_with(&cfg, registry);
+    let run = || xpl_bench::run_serve(&cfg);
     let report = match threads {
         Some(n) => rayon::with_num_threads(n, run),
         None => run(),
     };
     print!("{}", xpl_bench::serve::render(&report));
-    if let Some(path) = flag_value(args, "--json") {
-        let json = serde_json::to_string_pretty(&report).expect("serialize serve report");
-        std::fs::File::create(&path)
-            .and_then(|mut f| f.write_all(json.as_bytes()))
-            .expect("write serve JSON");
-        eprintln!("[repro] wrote {path}");
-    }
-    if let Some(m) = &metrics {
-        m.finish();
-    }
-    if report.violations.is_empty() {
-        println!("  oracle: PASS");
-        std::process::exit(0);
-    }
-    eprintln!("  oracle: {} VIOLATIONS", report.violations.len());
-    for v in report.violations.iter().take(20) {
-        eprintln!("    {v}");
-    }
-    std::process::exit(1);
-}
-
-fn run_bench_cmd(args: &[String]) -> ! {
-    if let Some(path) = flag_value(args, "--check") {
-        let json = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-        match xpl_bench::microbench::check_report_json(&json) {
-            Ok(()) => {
-                println!("BENCH check: {path} OK");
-                std::process::exit(0);
-            }
-            Err(e) => {
-                eprintln!("BENCH check: {path} INVALID: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    // The blocked section's container codec; the codec-tier comparison
-    // measures both regardless.
-    let blocked_codec = match flag_value(args, "--codec").as_deref() {
-        None | Some("deflate") => xpl_compress::InnerCodec::Deflate,
-        Some("lz4") => xpl_compress::InnerCodec::Lz4,
-        Some(other) => fail(format!(
-            "invalid --codec value {other:?} (expected deflate or lz4)"
-        )),
-    };
-    eprintln!(
-        "[repro] running microbenchmarks ({} mode, {} container)…",
-        if quick { "quick" } else { "full" },
-        blocked_codec.name()
-    );
-    let metrics = parse_metrics(args);
-    let t0 = std::time::Instant::now();
-    let report = xpl_bench::run_microbench_codec_with(
-        quick,
-        blocked_codec,
-        metrics.as_ref().and_then(Metrics::registry),
-    );
-    print!("{}", xpl_bench::microbench::render(&report));
-    if let Some(path) = flag_value(args, "--json") {
-        let json = serde_json::to_string_pretty(&report).expect("serialize bench report");
-        std::fs::File::create(&path)
-            .and_then(|mut f| f.write_all(json.as_bytes()))
-            .expect("write bench JSON");
-        eprintln!("[repro] wrote {path}");
-    }
-    if let Some(m) = &metrics {
-        m.finish();
-    }
-    eprintln!("[repro] bench done in {:.1}s", t0.elapsed().as_secs_f64());
-    std::process::exit(0);
+    finish_oracle_run("serve", &report, &report.violations, json, metrics)
 }
 
 /// `repro profile` — the span-tree profile of the publish pipeline
@@ -581,13 +501,14 @@ fn run_profile_cmd(args: &[String]) -> ! {
     if let Some(s) = parse_u64_flag(args, "--seed") {
         cfg.seed = s;
     }
+    let json = flag_value(args, "--json");
     eprintln!(
         "[repro] profiling the publish pipeline: images={} seed={:#x}",
         cfg.images, cfg.seed
     );
     let report = run_profile(&cfg);
     print!("{}", render_profile(&report));
-    if let Some(path) = flag_value(args, "--json") {
+    if let Some(path) = json {
         let json = serde_json::to_string_pretty(&report).expect("serialize profile report");
         std::fs::File::create(&path)
             .and_then(|mut f| f.write_all(json.as_bytes()))
@@ -605,10 +526,11 @@ fn run_profile_cmd(args: &[String]) -> ! {
 /// world: the sweep runs over one seeded synthetic payload.
 fn run_ablate_codec_cmd(args: &[String]) -> ! {
     let mib = parse_nonzero_flag(args, "--payload-mib").unwrap_or(8) as usize;
+    let json = flag_value(args, "--json");
     eprintln!("[repro] codec ablation over a {mib} MiB seeded payload…");
     let rows = ablations::codec_ablation_sweep(mib * 1024 * 1024, 0.2);
     print_codec_ablation(&rows);
-    if let Some(path) = flag_value(args, "--json") {
+    if let Some(path) = json {
         let json = serde_json::to_string_pretty(&rows).expect("serialize codec ablation");
         std::fs::File::create(&path)
             .and_then(|mut f| f.write_all(json.as_bytes()))
@@ -644,10 +566,6 @@ fn main() {
         // The churn replay generates its own scaled world.
         run_churn_cmd(&args);
     }
-    if cmd == "bench" {
-        // Microbenchmarks build their own inputs.
-        run_bench_cmd(&args);
-    }
     if cmd == "ablate-codec" {
         // The codec sweep builds its own payload.
         run_ablate_codec_cmd(&args);
@@ -679,7 +597,7 @@ fn main() {
     if !KNOWN.contains(&cmd) {
         eprintln!("unknown experiment: {cmd}");
         eprintln!(
-            "usage: repro [table2|fig3a|fig3b|fig3c|fig4a|fig4b|fig5a|fig5b|ablations|ablate-codec|churn|serve|profile|bench|audit|all]"
+            "usage: repro [table2|fig3a|fig3b|fig3c|fig4a|fig4b|fig5a|fig5b|ablations|ablate-codec|churn|serve|profile|audit|all]"
         );
         std::process::exit(2);
     }

@@ -2,8 +2,8 @@
 //!
 //! [`run_churn`] generates a deterministic lifecycle trace over a
 //! [`ScaledWorld`] and replays it against all five evaluated stores
-//! (Qcow2, Qcow2+Gzip, Mirage, Hemera, Expelliarmus) in lockstep. After
-//! **every** operation the oracle checks:
+//! (Qcow2, Qcow2+Gzip, Mirage, Hemera, Expelliarmus) in lockstep. The
+//! oracle checks:
 //!
 //! 1. **Differential retrieval** — the semantic fingerprint (files sans
 //!    junk/status + installed package set) of every retrieved image is
@@ -28,16 +28,17 @@
 //! divergence; callers (the `repro churn` subcommand, CI, the
 //! integration suite) assert the list is empty.
 //!
-//! # Concurrent replay ([`run_churn_threads`])
+//! # Run-partitioned replay
 //!
-//! The `--threads` mode replays the same trace with the worker pool.
-//! The trace is split into maximal runs of *mutations*
-//! (publish/upgrade/delete/maintain) and *retrievals* (retrieve/burst):
+//! The replay runs on a pool of [`ChurnConfig::threads`] workers
+//! (`--threads`, default 1). The trace is split into maximal runs of
+//! *mutations* (publish/upgrade/delete/maintain) and *retrievals*
+//! (retrieve/burst):
 //!
 //! * mutation runs execute in trace order **per store**, with the five
 //!   store replicas advancing in parallel — each replica owns its
-//!   simulated environment, so its per-op reports and ledger checks are
-//!   bit-identical to a sequential replay;
+//!   simulated environment, so its per-op reports and ledger checks do
+//!   not depend on the pool;
 //! * retrieval runs are partitioned by image-name **conflict group**:
 //!   each (replica × image) group replays its retrievals in trace order
 //!   on the pool, while distinct images — now genuinely concurrent
@@ -50,7 +51,10 @@
 //! store at the end of each retrieval run; a full deep audit (every CAS
 //! blob re-hashed) closes the replay. The resulting [`ChurnReport`] is
 //! **byte-identical for any thread count** — pinned by a test at 1, 2
-//! and 8 threads.
+//! and 8 threads. One check depends on what the pool can guarantee: a
+//! ranged read may not move more repository bytes than the full
+//! retrieval, which is only measurable while a store's reads are
+//! serialized, so it is enforced whenever the pool has one worker.
 //!
 //! # Durable replay with crash-recovery churn
 //!
@@ -111,7 +115,7 @@ impl Default for DurableCfg {
 }
 
 /// Replay parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone)]
 pub struct ChurnConfig {
     pub seed: u64,
     /// Trace length (a burst is one entry; injected crash-recovery
@@ -127,6 +131,15 @@ pub struct ChurnConfig {
     /// policy must replay to identical fingerprints — the oracle's
     /// proof that recompression pins digests.
     pub tier: TierPolicy,
+    /// Worker-pool size of the replay. The report is byte-identical for
+    /// every value; one worker (the default) additionally serializes
+    /// reads, which arms the ranged-read byte bound.
+    pub threads: usize,
+    /// Metrics registry attached to every replica before the replay.
+    /// Attachment never changes the report, and the snapshot's `det`
+    /// section is derived purely from the executed op multiset, so it
+    /// is byte-identical at any thread count (CI pins both).
+    pub registry: Option<Arc<xpl_obs::Registry>>,
 }
 
 impl ChurnConfig {
@@ -138,17 +151,16 @@ impl ChurnConfig {
             scale: ScaleConfig::small(seed),
             durable: None,
             tier: TierPolicy::mixed(),
+            threads: 1,
+            registry: None,
         }
     }
 
     /// Release-mode stress scale.
     pub fn standard(seed: u64, ops: usize) -> ChurnConfig {
         ChurnConfig {
-            seed,
-            ops,
             scale: ScaleConfig::standard(seed),
-            durable: None,
-            tier: TierPolicy::mixed(),
+            ..ChurnConfig::small(seed, ops)
         }
     }
 
@@ -161,6 +173,12 @@ impl ChurnConfig {
     /// Same replay, with every tiered store on `tier`.
     pub fn with_tier(mut self, tier: TierPolicy) -> ChurnConfig {
         self.tier = tier;
+        self
+    }
+
+    /// Same replay, on a pool of `threads` workers.
+    pub fn with_threads(mut self, threads: usize) -> ChurnConfig {
+        self.threads = threads;
         self
     }
 }
@@ -229,7 +247,6 @@ pub struct ChurnReport {
 }
 
 /// What the oracle remembers about a live image.
-#[derive(Clone)]
 struct LiveImage {
     request: RetrieveRequest,
     semantic_fp: Digest,
@@ -280,8 +297,8 @@ fn durable_section(vfs: &Arc<MemFs>, section: &str) -> (String, Arc<DurableConte
 }
 
 /// The five evaluated stores over fresh simulated environments (the
-/// one construction point shared by the churn replay, the
-/// microbenchmarks and `repro audit`), each on its default tier.
+/// one construction point shared by the churn replay and `repro
+/// audit`), each on its default tier.
 pub fn five_stores(env: impl Fn() -> SimEnv) -> Vec<Box<dyn ImageStore>> {
     vec![
         Box::new(QcowStore::new(env())),
@@ -506,7 +523,7 @@ fn collect_durable_summaries(replicas: &[Replica]) -> Option<Vec<DurableStoreSum
 }
 
 /// Apply one publish/upgrade to one replica with the full per-op oracle
-/// (cost, ledger). Shared by the sequential and concurrent drivers.
+/// (cost, ledger).
 fn apply_publish(
     r: &mut Replica,
     world: &ScaledWorld,
@@ -684,8 +701,8 @@ fn check_retrieve(
 /// more bytes for the range than it would for the whole image. The
 /// byte-accounting comparison is only valid when this store's
 /// retrievals are serialized (per-op reports read shared device
-/// counters; under the concurrent driver a neighbour's charges leak
-/// into the delta), so the concurrent replay passes `false`.
+/// counters; beside a concurrent neighbour, its charges leak into the
+/// delta).
 #[allow(clippy::too_many_arguments)]
 fn check_retrieve_range(
     r: &Replica,
@@ -759,230 +776,19 @@ fn check_retrieve_range(
     }
 }
 
-/// Replay `cfg` sequentially and return the oracle's report (the
-/// original per-op-integrity driver; `repro churn` without `--threads`).
-pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
-    run_churn_with(cfg, None)
-}
-
-/// [`run_churn`] with an optional metrics registry attached to every
-/// replica before the replay. Attachment must never change the report:
-/// the `det` section of the resulting snapshot is derived purely from
-/// the executed op multiset, so it is byte-identical at any thread
-/// count, and the report itself is byte-identical with or without the
-/// registry (CI pins both properties).
-pub fn run_churn_with(cfg: &ChurnConfig, registry: Option<&Arc<xpl_obs::Registry>>) -> ChurnReport {
-    let (world, trace) = churn_trace(cfg);
-    let mut replicas = fresh_replicas(cfg.durable.is_some(), cfg.tier);
-    if let Some(reg) = registry {
-        for r in &replicas {
-            r.store.attach_obs(reg);
-        }
-    }
-    let mut live: FxHashMap<String, LiveImage> = FxHashMap::default();
-    let mut violations: Vec<String> = Vec::new();
-    let mut checks = 0u64;
-    let (mut publishes, mut retrieves, mut upgrades, mut deletes, mut bursts) = (0, 0, 0, 0, 0);
-    let mut burst_retrieves = 0usize;
-    let mut range_retrieves = 0usize;
-    let mut maintains = 0usize;
-
-    for (step, op) in trace.ops.iter().enumerate() {
-        match op {
-            TraceOp::Publish { image, generation } | TraceOp::Upgrade { image, generation } => {
-                if matches!(op, TraceOp::Publish { .. }) {
-                    publishes += 1;
-                } else {
-                    upgrades += 1;
-                }
-                let vmi = world.build(image, *generation);
-                for r in replicas.iter_mut() {
-                    apply_publish(r, &world, &vmi, image, step, &mut violations, &mut checks);
-                }
-                live.insert(
-                    image.clone(),
-                    LiveImage {
-                        request: RetrieveRequest::for_image(&vmi, &world.catalog),
-                        semantic_fp: oracle::semantic_fingerprint(&world.catalog, &vmi),
-                        full_fp: oracle::full_fingerprint(&world.catalog, &vmi),
-                    },
-                );
-            }
-            TraceOp::Retrieve { image } => {
-                retrieves += 1;
-                retrieve_all(
-                    &world,
-                    &replicas,
-                    &live,
-                    image,
-                    step,
-                    &mut violations,
-                    &mut checks,
-                );
-            }
-            TraceOp::RetrieveRange {
-                image,
-                start_frac,
-                len,
-            } => {
-                range_retrieves += 1;
-                match live.get(image) {
-                    Some(expect) => {
-                        for r in replicas.iter() {
-                            check_retrieve_range(
-                                r,
-                                &world,
-                                expect,
-                                image,
-                                *start_frac,
-                                *len,
-                                step,
-                                true,
-                                &mut violations,
-                                &mut checks,
-                            );
-                        }
-                    }
-                    None => violations.push(format!(
-                        "step {step}: trace range-retrieved dead image {image}"
-                    )),
-                }
-            }
-            TraceOp::Burst { image, count } => {
-                bursts += 1;
-                for _ in 0..*count {
-                    burst_retrieves += 1;
-                    retrieve_all(
-                        &world,
-                        &replicas,
-                        &live,
-                        image,
-                        step,
-                        &mut violations,
-                        &mut checks,
-                    );
-                }
-            }
-            TraceOp::Delete { image } => {
-                deletes += 1;
-                let probe = &live.get(image).expect("trace only deletes live").request;
-                for r in replicas.iter_mut() {
-                    apply_delete(r, &world, image, probe, step, &mut violations, &mut checks);
-                }
-                live.remove(image);
-            }
-            TraceOp::Maintain => {
-                maintains += 1;
-                for r in replicas.iter_mut() {
-                    apply_maintain(r, step, &mut violations, &mut checks);
-                }
-            }
-            TraceOp::Crash => {
-                for r in replicas.iter_mut() {
-                    apply_crash(r);
-                }
-            }
-            TraceOp::Recover => {
-                let ctx = format!("step {step}");
-                for r in replicas.iter_mut() {
-                    apply_recover(r, &ctx, &mut violations, &mut checks);
-                }
-            }
-        }
-        // Refcount / bookkeeping audit after every op, on every store.
-        for r in &replicas {
-            checks += 1;
-            if let Err(v) = r.store.check_integrity() {
-                violations.push(format!(
-                    "step {step} {}: integrity after {}: {v}",
-                    r.store.name(),
-                    op.render()
-                ));
-            }
-        }
-    }
-
-    // Closing durability check: one last power-cut + recovery must
-    // converge to the final in-memory state.
-    final_recover_all(&mut replicas, &mut violations, &mut checks);
-
-    // Closing deep audit: every CAS blob re-hashed, once per store.
-    for r in &replicas {
-        checks += 1;
-        if let Err(v) = r.store.check_integrity_deep() {
-            violations.push(format!("final {}: deep integrity: {v}", r.store.name()));
-        }
-    }
-
-    ChurnReport {
-        seed: cfg.seed,
-        ops: trace.ops.len(),
-        publishes,
-        retrieves,
-        range_retrieves,
-        upgrades,
-        deletes,
-        bursts,
-        burst_retrieves,
-        maintains,
-        crashes: trace.crashes(),
-        oracle_checks: checks,
-        tier: cfg.tier.describe().to_string(),
-        trace_sha256: trace.digest_hex(),
-        stores: replicas
-            .iter()
-            .map(|r| StoreSummary {
-                store: r.store.name().to_string(),
-                final_repo_bytes: r.store.repo_bytes(),
-                final_images: live.len(),
-                bytes_added_total: r.added_total,
-                bytes_freed_total: r.freed_total,
-                sim_seconds: r.sim_seconds,
-            })
-            .collect(),
-        cas_fingerprints: collect_fingerprints(&replicas),
-        durable: collect_durable_summaries(&replicas),
-        violations,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn retrieve_all(
-    world: &ScaledWorld,
-    replicas: &[Replica],
-    live: &FxHashMap<String, LiveImage>,
-    image: &str,
-    step: usize,
-    violations: &mut Vec<String>,
-    checks: &mut u64,
-) {
-    let expect = match live.get(image) {
-        Some(e) => e,
-        None => {
-            violations.push(format!("step {step}: trace retrieved dead image {image}"));
-            return;
-        }
-    };
-    for r in replicas.iter() {
-        check_retrieve(r, world, expect, image, step, violations, checks);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Concurrent replay
-// ---------------------------------------------------------------------
-
-/// One precomputed mutation of a mutation run.
+/// One precomputed mutation of a mutation run. `published` indexes the
+/// replay's list of built images and their oracle expectations.
 enum WriteStep {
     Publish {
         step: usize,
         image: String,
-        vmi_idx: usize,
+        published: usize,
     },
     Delete {
         step: usize,
         image: String,
-        probe: RetrieveRequest,
+        /// The image's last publish: its request probes the deleted name.
+        published: usize,
     },
     Maintain {
         step: usize,
@@ -993,11 +799,14 @@ enum WriteStep {
     },
 }
 
-/// One retrieval of a retrieval run (bursts are expanded). A `Some`
-/// range means a ranged retrieval with its differential oracle.
+/// One retrieval of a retrieval run (bursts are expanded). `published`
+/// is the publish the trace expects to read back (`None`: the trace
+/// retrieved a dead image); a `Some` range means a ranged retrieval
+/// with its differential oracle.
 struct ReadStep {
     step: usize,
     image: String,
+    published: Option<usize>,
     range: Option<(u32, u32)>,
 }
 
@@ -1018,337 +827,320 @@ fn is_write(op: &TraceOp) -> bool {
     )
 }
 
-/// Replay `cfg` with `threads` pool workers: store replicas advance in
-/// parallel, and within retrieval runs, per-image conflict groups fan
-/// out across the pool. The report is byte-identical for every
-/// `threads` value (see the module docs for why).
-pub fn run_churn_threads(cfg: &ChurnConfig, threads: usize) -> ChurnReport {
-    run_churn_threads_with(cfg, threads, None)
+/// The ranged-read byte bound compares per-op reports that read shared
+/// device counters, so it is only valid when a store's retrievals are
+/// serialized — which is what a one-worker pool guarantees.
+fn reads_are_serialized() -> bool {
+    rayon::current_num_threads() == 1
 }
 
-/// [`run_churn_threads`] with an optional metrics registry; see
-/// [`run_churn_with`] for the determinism contract.
-pub fn run_churn_threads_with(
-    cfg: &ChurnConfig,
-    threads: usize,
-    registry: Option<&Arc<xpl_obs::Registry>>,
-) -> ChurnReport {
-    rayon::with_num_threads(threads.max(1), || run_churn_concurrent_inner(cfg, registry))
-}
-
-fn run_churn_concurrent_inner(
-    cfg: &ChurnConfig,
-    registry: Option<&Arc<xpl_obs::Registry>>,
-) -> ChurnReport {
-    let (world, trace) = churn_trace(cfg);
-    let mut replicas = fresh_replicas(cfg.durable.is_some(), cfg.tier);
-    if let Some(reg) = registry {
-        for r in &replicas {
-            r.store.attach_obs(reg);
+/// Replay `cfg` on a pool of `cfg.threads` workers and return the
+/// oracle's report: store replicas advance in parallel, and within
+/// retrieval runs, per-image conflict groups fan out across the pool.
+/// The report is byte-identical for every `threads` value (see the
+/// module docs for why).
+pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
+    rayon::with_num_threads(cfg.threads.max(1), || {
+        let (world, trace) = churn_trace(cfg);
+        let mut replicas = fresh_replicas(cfg.durable.is_some(), cfg.tier);
+        if let Some(reg) = &cfg.registry {
+            for r in &replicas {
+                r.store.attach_obs(reg);
+            }
         }
-    }
-    let mut live: FxHashMap<String, LiveImage> = FxHashMap::default();
-    let mut vmis: Vec<xpl_guestfs::Vmi> = Vec::new();
-    // Fingerprints of each publish, parallel to `vmis` — computed once
-    // here and reused when the execution loop refreshes its view.
-    let mut publish_fps: Vec<LiveImage> = Vec::new();
-    let mut violations: Vec<String> = Vec::new();
-    let mut checks = 0u64;
-    let (mut publishes, mut retrieves, mut upgrades, mut deletes, mut bursts) = (0, 0, 0, 0, 0);
-    let mut burst_retrieves = 0usize;
-    let mut range_retrieves = 0usize;
-    let mut maintains = 0usize;
+        let strict_bytes = reads_are_serialized();
+        // Every image the trace builds, with what the oracle expects to
+        // read back; `live` maps a name to its latest publish.
+        let mut published: Vec<(xpl_guestfs::Vmi, LiveImage)> = Vec::new();
+        let mut live: FxHashMap<&str, usize> = FxHashMap::default();
+        let mut violations: Vec<String> = Vec::new();
+        let mut checks = 0u64;
+        let (mut publishes, mut retrieves, mut upgrades, mut deletes, mut bursts) = (0, 0, 0, 0, 0);
+        let mut burst_retrieves = 0usize;
+        let mut range_retrieves = 0usize;
+        let mut maintains = 0usize;
 
-    // ---- Partition the trace into write/read runs, precomputing the
-    // deterministic payloads (built images, delete probes, live-image
-    // fingerprints) in trace order on the coordinator. ----------------
-    let mut runs: Vec<Run> = Vec::new();
-    for (step, op) in trace.ops.iter().enumerate() {
-        let want_write = is_write(op);
-        let start_new = match runs.last() {
-            Some(Run::Writes(_)) => !want_write,
-            Some(Run::Reads(_)) => want_write,
-            None => true,
-        };
-        if start_new {
-            runs.push(if want_write {
-                Run::Writes(Vec::new())
-            } else {
-                Run::Reads(Vec::new())
-            });
-        }
-        match (runs.last_mut().unwrap(), op) {
-            (Run::Writes(steps), TraceOp::Publish { image, generation })
-            | (Run::Writes(steps), TraceOp::Upgrade { image, generation }) => {
-                if matches!(op, TraceOp::Publish { .. }) {
-                    publishes += 1;
+        // ---- Partition the trace into write/read runs, precomputing
+        // the deterministic payloads (built images, live-image
+        // fingerprints, what each read expects) in trace order on the
+        // coordinator. ------------------------------------------------
+        let mut runs: Vec<Run> = Vec::new();
+        for (step, op) in trace.ops.iter().enumerate() {
+            let want_write = is_write(op);
+            let start_new = match runs.last() {
+                Some(Run::Writes(_)) => !want_write,
+                Some(Run::Reads(_)) => want_write,
+                None => true,
+            };
+            if start_new {
+                runs.push(if want_write {
+                    Run::Writes(Vec::new())
                 } else {
-                    upgrades += 1;
+                    Run::Reads(Vec::new())
+                });
+            }
+            match (runs.last_mut().unwrap(), op) {
+                (Run::Writes(steps), TraceOp::Publish { image, generation })
+                | (Run::Writes(steps), TraceOp::Upgrade { image, generation }) => {
+                    if matches!(op, TraceOp::Publish { .. }) {
+                        publishes += 1;
+                    } else {
+                        upgrades += 1;
+                    }
+                    let vmi = world.build(image, *generation);
+                    let expect = LiveImage {
+                        request: RetrieveRequest::for_image(&vmi, &world.catalog),
+                        semantic_fp: oracle::semantic_fingerprint(&world.catalog, &vmi),
+                        full_fp: oracle::full_fingerprint(&world.catalog, &vmi),
+                    };
+                    live.insert(image, published.len());
+                    steps.push(WriteStep::Publish {
+                        step,
+                        image: image.clone(),
+                        published: published.len(),
+                    });
+                    published.push((vmi, expect));
                 }
-                let vmi = world.build(image, *generation);
-                let expect = LiveImage {
-                    request: RetrieveRequest::for_image(&vmi, &world.catalog),
-                    semantic_fp: oracle::semantic_fingerprint(&world.catalog, &vmi),
-                    full_fp: oracle::full_fingerprint(&world.catalog, &vmi),
-                };
-                live.insert(image.clone(), expect.clone());
-                steps.push(WriteStep::Publish {
-                    step,
-                    image: image.clone(),
-                    vmi_idx: vmis.len(),
-                });
-                vmis.push(vmi);
-                publish_fps.push(expect);
-            }
-            (Run::Writes(steps), TraceOp::Delete { image }) => {
-                deletes += 1;
-                let probe = live
-                    .get(image)
-                    .expect("trace only deletes live")
-                    .request
-                    .clone();
-                live.remove(image);
-                steps.push(WriteStep::Delete {
-                    step,
-                    image: image.clone(),
-                    probe,
-                });
-            }
-            (Run::Reads(steps), TraceOp::Retrieve { image }) => {
-                retrieves += 1;
-                steps.push(ReadStep {
-                    step,
-                    image: image.clone(),
-                    range: None,
-                });
-            }
-            (
-                Run::Reads(steps),
-                TraceOp::RetrieveRange {
-                    image,
-                    start_frac,
-                    len,
-                },
-            ) => {
-                range_retrieves += 1;
-                steps.push(ReadStep {
-                    step,
-                    image: image.clone(),
-                    range: Some((*start_frac, *len)),
-                });
-            }
-            (Run::Reads(steps), TraceOp::Burst { image, count }) => {
-                bursts += 1;
-                for _ in 0..*count {
-                    burst_retrieves += 1;
+                (Run::Writes(steps), TraceOp::Delete { image }) => {
+                    deletes += 1;
+                    steps.push(WriteStep::Delete {
+                        step,
+                        image: image.clone(),
+                        published: live
+                            .remove(image.as_str())
+                            .expect("trace only deletes live"),
+                    });
+                }
+                (Run::Reads(steps), TraceOp::Retrieve { image }) => {
+                    retrieves += 1;
                     steps.push(ReadStep {
                         step,
                         image: image.clone(),
+                        published: live.get(image.as_str()).copied(),
                         range: None,
                     });
                 }
-            }
-            (Run::Writes(steps), TraceOp::Maintain) => {
-                maintains += 1;
-                steps.push(WriteStep::Maintain { step });
-            }
-            (Run::Writes(steps), TraceOp::Crash) => steps.push(WriteStep::Crash),
-            (Run::Writes(steps), TraceOp::Recover) => steps.push(WriteStep::Recover { step }),
-            _ => unreachable!("run kind matches op kind by construction"),
-        }
-    }
-
-    // The precompute above consumed `live` transitions; rebuild the
-    // replay-time view incrementally while executing runs below. The
-    // final `live` (after the loop) is what the summary needs, so keep
-    // it; per-run expectations are resolved against `fingerprints`,
-    // which tracks the latest publish of each image and is updated in
-    // run order.
-    let mut fingerprints: FxHashMap<String, LiveImage> = FxHashMap::default();
-
-    for run in &runs {
-        match run {
-            Run::Writes(steps) => {
-                // Update the oracle's view in trace order first (publish
-                // payloads were precomputed; fingerprints resolve to the
-                // *latest* generation at each point of a read run, which
-                // is exactly the state after this whole write run).
-                for ws in steps {
-                    match ws {
-                        WriteStep::Publish { image, vmi_idx, .. } => {
-                            fingerprints.insert(image.clone(), publish_fps[*vmi_idx].clone());
-                        }
-                        WriteStep::Delete { image, .. } => {
-                            fingerprints.remove(image);
-                        }
-                        WriteStep::Maintain { .. }
-                        | WriteStep::Crash
-                        | WriteStep::Recover { .. } => {}
+                (
+                    Run::Reads(steps),
+                    TraceOp::RetrieveRange {
+                        image,
+                        start_frac,
+                        len,
+                    },
+                ) => {
+                    range_retrieves += 1;
+                    steps.push(ReadStep {
+                        step,
+                        image: image.clone(),
+                        published: live.get(image.as_str()).copied(),
+                        range: Some((*start_frac, *len)),
+                    });
+                }
+                (Run::Reads(steps), TraceOp::Burst { image, count }) => {
+                    bursts += 1;
+                    for _ in 0..*count {
+                        burst_retrieves += 1;
+                        steps.push(ReadStep {
+                            step,
+                            image: image.clone(),
+                            published: live.get(image.as_str()).copied(),
+                            range: None,
+                        });
                     }
                 }
-                // Each replica applies the whole run in trace order; the
-                // five replicas advance in parallel. Every mutation is
-                // followed by the same per-op integrity audit as the
-                // sequential driver.
-                let results: Vec<(Vec<String>, u64)> = replicas
-                    .iter_mut()
-                    .collect::<Vec<&mut Replica>>()
-                    .into_par_iter()
-                    .map(|r| {
-                        let mut v = Vec::new();
-                        let mut c = 0u64;
-                        for ws in steps {
-                            match ws {
-                                WriteStep::Publish {
-                                    step,
-                                    image,
-                                    vmi_idx,
-                                } => {
-                                    apply_publish(
-                                        r,
-                                        &world,
-                                        &vmis[*vmi_idx],
+                (Run::Writes(steps), TraceOp::Maintain) => {
+                    maintains += 1;
+                    steps.push(WriteStep::Maintain { step });
+                }
+                (Run::Writes(steps), TraceOp::Crash) => steps.push(WriteStep::Crash),
+                (Run::Writes(steps), TraceOp::Recover) => steps.push(WriteStep::Recover { step }),
+                _ => unreachable!("run kind matches op kind by construction"),
+            }
+        }
+
+        for run in &runs {
+            match run {
+                Run::Writes(steps) => {
+                    // Each replica applies the whole run in trace order;
+                    // the five replicas advance in parallel. Every
+                    // mutation is followed by a refcount / bookkeeping
+                    // audit of the store it touched.
+                    let results: Vec<(Vec<String>, u64)> = replicas
+                        .iter_mut()
+                        .collect::<Vec<&mut Replica>>()
+                        .into_par_iter()
+                        .map(|r| {
+                            let mut v = Vec::new();
+                            let mut c = 0u64;
+                            for ws in steps {
+                                match ws {
+                                    WriteStep::Publish {
+                                        step,
                                         image,
-                                        *step,
-                                        &mut v,
-                                        &mut c,
-                                    );
+                                        published: idx,
+                                    } => {
+                                        apply_publish(
+                                            r,
+                                            &world,
+                                            &published[*idx].0,
+                                            image,
+                                            *step,
+                                            &mut v,
+                                            &mut c,
+                                        );
+                                    }
+                                    WriteStep::Delete {
+                                        step,
+                                        image,
+                                        published: idx,
+                                    } => {
+                                        let probe = &published[*idx].1.request;
+                                        apply_delete(
+                                            r, &world, image, probe, *step, &mut v, &mut c,
+                                        );
+                                    }
+                                    WriteStep::Maintain { step } => {
+                                        apply_maintain(r, *step, &mut v, &mut c);
+                                    }
+                                    WriteStep::Crash => apply_crash(r),
+                                    WriteStep::Recover { step } => {
+                                        apply_recover(r, &format!("step {step}"), &mut v, &mut c);
+                                    }
                                 }
-                                WriteStep::Delete { step, image, probe } => {
-                                    apply_delete(r, &world, image, probe, *step, &mut v, &mut c);
-                                }
-                                WriteStep::Maintain { step } => {
-                                    apply_maintain(r, *step, &mut v, &mut c);
-                                }
-                                WriteStep::Crash => apply_crash(r),
-                                WriteStep::Recover { step } => {
-                                    apply_recover(r, &format!("step {step}"), &mut v, &mut c);
+                                c += 1;
+                                if let Err(e) = r.store.check_integrity() {
+                                    v.push(format!(
+                                        "{}: integrity after mutation: {e}",
+                                        r.store.name()
+                                    ));
                                 }
                             }
-                            c += 1;
-                            if let Err(e) = r.store.check_integrity() {
-                                v.push(format!(
-                                    "{}: integrity after mutation: {e}",
-                                    r.store.name()
-                                ));
-                            }
-                        }
-                        (v, c)
-                    })
-                    .collect();
-                for (v, c) in results {
-                    violations.extend(v);
-                    checks += c;
-                }
-            }
-            Run::Reads(steps) => {
-                // Conflict groups: one per image name, retrievals in
-                // trace order within a group, groups × replicas on the
-                // pool.
-                let mut group_order: Vec<&str> = Vec::new();
-                let mut groups: FxHashMap<&str, Vec<&ReadStep>> = FxHashMap::default();
-                for rs in steps {
-                    groups
-                        .entry(rs.image.as_str())
-                        .or_insert_with(|| {
-                            group_order.push(rs.image.as_str());
-                            Vec::new()
+                            (v, c)
                         })
-                        .push(rs);
-                }
-                let mut tasks: Vec<(&Replica, &[&ReadStep])> = Vec::new();
-                for r in replicas.iter() {
-                    for image in &group_order {
-                        tasks.push((r, &groups[image]));
+                        .collect();
+                    for (v, c) in results {
+                        violations.extend(v);
+                        checks += c;
                     }
                 }
-                let results: Vec<(Vec<String>, u64)> = tasks
-                    .into_par_iter()
-                    .map(|(r, group)| {
-                        let mut v = Vec::new();
-                        let mut c = 0u64;
-                        for rs in group {
-                            match (fingerprints.get(&rs.image), rs.range) {
-                                (Some(expect), None) => {
-                                    check_retrieve(
-                                        r, &world, expect, &rs.image, rs.step, &mut v, &mut c,
-                                    );
-                                }
-                                (Some(expect), Some((start_frac, len))) => {
-                                    check_retrieve_range(
-                                        r, &world, expect, &rs.image, start_frac, len, rs.step,
-                                        false, &mut v, &mut c,
-                                    );
-                                }
-                                (None, _) => v.push(format!(
-                                    "step {}: trace retrieved dead image {}",
-                                    rs.step, rs.image
-                                )),
-                            }
+                Run::Reads(steps) => {
+                    // Conflict groups: one per image name, retrievals in
+                    // trace order within a group, groups × replicas on
+                    // the pool.
+                    let mut group_order: Vec<&str> = Vec::new();
+                    let mut groups: FxHashMap<&str, Vec<&ReadStep>> = FxHashMap::default();
+                    for rs in steps {
+                        groups
+                            .entry(rs.image.as_str())
+                            .or_insert_with(|| {
+                                group_order.push(rs.image.as_str());
+                                Vec::new()
+                            })
+                            .push(rs);
+                    }
+                    let mut tasks: Vec<(&Replica, &[&ReadStep])> = Vec::new();
+                    for r in replicas.iter() {
+                        for image in &group_order {
+                            tasks.push((r, &groups[image]));
                         }
-                        (v, c)
-                    })
-                    .collect();
-                for (v, c) in results {
-                    violations.extend(v);
-                    checks += c;
-                }
-                // Quiesce audit: one integrity check per store.
-                for r in &replicas {
-                    checks += 1;
-                    if let Err(v) = r.store.check_integrity() {
-                        violations.push(format!(
-                            "{}: integrity at retrieval-run quiesce: {v}",
-                            r.store.name()
-                        ));
+                    }
+                    let results: Vec<(Vec<String>, u64)> = tasks
+                        .into_par_iter()
+                        .map(|(r, group)| {
+                            let mut v = Vec::new();
+                            let mut c = 0u64;
+                            for rs in group {
+                                let expect = rs.published.map(|idx| &published[idx].1);
+                                match (expect, rs.range) {
+                                    (Some(expect), None) => {
+                                        check_retrieve(
+                                            r, &world, expect, &rs.image, rs.step, &mut v, &mut c,
+                                        );
+                                    }
+                                    (Some(expect), Some((start_frac, len))) => {
+                                        check_retrieve_range(
+                                            r,
+                                            &world,
+                                            expect,
+                                            &rs.image,
+                                            start_frac,
+                                            len,
+                                            rs.step,
+                                            strict_bytes,
+                                            &mut v,
+                                            &mut c,
+                                        );
+                                    }
+                                    (None, _) => v.push(format!(
+                                        "step {}: trace retrieved dead image {}",
+                                        rs.step, rs.image
+                                    )),
+                                }
+                            }
+                            (v, c)
+                        })
+                        .collect();
+                    for (v, c) in results {
+                        violations.extend(v);
+                        checks += c;
+                    }
+                    // Quiesce audit: one integrity check per store.
+                    for r in &replicas {
+                        checks += 1;
+                        if let Err(v) = r.store.check_integrity() {
+                            violations.push(format!(
+                                "{}: integrity at retrieval-run quiesce: {v}",
+                                r.store.name()
+                            ));
+                        }
                     }
                 }
             }
         }
-    }
 
-    // Closing durability check: one last power-cut + recovery must
-    // converge to the final in-memory state.
-    final_recover_all(&mut replicas, &mut violations, &mut checks);
+        // Closing durability check: one last power-cut + recovery must
+        // converge to the final in-memory state.
+        final_recover_all(&mut replicas, &mut violations, &mut checks);
 
-    // Closing deep audit: every CAS blob re-hashed, once per store.
-    for r in &replicas {
-        checks += 1;
-        if let Err(v) = r.store.check_integrity_deep() {
-            violations.push(format!("final {}: deep integrity: {v}", r.store.name()));
+        // Closing deep audit: every CAS blob re-hashed, once per store.
+        for r in &replicas {
+            checks += 1;
+            if let Err(v) = r.store.check_integrity_deep() {
+                violations.push(format!("final {}: deep integrity: {v}", r.store.name()));
+            }
         }
-    }
 
-    ChurnReport {
-        seed: cfg.seed,
-        ops: trace.ops.len(),
-        publishes,
-        retrieves,
-        range_retrieves,
-        upgrades,
-        deletes,
-        bursts,
-        burst_retrieves,
-        maintains,
-        crashes: trace.crashes(),
-        oracle_checks: checks,
-        tier: cfg.tier.describe().to_string(),
-        trace_sha256: trace.digest_hex(),
-        stores: replicas
-            .iter()
-            .map(|r| StoreSummary {
-                store: r.store.name().to_string(),
-                final_repo_bytes: r.store.repo_bytes(),
-                final_images: live.len(),
-                bytes_added_total: r.added_total,
-                bytes_freed_total: r.freed_total,
-                sim_seconds: r.sim_seconds,
-            })
-            .collect(),
-        cas_fingerprints: collect_fingerprints(&replicas),
-        durable: collect_durable_summaries(&replicas),
-        violations,
-    }
+        ChurnReport {
+            seed: cfg.seed,
+            ops: trace.ops.len(),
+            publishes,
+            retrieves,
+            range_retrieves,
+            upgrades,
+            deletes,
+            bursts,
+            burst_retrieves,
+            maintains,
+            crashes: trace.crashes(),
+            oracle_checks: checks,
+            tier: cfg.tier.describe().to_string(),
+            trace_sha256: trace.digest_hex(),
+            stores: replicas
+                .iter()
+                .map(|r| StoreSummary {
+                    store: r.store.name().to_string(),
+                    final_repo_bytes: r.store.repo_bytes(),
+                    final_images: live.len(),
+                    bytes_added_total: r.added_total,
+                    bytes_freed_total: r.freed_total,
+                    sim_seconds: r.sim_seconds,
+                })
+                .collect(),
+            cas_fingerprints: collect_fingerprints(&replicas),
+            durable: collect_durable_summaries(&replicas),
+            violations,
+        }
+    })
 }
 
 #[cfg(test)]
@@ -1378,7 +1170,7 @@ mod tests {
         assert!(mixed.maintains > 0, "trace never swept the tiers");
         assert!(mixed.violations.is_empty(), "{:#?}", mixed.violations);
         for tier in [TierPolicy::dense(), TierPolicy::fast(), TierPolicy::raw()] {
-            let other = run_churn(&base.with_tier(tier));
+            let other = run_churn(&base.clone().with_tier(tier));
             assert!(other.violations.is_empty(), "{:#?}", other.violations);
             assert_eq!(mixed.cas_fingerprints.len(), other.cas_fingerprints.len());
             for (a, b) in mixed.cas_fingerprints.iter().zip(&other.cas_fingerprints) {
@@ -1406,7 +1198,7 @@ mod tests {
 
     #[test]
     fn concurrent_short_churn_is_clean() {
-        let report = run_churn_threads(&ChurnConfig::small(0xBEEF, 60), 4);
+        let report = run_churn(&ChurnConfig::small(0xBEEF, 60).with_threads(4));
         assert!(report.violations.is_empty(), "{:#?}", report.violations);
         assert_eq!(report.ops, 60);
         assert_eq!(report.stores.len(), 5);
@@ -1441,38 +1233,16 @@ mod tests {
     }
 
     #[test]
-    fn durable_concurrent_matches_sequential_durable() {
-        let cfg = ChurnConfig::small(0x5EED, 60).with_durable(DurableCfg {
-            crashes: 2,
-            crash_seed: 9,
-        });
-        let seq = run_churn(&cfg);
-        let conc = run_churn_threads(&cfg, 4);
-        assert!(seq.violations.is_empty(), "{:#?}", seq.violations);
-        assert!(conc.violations.is_empty(), "{:#?}", conc.violations);
-        for (a, b) in seq.cas_fingerprints.iter().zip(&conc.cas_fingerprints) {
-            assert_eq!(a.fingerprint, b.fingerprint, "{}/{}", a.store, a.section);
-        }
-        let (sd, cd) = (seq.durable.unwrap(), conc.durable.unwrap());
-        for (a, b) in sd.iter().zip(&cd) {
-            assert_eq!(a.store, b.store);
-            assert_eq!(a.recoveries, b.recoveries);
-            assert_eq!(a.wal_records_replayed, b.wal_records_replayed);
-            assert_eq!(a.wal_appends, b.wal_appends);
-            assert_eq!(a.checkpoints, b.checkpoints);
-        }
-    }
-
-    #[test]
     fn det_metrics_are_thread_count_invariant() {
         // The tentpole pin: the registry's deterministic section is a
         // pure function of the executed op multiset, so its fingerprint
-        // must be byte-identical at 1, 2, and 8 pool threads — and
-        // match the sequential driver too (same trace, same ops).
+        // must be byte-identical at 1, 2, and 8 pool threads.
         let cfg = ChurnConfig::small(0x0B5EED, 60);
         let fp_at = |threads: usize| {
             let registry = xpl_obs::Registry::new();
-            let r = run_churn_threads_with(&cfg, threads, Some(&registry));
+            let mut cfg = cfg.clone().with_threads(threads);
+            cfg.registry = Some(Arc::clone(&registry));
+            let r = run_churn(&cfg);
             assert!(r.violations.is_empty(), "{:#?}", r.violations);
             let snap = registry.snapshot();
             (
@@ -1487,60 +1257,33 @@ mod tests {
         assert_eq!(det1, det8, "det section diverged between 1 and 8 threads");
         assert_eq!(fp1, fp2);
         assert_eq!(fp1, fp8);
-
-        let seq_registry = xpl_obs::Registry::new();
-        let seq = run_churn_with(&cfg, Some(&seq_registry));
-        assert!(seq.violations.is_empty(), "{:#?}", seq.violations);
-        assert_eq!(
-            seq_registry
-                .snapshot()
-                .render_section_json(xpl_obs::Section::Det),
-            det1,
-            "sequential and pooled drivers must count the same ops"
-        );
     }
 
     #[test]
     fn attaching_metrics_never_changes_the_report() {
         // The zero-interference pin: the churn report (fingerprints,
         // ledgers, violations — everything) is byte-identical whether
-        // or not a registry was attached, in both drivers.
-        let cfg = ChurnConfig::small(0xFACADE, 60);
+        // or not a registry was attached, on one worker and on four.
         let render = |r: &ChurnReport| serde_json::to_string_pretty(r).unwrap();
-
-        let plain = run_churn(&cfg);
-        let registry = xpl_obs::Registry::new();
-        let with = run_churn_with(&cfg, Some(&registry));
-        assert_eq!(render(&plain), render(&with));
-        assert!(
-            registry.snapshot().det_fingerprint()
-                != xpl_obs::Registry::new().snapshot().det_fingerprint(),
-            "the attached registry must actually have counted something"
-        );
-
-        let plain_t = run_churn_threads(&cfg, 4);
-        let registry_t = xpl_obs::Registry::new();
-        let with_t = run_churn_threads_with(&cfg, 4, Some(&registry_t));
-        assert_eq!(render(&plain_t), render(&with_t));
+        for threads in [1, 4] {
+            let mut cfg = ChurnConfig::small(0xFACADE, 60).with_threads(threads);
+            let plain = run_churn(&cfg);
+            let registry = xpl_obs::Registry::new();
+            cfg.registry = Some(Arc::clone(&registry));
+            let with = run_churn(&cfg);
+            assert_eq!(render(&plain), render(&with), "{threads} threads");
+            assert!(
+                registry.snapshot().det_fingerprint()
+                    != xpl_obs::Registry::new().snapshot().det_fingerprint(),
+                "the attached registry must actually have counted something"
+            );
+        }
     }
 
     #[test]
-    fn concurrent_mode_final_state_matches_sequential() {
-        // The per-op check structure differs between the two drivers
-        // (quiesce points vs. after-every-op), but the replayed end
-        // state — repository bytes, totals, live images — must agree.
-        let cfg = ChurnConfig::small(0x5EED, 80);
-        let seq = run_churn(&cfg);
-        let conc = run_churn_threads(&cfg, 4);
-        assert!(seq.violations.is_empty(), "{:#?}", seq.violations);
-        assert!(conc.violations.is_empty(), "{:#?}", conc.violations);
-        for (a, b) in seq.stores.iter().zip(&conc.stores) {
-            assert_eq!(a.store, b.store);
-            assert_eq!(a.final_repo_bytes, b.final_repo_bytes, "{}", a.store);
-            assert_eq!(a.final_images, b.final_images);
-            assert_eq!(a.bytes_added_total, b.bytes_added_total, "{}", a.store);
-            assert_eq!(a.bytes_freed_total, b.bytes_freed_total, "{}", a.store);
-            assert_eq!(a.sim_seconds, b.sim_seconds, "{}", a.store);
-        }
+    fn ranged_read_byte_bound_is_armed_exactly_when_reads_are_serialized() {
+        assert!(rayon::with_num_threads(1, reads_are_serialized));
+        assert!(!rayon::with_num_threads(2, reads_are_serialized));
+        assert!(!rayon::with_num_threads(8, reads_are_serialized));
     }
 }

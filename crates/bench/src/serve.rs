@@ -65,19 +65,9 @@ impl StoreKind {
         }
     }
 
-    pub fn make(self) -> Box<dyn ImageStore> {
-        match self {
-            StoreKind::Qcow2 => Box::new(QcowStore::new(SimEnv::testbed())),
-            StoreKind::Gzip => Box::new(GzipStore::new(SimEnv::testbed())),
-            StoreKind::Mirage => Box::new(MirageStore::new(SimEnv::testbed())),
-            StoreKind::Hemera => Box::new(HemeraStore::new(SimEnv::testbed())),
-            StoreKind::Expelliarmus => Box::new(ExpelliarmusRepo::new(SimEnv::testbed())),
-        }
-    }
-
-    /// Like [`StoreKind::make`], but with the codec tier policy applied
-    /// to every store that keeps compressed payloads (raw qcow2 has
-    /// nothing to recompress).
+    /// The store over a fresh testbed, with the codec tier policy
+    /// applied to every store that keeps compressed payloads (raw qcow2
+    /// has nothing to recompress).
     pub fn make_tiered(self, tier: TierPolicy) -> Box<dyn ImageStore> {
         match self {
             StoreKind::Qcow2 => Box::new(QcowStore::new(SimEnv::testbed())),
@@ -92,7 +82,7 @@ impl StoreKind {
 }
 
 /// One `repro serve` run's parameters.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct ServeRunConfig {
     pub seed: u64,
     pub scale: ScaleConfig,
@@ -105,6 +95,12 @@ pub struct ServeRunConfig {
     pub store: StoreKind,
     /// Codec tier policy the backing store runs under (`--codec`).
     pub tier: TierPolicy,
+    /// Metrics registry (`--metrics`): the store mirrors its CAS
+    /// accounting into `cas.*`, the registry simulation folds its
+    /// outcome into `registry.*`, and the wire server mirrors its
+    /// connection accounting into `net.*`. Reports are byte-identical
+    /// with or without it.
+    pub registry: Option<Arc<xpl_obs::Registry>>,
 }
 
 impl ServeRunConfig {
@@ -121,6 +117,7 @@ impl ServeRunConfig {
             coalesce: true,
             store: StoreKind::Expelliarmus,
             tier: TierPolicy::mixed(),
+            registry: None,
         }
     }
 
@@ -137,6 +134,7 @@ impl ServeRunConfig {
             coalesce: true,
             store: StoreKind::Expelliarmus,
             tier: TierPolicy::mixed(),
+            registry: None,
         }
     }
 }
@@ -295,8 +293,9 @@ pub(crate) struct PreparedServe {
     pub(crate) requests: HashMap<String, (RetrieveRequest, u64)>,
 }
 
-/// Generate the scaled world and publish generation 0 of the whole
-/// catalog into the chosen store.
+/// Generate the scaled world, publish generation 0 of the whole
+/// catalog into the chosen store, then attach the run's registry (so
+/// the snapshot counts the served load, not the setup).
 pub(crate) fn prepare(cfg: &ServeRunConfig) -> PreparedServe {
     let world = ScaledWorld::generate(&cfg.scale);
     let names = world.image_names();
@@ -313,6 +312,9 @@ pub(crate) fn prepare(cfg: &ServeRunConfig) -> PreparedServe {
             (RetrieveRequest::for_image(&vmi, &world.catalog), size),
         );
     }
+    if let Some(reg) = &cfg.registry {
+        store.attach_obs(reg);
+    }
     PreparedServe {
         world,
         names,
@@ -323,26 +325,12 @@ pub(crate) fn prepare(cfg: &ServeRunConfig) -> PreparedServe {
 
 /// Run the full serve pipeline. See the module docs for the phases.
 pub fn run_serve(cfg: &ServeRunConfig) -> ServeReport {
-    run_serve_with(cfg, None)
-}
-
-/// [`run_serve`] with an optional metrics registry: the store mirrors
-/// its CAS accounting into `cas.*` and the registry simulation folds
-/// its outcome into `registry.*` after the run. The report is
-/// byte-identical with or without the registry attached.
-pub fn run_serve_with(
-    cfg: &ServeRunConfig,
-    registry: Option<&Arc<xpl_obs::Registry>>,
-) -> ServeReport {
     let PreparedServe {
         world,
         names,
         store,
         requests,
     } = prepare(cfg);
-    if let Some(reg) = registry {
-        store.attach_obs(reg);
-    }
 
     // Phase 1 — generate the key stream and memoize costs. The
     // placeholder-gap schedule draws the same RNG stream as the final
@@ -403,7 +391,7 @@ pub fn run_serve_with(
         coalesce: cfg.coalesce,
     };
     let model = MeasuredModel { costs: &costs };
-    let reg_obs = registry.map(|r| RegObs::new(r));
+    let reg_obs = cfg.registry.as_deref().map(RegObs::new);
     let outcome: RegistryOutcome =
         run_registry_obs(&reg_requests, &model, &reg_cfg, reg_obs.as_ref());
 

@@ -161,31 +161,22 @@ fn sorted_table_sha256(table: &HashMap<String, String>) -> String {
 }
 
 /// Run the wire pipeline. See the module docs for the legs.
+///
+/// With [`ServeRunConfig::registry`] set, the store mirrors its CAS
+/// accounting, the server mirrors its connection accounting onto
+/// `net.*` counters, a prober thread issues `Stats` wire requests
+/// *while* the schedule (and any fault storm) is in flight, and one
+/// more probe lands mid-drain on the in-memory host — every snapshot
+/// must come back parseable with a well-formed deterministic-section
+/// fingerprint, or the run records a violation.
 pub fn run_serve_net(cfg: &ServeRunConfig, net: &NetServeConfig) -> NetServeReport {
-    run_serve_net_with(cfg, net, None)
-}
-
-/// [`run_serve_net`] with an optional metrics registry. When attached:
-/// the store mirrors its CAS accounting, the server mirrors its
-/// connection accounting onto `net.*` counters, a prober thread issues
-/// `Stats` wire requests *while* the schedule (and any fault storm) is
-/// in flight, and one more probe lands mid-drain on the in-memory
-/// host — every snapshot must come back parseable with a well-formed
-/// deterministic-section fingerprint, or the run records a violation.
-pub fn run_serve_net_with(
-    cfg: &ServeRunConfig,
-    net: &NetServeConfig,
-    registry: Option<&Arc<xpl_obs::Registry>>,
-) -> NetServeReport {
     let PreparedServe {
         world,
         names,
         store,
         requests,
     } = prepare(cfg);
-    if let Some(reg) = registry {
-        store.attach_obs(reg);
-    }
+    let registry = cfg.registry.as_ref();
     let world = Arc::new(world);
     let requests = Arc::new(requests);
 
@@ -638,15 +629,16 @@ mod tests {
         // The acceptance pin: `Stats` is served over the wire while the
         // fault storm is tearing at every other connection, and again
         // mid-drain — parseable, fingerprinted, zero violations.
-        let cfg = tiny_cfg(0x11EB);
+        let registry = xpl_obs::Registry::new();
+        let mut cfg = tiny_cfg(0x11EB);
+        cfg.registry = Some(Arc::clone(&registry));
         let net = NetServeConfig {
             transport: NetTransportKind::Mem,
             fault_rate: 24,
             net_seed: 0xF00D,
             conns_per_tenant: 2,
         };
-        let registry = xpl_obs::Registry::new();
-        let r = run_serve_net_with(&cfg, &net, Some(&registry));
+        let r = run_serve_net(&cfg, &net);
         assert!(r.violations.is_empty(), "{:?}", r.violations);
         assert!(r.stats_probes >= 1, "no mid-storm probe landed");
         assert_eq!(

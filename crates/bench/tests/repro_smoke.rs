@@ -62,8 +62,8 @@ fn churn_subcommand_emits_json_and_passes_oracle() {
 
 #[test]
 fn churn_threads_flag_is_thread_count_invariant() {
-    // The concurrent driver through the CLI: --threads 1 and --threads 4
-    // must print the same report and write the same JSON.
+    // The pool size through the CLI: --threads 1 and --threads 4 must
+    // print the same report and write the same JSON.
     let path =
         |t: usize| std::env::temp_dir().join(format!("churn-mt-{}-{t}.json", std::process::id()));
     let run = |threads: usize| {
@@ -173,59 +173,6 @@ fn churn_is_deterministic_across_processes() {
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
     assert_eq!(run(), run(), "same seed must reproduce byte-identically");
-}
-
-#[test]
-fn bench_subcommand_emits_and_validates_json() {
-    let path = std::env::temp_dir().join(format!("bench-smoke-{}.json", std::process::id()));
-    let out = repro()
-        .args(["bench", "--quick", "--json", path.to_str().unwrap()])
-        .output()
-        .expect("spawn repro");
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for needle in ["sha256", "deflate", "chunk-cdc", "gzip-parallel", "churn"] {
-        assert!(stdout.contains(needle), "missing {needle}: {stdout}");
-    }
-
-    let json = std::fs::read_to_string(&path).expect("bench JSON written");
-    for key in [
-        "\"schema_version\"",
-        "\"kernels\"",
-        "\"mib_per_s\"",
-        "\"parallel\"",
-        "\"speedup\"",
-        "\"end_to_end\"",
-        "\"churn_wall_s\"",
-    ] {
-        assert!(json.contains(key), "JSON missing {key}");
-    }
-
-    // The --check mode must accept the file it just produced…
-    let out = repro()
-        .args(["bench", "--check", path.to_str().unwrap()])
-        .output()
-        .expect("spawn repro");
-    assert!(
-        out.status.success(),
-        "check failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    // …and reject a corrupted one.
-    std::fs::write(&path, json.replace("\"kernels\"", "\"k3rnels\"")).unwrap();
-    let out = repro()
-        .args(["bench", "--check", path.to_str().unwrap()])
-        .output()
-        .expect("spawn repro");
-    assert!(
-        !out.status.success(),
-        "corrupt BENCH.json must fail --check"
-    );
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -343,7 +290,16 @@ fn cli_validation_errors_are_one_line_and_exit_2() {
         (vec!["serve", "--store", "zfs"], "unknown --store"),
         (vec!["churn", "--codec", "zstd"], "unknown --codec"),
         (vec!["serve", "--codec", "zstd"], "unknown --codec"),
-        (vec!["bench", "--codec", "zstd"], "invalid --codec value"),
+        // A value-taking flag with no value is not "absent", and the
+        // next flag is not its value.
+        (
+            vec!["churn", "--ops", "20", "--json", "--threads", "2"],
+            "--json needs a value",
+        ),
+        (
+            vec!["churn", "--ops", "20", "--json"],
+            "--json needs a value",
+        ),
         (
             vec!["churn", "--ops", "10", "--durable", "--crashes", "40"],
             "--crashes 40 exceeds the trace's 10 ops",
@@ -432,7 +388,11 @@ fn ablate_codec_emits_all_three_tiers() {
 
 #[test]
 fn unknown_subcommand_fails_with_usage() {
-    let out = repro().arg("fig9z").output().expect("spawn repro");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    // `bench` was a subcommand until benchmark/ became the only
+    // measuring system; it must not fall through to an experiment.
+    for cmd in ["fig9z", "bench"] {
+        let out = repro().arg(cmd).output().expect("spawn repro");
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    }
 }

@@ -8,8 +8,8 @@
 
 use proptest::prelude::*;
 use xpl_compress::{
-    deflate, gzip_compress, gzip_compress_parallel, gzip_decompress, inflate, ratio,
-    PARALLEL_SEGMENT,
+    blocked_compress, blocked_compress_lz4, blocked_decompress_parallel, deflate, gzip_compress,
+    gzip_compress_parallel, gzip_decompress, inflate, ratio, PARALLEL_SEGMENT,
 };
 use xpl_util::SplitMix64;
 
@@ -148,6 +148,22 @@ fn regression_corpus_roundtrips() {
             data,
             "{name}: parallel roundtrip"
         );
+        // The blocked container, both inner codecs, decoded on one
+        // worker and on four.
+        for (codec, blocked) in [
+            ("deflate", blocked_compress(data)),
+            ("lz4", blocked_compress_lz4(data)),
+        ] {
+            for threads in [1, 4] {
+                let decoded =
+                    rayon::with_num_threads(threads, || blocked_decompress_parallel(&blocked));
+                assert_eq!(
+                    decoded.unwrap(),
+                    data,
+                    "{name}: blocked {codec} roundtrip at {threads} threads"
+                );
+            }
+        }
     }
     // Ratio floors for the compressible members (regression against a
     // quietly degrading matcher).

@@ -4,11 +4,18 @@
 //! oracle, and the whole pipeline must be bit-reproducible from its
 //! seed.
 
-use expelliarmus::bench::churn::{churn_trace, run_churn, run_churn_threads, ChurnConfig};
+use expelliarmus::bench::churn::{churn_trace, run_churn, ChurnConfig};
 use expelliarmus::prelude::*;
+use expelliarmus::util::Sha256;
 use expelliarmus::workloads::TraceOp;
 
 const SEED: u64 = 0xC0FFEE;
+
+/// SHA-256 of the report JSON (`oracle_checks` zeroed) that the former
+/// sequential per-op driver produced for `ChurnConfig::small(SEED,
+/// 520)`, recorded at the commit before that driver was deleted.
+const SEQUENTIAL_REPORT_SHA256: &str =
+    "a00b2c6d0d22c5a38c504fee8dd2433888d6bf86fe8d49a41bb187c1fe8b8195";
 
 #[test]
 fn five_hundred_op_trace_passes_the_oracle_on_all_five_stores() {
@@ -58,22 +65,43 @@ fn same_seed_reproduces_trace_and_report_byte_identically() {
 }
 
 #[test]
+fn replay_reproduces_the_recorded_sequential_report_at_1_2_8_threads() {
+    // Stores, ledgers, simulated seconds, CAS fingerprints, the trace
+    // digest and the violation list of the run-partitioned replay are
+    // those of a strictly sequential per-op replay; only the number of
+    // integrity audits (`oracle_checks`) ever differed between the two.
+    for threads in [1, 2, 8] {
+        let mut report = run_churn(&ChurnConfig::small(SEED, 520).with_threads(threads));
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_eq!(report.oracle_checks, 5395);
+        report.oracle_checks = 0;
+        let json = serde_json::to_string_pretty(&report).unwrap();
+        assert_eq!(
+            Sha256::digest(json.as_bytes()).to_hex(),
+            SEQUENTIAL_REPORT_SHA256,
+            "{threads} threads"
+        );
+    }
+}
+
+#[test]
 fn concurrent_replay_is_byte_identical_across_thread_counts() {
-    // The acceptance pin for the shared-access refactor: the concurrent
-    // driver's oracle report — ledgers, totals, simulated seconds,
-    // violation list, check counts — must not depend on the worker-pool
-    // size. 1 thread is the degenerate sequential schedule; 2 and 8
+    // The acceptance pin for the shared-access refactor: the replay's
+    // oracle report — ledgers, totals, simulated seconds, violation
+    // list, check counts — must not depend on the worker-pool size.
+    // 1 thread is the degenerate sequential schedule; 2 and 8
     // exercise real interleavings of the per-image retrieval groups and
     // the five store replicas. The replay runs under the default mixed
     // codec tier, so the pin also covers mid-trace recompression sweeps
     // over mixed-codec CAS states.
     let cfg = ChurnConfig::small(SEED, 200);
-    let one = serde_json::to_string_pretty(&run_churn_threads(&cfg, 1)).unwrap();
-    let two = serde_json::to_string_pretty(&run_churn_threads(&cfg, 2)).unwrap();
-    let eight = serde_json::to_string_pretty(&run_churn_threads(&cfg, 8)).unwrap();
+    let at = |threads: usize| run_churn(&cfg.clone().with_threads(threads));
+    let one = serde_json::to_string_pretty(&at(1)).unwrap();
+    let two = serde_json::to_string_pretty(&at(2)).unwrap();
+    let eight = serde_json::to_string_pretty(&at(8)).unwrap();
     assert_eq!(one, two, "2-thread replay diverged from 1-thread");
     assert_eq!(one, eight, "8-thread replay diverged from 1-thread");
-    let report = run_churn_threads(&cfg, 8);
+    let report = at(8);
     assert!(report.violations.is_empty(), "{:?}", report.violations);
     assert!(report.retrieves > 0 && report.publishes > 0 && report.deletes > 0);
     assert_eq!(report.tier, "mixed");

@@ -15,10 +15,17 @@
 //! 3. the end-of-replay CAS fingerprints equal the purely in-memory
 //!    replay's — durability changes nothing about the logical state.
 
-use expelliarmus::bench::churn::{run_churn, run_churn_threads, ChurnConfig, DurableCfg};
+use expelliarmus::bench::churn::{run_churn, ChurnConfig, DurableCfg};
+use expelliarmus::util::Sha256;
 
 const SEED: u64 = 0xD17A;
 const OPS: usize = 300;
+
+/// SHA-256 of the report JSON (`oracle_checks` zeroed) that the former
+/// sequential per-op driver produced for [`durable_cfg`], recorded at
+/// the commit before that driver was deleted.
+const SEQUENTIAL_REPORT_SHA256: &str =
+    "d4c4ebcbda484b80140f6a9717c4a826254190d5be3bbf555128fe014f011c19";
 
 fn durable_cfg() -> ChurnConfig {
     ChurnConfig::small(SEED, OPS).with_durable(DurableCfg {
@@ -32,14 +39,24 @@ fn three_crash_trace_is_byte_identical_at_1_2_8_threads() {
     let reports: Vec<String> = [1usize, 2, 8]
         .iter()
         .map(|&threads| {
-            let report = run_churn_threads(&durable_cfg(), threads);
+            let mut report = run_churn(&durable_cfg().with_threads(threads));
             assert!(
                 report.violations.is_empty(),
                 "violations at {threads} threads:\n{}",
                 report.violations.join("\n")
             );
             assert_eq!(report.crashes, 3);
-            serde_json::to_string_pretty(&report).expect("serialize")
+            let json = serde_json::to_string_pretty(&report).expect("serialize");
+            // Everything but the audit count is what a strictly
+            // sequential per-op replay of the trace reports.
+            report.oracle_checks = 0;
+            let zeroed = serde_json::to_string_pretty(&report).expect("serialize");
+            assert_eq!(
+                Sha256::digest(zeroed.as_bytes()).to_hex(),
+                SEQUENTIAL_REPORT_SHA256,
+                "{threads} threads"
+            );
+            json
         })
         .collect();
     assert_eq!(reports[0], reports[1], "1 vs 2 threads diverged");
