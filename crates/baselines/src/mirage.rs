@@ -113,19 +113,10 @@ impl MirageStore {
         }
         Ok((freed, blobs))
     }
-}
 
-impl ImageStore for MirageStore {
-    fn name(&self) -> &'static str {
-        "Mirage"
-    }
-
-    fn attach_obs(&self, reg: &std::sync::Arc<xpl_obs::Registry>) {
-        self.cas.attach_obs(reg);
-    }
-
-    fn publish(&self, _catalog: &Catalog, vmi: &Vmi) -> Result<PublishReport, StoreError> {
-        let _name_guard = self.names.lock(&vmi.name);
+    /// The publish itself. Caller holds the image's name lock and
+    /// commits on every outcome.
+    fn publish_locked(&self, vmi: &Vmi) -> Result<PublishReport, StoreError> {
         let t0 = self.env.clock.now();
         let mut report = PublishReport {
             image: vmi.name.clone(),
@@ -196,6 +187,43 @@ impl ImageStore for MirageStore {
         report.bytes_freed = freed_content + ob.saturating_sub(oa);
         report.duration = self.env.clock.since(t0);
         Ok(report)
+    }
+
+    /// The delete itself; same contract as `publish_locked`.
+    fn delete_locked(&self, name: &str) -> Result<DeleteReport, StoreError> {
+        let t0 = self.env.clock.now();
+        let entries_before = self.total_entries();
+        let manifest = self
+            .manifests
+            .write()
+            .unwrap()
+            .remove(name)
+            .ok_or_else(|| StoreError::NotFound(name.to_string()))?;
+        let (freed_content, blobs) = self.release_manifest(&manifest)?;
+        self.env.repo.charge_db_write(1);
+        let overhead_freed = Self::manifest_overhead(entries_before)
+            .saturating_sub(Self::manifest_overhead(self.total_entries()));
+        Ok(DeleteReport {
+            image: name.to_string(),
+            duration: self.env.clock.since(t0),
+            bytes_freed: freed_content + overhead_freed,
+            units_removed: blobs,
+        })
+    }
+}
+
+impl ImageStore for MirageStore {
+    fn name(&self) -> &'static str {
+        "Mirage"
+    }
+
+    fn attach_obs(&self, reg: &std::sync::Arc<xpl_obs::Registry>) {
+        self.cas.attach_obs(reg);
+    }
+
+    fn publish(&self, _catalog: &Catalog, vmi: &Vmi) -> Result<PublishReport, StoreError> {
+        let _name_guard = self.names.lock(&vmi.name);
+        self.cas.committed(self.publish_locked(vmi))
     }
 
     fn retrieve(
@@ -288,24 +316,7 @@ impl ImageStore for MirageStore {
 
     fn delete(&self, name: &str) -> Result<DeleteReport, StoreError> {
         let _name_guard = self.names.lock(name);
-        let t0 = self.env.clock.now();
-        let entries_before = self.total_entries();
-        let manifest = self
-            .manifests
-            .write()
-            .unwrap()
-            .remove(name)
-            .ok_or_else(|| StoreError::NotFound(name.to_string()))?;
-        let (freed_content, blobs) = self.release_manifest(&manifest)?;
-        self.env.repo.charge_db_write(1);
-        let overhead_freed = Self::manifest_overhead(entries_before)
-            .saturating_sub(Self::manifest_overhead(self.total_entries()));
-        Ok(DeleteReport {
-            image: name.to_string(),
-            duration: self.env.clock.since(t0),
-            bytes_freed: freed_content + overhead_freed,
-            units_removed: blobs,
-        })
+        self.cas.committed(self.delete_locked(name))
     }
 
     fn repo_bytes(&self) -> u64 {

@@ -12,7 +12,10 @@
 //! selection and master consolidation all read the evolving repository),
 //! so publishes serialize — and because retrievals hold the same gate in
 //! read mode, a publish can never release a replaced generation's CAS
-//! blobs while an assembly is reading them.
+//! blobs while an assembly is reading them. The gate is also the
+//! durability boundary: CAS mutations are only logged while the
+//! algorithm runs, and one commit per section makes them durable before
+//! the publish returns.
 
 use crate::analyzer;
 use crate::repo::{IndexedPackage, RepoState, StoredBase, StoredData};
@@ -36,13 +39,20 @@ pub enum PublishMode {
     SemanticDecomposition,
 }
 
-/// Run Algorithm 1 for `vmi`.
+/// Run Algorithm 1 for `vmi`, durably: both CAS sections are committed
+/// once before the gate is released, also when the algorithm bailed out
+/// early — memory has applied whatever it logged by then.
 pub fn publish(
     state: &RepoState,
     catalog: &Catalog,
     vmi: &Vmi,
 ) -> Result<PublishReport, StoreError> {
     let _gate = state.op_gate.write().unwrap();
+    state.committed(decompose(state, catalog, vmi))
+}
+
+/// Algorithm 1 proper. Caller holds the operation gate in write mode.
+fn decompose(state: &RepoState, catalog: &Catalog, vmi: &Vmi) -> Result<PublishReport, StoreError> {
     let env = state.env.clone();
     let t0 = env.clock.now();
     let bytes_before = state.repo_bytes();

@@ -229,6 +229,13 @@ impl RepoState {
         Ok(freed)
     }
 
+    /// Close a publish/delete: commit both CAS sections (see
+    /// [`ContentStore::committed`]). Without durable backends this is
+    /// free.
+    pub fn committed<T>(&self, outcome: Result<T, StoreError>) -> Result<T, StoreError> {
+        self.data_store.committed(self.packages.committed(outcome))
+    }
+
     /// Repository footprint: package blobs + data blobs + base qcow2s +
     /// metadata payload.
     pub fn repo_bytes(&self) -> u64 {
@@ -289,6 +296,70 @@ impl ExpelliarmusRepo {
         self.state.packages = self.state.packages.with_tier(tier);
         self.state.data_store = self.state.data_store.with_tier(tier);
         self
+    }
+
+    /// The delete itself. Caller holds the operation gate in write mode
+    /// and commits on every outcome.
+    fn delete_gated(&self, name: &str) -> Result<DeleteReport, StoreError> {
+        let env = self.state.env.clone();
+        let t0 = env.clock.now();
+        let before = self.state.repo_bytes();
+        // One guard per probe (guards of `||` operands live to the end of
+        // the statement — keep them from overlapping out of lock order).
+        let in_packages = { self.state.image_packages.read().unwrap().contains_key(name) };
+        let in_data = { self.state.data_index.read().unwrap().contains_key(name) };
+        let in_published = {
+            self.state
+                .published
+                .read()
+                .unwrap()
+                .iter()
+                .any(|n| n == name)
+        };
+        let known = in_packages || in_data || in_published;
+        if !known {
+            return Err(StoreError::NotFound(name.to_string()));
+        }
+        let mut units = 0usize;
+        let refs = self.state.image_packages.write().unwrap().remove(name);
+        if let Some(refs) = refs {
+            for digest in refs {
+                if self.state.release_package_ref(&digest)? > 0 {
+                    units += 1;
+                }
+            }
+        }
+        let data = self.state.data_index.write().unwrap().remove(name);
+        if let Some(data) = data {
+            for digest in &data.digests {
+                let freed = self
+                    .state
+                    .data_store
+                    .release(digest)
+                    .map_err(|_| StoreError::Corrupt(format!("data blob {digest}")))?;
+                if freed > 0 {
+                    units += 1;
+                }
+            }
+        }
+        self.state.published.write().unwrap().retain(|n| n != name);
+        {
+            let mut db = self.state.db.lock().unwrap();
+            if let Ok(rows) = db.find_by("images", "name", &Value::from(name)) {
+                for row in rows {
+                    let _ = db.delete("images", row);
+                }
+            }
+        }
+        // Stored bases and master graphs are shared substrate across all
+        // published images; deletes keep them (Algorithm 1's consolidation
+        // already bounds their number).
+        Ok(DeleteReport {
+            image: name.to_string(),
+            duration: env.clock.since(t0),
+            bytes_freed: before.saturating_sub(self.state.repo_bytes()),
+            units_removed: units,
+        })
     }
 
     pub fn base_count(&self) -> usize {
@@ -386,65 +457,7 @@ impl ImageStore for ExpelliarmusRepo {
 
     fn delete(&self, name: &str) -> Result<DeleteReport, StoreError> {
         let _gate = self.state.op_gate.write().unwrap();
-        let env = self.state.env.clone();
-        let t0 = env.clock.now();
-        let before = self.state.repo_bytes();
-        // One guard per probe (guards of `||` operands live to the end of
-        // the statement — keep them from overlapping out of lock order).
-        let in_packages = { self.state.image_packages.read().unwrap().contains_key(name) };
-        let in_data = { self.state.data_index.read().unwrap().contains_key(name) };
-        let in_published = {
-            self.state
-                .published
-                .read()
-                .unwrap()
-                .iter()
-                .any(|n| n == name)
-        };
-        let known = in_packages || in_data || in_published;
-        if !known {
-            return Err(StoreError::NotFound(name.to_string()));
-        }
-        let mut units = 0usize;
-        let refs = self.state.image_packages.write().unwrap().remove(name);
-        if let Some(refs) = refs {
-            for digest in refs {
-                if self.state.release_package_ref(&digest)? > 0 {
-                    units += 1;
-                }
-            }
-        }
-        let data = self.state.data_index.write().unwrap().remove(name);
-        if let Some(data) = data {
-            for digest in &data.digests {
-                let freed = self
-                    .state
-                    .data_store
-                    .release(digest)
-                    .map_err(|_| StoreError::Corrupt(format!("data blob {digest}")))?;
-                if freed > 0 {
-                    units += 1;
-                }
-            }
-        }
-        self.state.published.write().unwrap().retain(|n| n != name);
-        {
-            let mut db = self.state.db.lock().unwrap();
-            if let Ok(rows) = db.find_by("images", "name", &Value::from(name)) {
-                for row in rows {
-                    let _ = db.delete("images", row);
-                }
-            }
-        }
-        // Stored bases and master graphs are shared substrate across all
-        // published images; deletes keep them (Algorithm 1's consolidation
-        // already bounds their number).
-        Ok(DeleteReport {
-            image: name.to_string(),
-            duration: env.clock.since(t0),
-            bytes_freed: before.saturating_sub(self.state.repo_bytes()),
-            units_removed: units,
-        })
+        self.state.committed(self.delete_gated(name))
     }
 
     fn repo_bytes(&self) -> u64 {

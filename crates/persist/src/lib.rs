@@ -25,21 +25,27 @@
 //!   so a crash during checkpoint keeps the old manifest.
 //! * [`store`] — [`DurableContentStore`]: the durable twin of
 //!   `xpl-store`'s sharded CAS. Reads fan out across 16 digest-addressed
-//!   shards; mutations append to the active segment and the WAL under
-//!   the log lock, then update memory (disk-before-memory, so recovery
-//!   never observes state the log cannot reproduce).
+//!   shards; mutations are *logged* under the log lock — payload
+//!   appended to the active segment, WAL record queued, index updated —
+//!   and a group `commit` makes everything logged durable at once.
 //!
 //! # Write path and fsync points
 //!
 //! ```text
-//! put(new blob):  segment append ── sync ──► WAL append ── sync ──► index insert
-//! add_ref/release:                           WAL append ── sync ──► index update
-//! checkpoint:     manifest tmp ── sync ──► rename ── sync ──► WAL rotation
+//! log_put(new blob):   segment append (unsynced) ─► record queued ─► index insert
+//! log_add_ref/release:                              record queued ─► index update
+//! commit:     sync each dirty segment ──► WAL append (all queued records) ── sync
+//! checkpoint: commit ──► manifest tmp ── sync ──► rename ── sync ──► WAL rotation
 //! ```
 //!
-//! Every mutation is durable before it returns (on [`StdFs`], syncs
-//! also fsync the directory so freshly created files survive power
-//! loss). The WAL is generational: each checkpoint's manifest names
+//! Segments are synced before the log is written, so no record on the
+//! medium points at a payload that is not. `put` / `add_ref` /
+//! `release` are the logged op followed by `commit` and durable on
+//! return; a caller that batches logged ops (one repository publish)
+//! pays one fsync per dirty segment and one for the log, whatever the
+//! record count, and acknowledges nothing before `commit` returned
+//! `Ok`. (On [`StdFs`], syncs also fsync the directory so freshly
+//! created files survive power loss.) The WAL is generational: each checkpoint's manifest names
 //! the log generation it covers (`prefix.wal-NNNNNN`) and rotates to
 //! the next, so a crash between the manifest swap and the old log's
 //! cleanup can never double-apply a stale WAL over a newer manifest.
@@ -47,7 +53,9 @@
 //! generation over it, drops (and physically truncates) a torn tail,
 //! and resumes appending at the physical end of the newest segment —
 //! bytes orphaned by a crash between segment append and WAL append are
-//! dead weight for the compactor, never live state.
+//! dead weight for the compactor, never live state. A crash inside a
+//! batch leaves a whole-record prefix of it, exactly what a crash
+//! between two self-committing ops leaves.
 
 pub mod error;
 pub mod manifest;

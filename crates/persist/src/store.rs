@@ -3,9 +3,10 @@
 //! [`DurableContentStore`] is the on-disk twin of `xpl-store`'s sharded
 //! in-memory CAS: blobs keyed by SHA-256 digest, refcounted, deduped on
 //! `put`. Bytes live in append-only [`crate::segment`] files; index
-//! mutations are logged to the [`crate::wal`] before memory is updated;
-//! a [`crate::manifest`] checkpoint bounds replay work and rotates the
-//! log to a fresh generation.
+//! mutations are logged as [`crate::wal`] records and made durable by a
+//! group [`DurableContentStore::commit`]; a [`crate::manifest`]
+//! checkpoint bounds replay work and rotates the log to a fresh
+//! generation.
 //!
 //! # Concurrency
 //!
@@ -20,12 +21,31 @@
 //!
 //! # Crash consistency
 //!
-//! Mutations touch disk before memory, in dependency order: segment
-//! payload → WAL record → in-memory index. A crash between any two steps
-//! loses at most the in-flight operation, and recovery
+//! A mutation is a *logged op* followed, sooner or later, by a
+//! *commit*. The logged forms ([`DurableContentStore::log_put`],
+//! `log_add_ref`, `log_release`) append a new blob to the active segment
+//! **unsynced**, queue the WAL record in memory and update the index at
+//! once — memory runs ahead of the medium. [`DurableContentStore::commit`]
+//! then makes everything logged so far durable in dependency order:
+//! every dirty segment is synced **first**, then all queued records go
+//! to the WAL in one append, then the WAL is synced once. So a record
+//! on the medium never points at a payload that is not, whichever
+//! thread logged it, and a batch costs at most one fsync per dirty
+//! segment plus one for the log, however many records it holds.
+//!
+//! What is acknowledged is what was committed: `put` / `add_ref` /
+//! `release` are "logged op, then commit" and durable on return; a
+//! caller batching the logged forms (a repository publish) owns the
+//! commit and may not report success before it returned `Ok`. A power
+//! cut inside a batch loses a suffix of its records — a torn WAL append
+//! replays a whole-record prefix — and recovery
 //! ([`DurableContentStore::open`] / `reopen_in_place`) rebuilds exactly
-//! the logged prefix: manifest, then WAL replay (torn tail dropped),
-//! then resume appending at the physical end of the newest segment.
+//! that prefix: manifest, then WAL replay (torn tail dropped), then
+//! resume appending at the physical end of the newest segment. A
+//! commit that *fails* leaves the index ahead of the medium with the
+//! log in an unknown state, so the handle refuses every later commit
+//! with the same error until `reopen_in_place` has rebuilt it from
+//! disk.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -87,6 +107,29 @@ struct LogState {
     /// a crash between the manifest swap and the old log's cleanup can
     /// never replay a stale WAL over a newer manifest.
     epoch: u64,
+    /// Frames of logged records not yet appended to the WAL, in log
+    /// order.
+    pending: Vec<u8>,
+    /// Segments holding appended but unsynced records, ascending (the
+    /// active one, and its predecessors when the batch rolled).
+    dirty_segments: Vec<u32>,
+    /// The error that broke a commit or an in-op checkpoint: memory is
+    /// ahead of the medium, so no later commit may succeed before
+    /// recovery.
+    failed: Option<PersistError>,
+}
+
+impl LogState {
+    fn recovered(r: &Recovered) -> LogState {
+        LogState {
+            segment: r.segment,
+            ops_since_checkpoint: r.report.wal_records_replayed,
+            epoch: r.epoch,
+            pending: Vec::new(),
+            dirty_segments: Vec::new(),
+            failed: None,
+        }
+    }
 }
 
 /// What recovery found.
@@ -102,11 +145,14 @@ pub struct RecoveryReport {
     pub unique_bytes: u64,
 }
 
-/// Pre-resolved `xpl-obs` handles for the durable hot paths. All
-/// counters are op-count-derived and deterministic (the log lock
-/// serializes mutations, but the *multiset* of logged ops is
-/// thread-count-invariant, so totals are too). `deep_verify` — an audit
-/// — reads through uncounted helpers and bumps nothing.
+/// Pre-resolved `xpl-obs` handles for the durable hot paths. The
+/// record and read counters are op-count-derived and deterministic (the
+/// log lock serializes mutations, but the *multiset* of logged ops is
+/// thread-count-invariant, so totals are too). `persist.fsyncs` is not:
+/// a commit flushes whatever any thread has logged, so with concurrent
+/// writers the number of syncs depends on scheduling — it lives in the
+/// wall section. `deep_verify` — an audit — reads through uncounted
+/// helpers and bumps nothing.
 pub struct PersistObs {
     wal_appends: Arc<Counter>,
     fsyncs: Arc<Counter>,
@@ -124,7 +170,7 @@ impl PersistObs {
     pub fn new(reg: &Registry) -> Self {
         PersistObs {
             wal_appends: reg.counter("persist.wal.appends", Section::Det),
-            fsyncs: reg.counter("persist.fsyncs", Section::Det),
+            fsyncs: reg.counter("persist.fsyncs", Section::Wall),
             segment_appends: reg.counter("persist.segment.appends", Section::Det),
             segment_reads: reg.counter("persist.segment.reads", Section::Det),
             segment_read_bytes: reg.counter("persist.segment.read_bytes", Section::Det),
@@ -186,11 +232,7 @@ impl DurableContentStore {
             shards: (0..SHARD_COUNT)
                 .map(|_| RwLock::new(FxHashMap::default()))
                 .collect(),
-            log: Mutex::new(LogState {
-                segment: recovered.segment,
-                ops_since_checkpoint: recovered.report.wal_records_replayed,
-                epoch: recovered.epoch,
-            }),
+            log: Mutex::new(LogState::recovered(&recovered)),
             unique_bytes: AtomicU64::new(recovered.report.unique_bytes),
             dedup_hits: AtomicU64::new(0),
             wal_appends: AtomicU64::new(0),
@@ -211,11 +253,12 @@ impl DurableContentStore {
     }
 
     /// Recover in place after the harness rebooted the medium: drop the
-    /// whole in-memory index and rebuild it from disk. The handle stays
-    /// valid, so callers holding the store through a write-through CAS
-    /// keep working after recovery. All 16 shard locks are held for the
-    /// swap, so concurrent readers see either the old state or the
-    /// recovered one — never a half-cleared index.
+    /// whole in-memory index — records logged but never committed and
+    /// a failed commit's error with it — and rebuild it from disk. The
+    /// handle stays valid, so callers holding the store through a
+    /// write-through CAS keep working after recovery. All 16 shard
+    /// locks are held for the swap, so concurrent readers see either the
+    /// old state or the recovered one — never a half-cleared index.
     pub fn reopen_in_place(&self) -> Result<RecoveryReport, PersistError> {
         let mut log = self.log.lock().unwrap();
         let _span = self
@@ -223,6 +266,7 @@ impl DurableContentStore {
             .get()
             .map(|t| TraceRing::span(t, "persist.recover", None));
         let recovered = Self::recover_state(self.vfs.as_ref(), &self.cfg)?;
+        *log = LogState::recovered(&recovered);
         {
             let mut guards: Vec<_> = self.shards.iter().map(|s| s.write().unwrap()).collect();
             for g in guards.iter_mut() {
@@ -234,9 +278,6 @@ impl DurableContentStore {
         }
         self.unique_bytes
             .store(recovered.report.unique_bytes, Ordering::Relaxed);
-        log.segment = recovered.segment;
-        log.ops_since_checkpoint = recovered.report.wal_records_replayed;
-        log.epoch = recovered.epoch;
         if let Some(o) = self.obs.get() {
             o.recoveries.inc();
             o.replay_records.add(recovered.report.wal_records_replayed);
@@ -393,30 +434,74 @@ impl DurableContentStore {
         &self.cfg.prefix
     }
 
-    /// Append `op` to the WAL and sync it. Caller holds the log lock.
-    fn wal_append(&self, log: &mut LogState, op: &WalOp) -> Result<(), PersistError> {
-        let file = wal_name(&self.cfg.prefix, log.epoch);
-        self.vfs.append(&file, &op.frame())?;
-        self.vfs.sync(&file)?;
+    /// Queue `op`'s frame for the next commit. Caller holds the log
+    /// lock and has applied (or is about to apply) the op to the index.
+    fn log_record(&self, log: &mut LogState, op: &WalOp) {
+        log.pending.extend_from_slice(&op.frame());
         self.wal_appends.fetch_add(1, Ordering::Relaxed);
         if let Some(o) = self.obs.get() {
             o.wal_appends.inc();
-            o.fsyncs.inc();
         }
         log.ops_since_checkpoint += 1;
-        Ok(())
-    }
-
-    fn maybe_checkpoint(&self, log: &mut LogState) -> Result<(), PersistError> {
+        // The checkpoint cadence counts records, not commits, so it
+        // falls on the same record whatever the batching. Its I/O error
+        // has no way out of a logged op; it waits in `failed` for the
+        // commit every acknowledged op goes through.
         if self.cfg.checkpoint_every_ops > 0
             && log.ops_since_checkpoint >= self.cfg.checkpoint_every_ops
         {
-            self.checkpoint_locked(log)?;
+            if let Err(e) = self.checkpoint_locked(log) {
+                log.failed.get_or_insert(e);
+            }
+        }
+    }
+
+    fn sync_counted(&self, file: &str) -> Result<(), PersistError> {
+        self.vfs.sync(file)?;
+        if let Some(o) = self.obs.get() {
+            o.fsyncs.inc();
         }
         Ok(())
     }
 
+    fn commit_locked(&self, log: &mut LogState) -> Result<(), PersistError> {
+        if let Some(e) = &log.failed {
+            return Err(e.clone());
+        }
+        let flushed = self.flush(log);
+        if let Err(e) = &flushed {
+            log.failed = Some(e.clone());
+        }
+        flushed
+    }
+
+    /// Segments first, then the log: a WAL record may reach the medium
+    /// only after the payload it points at.
+    fn flush(&self, log: &mut LogState) -> Result<(), PersistError> {
+        for segment in log.dirty_segments.drain(..) {
+            self.sync_counted(&segment::file_name(&self.cfg.prefix, segment))?;
+        }
+        if log.pending.is_empty() {
+            return Ok(());
+        }
+        let file = wal_name(&self.cfg.prefix, log.epoch);
+        self.vfs.append(&file, &log.pending)?;
+        log.pending.clear();
+        self.sync_counted(&file)
+    }
+
+    /// Make every op logged so far — by any thread — durable: one sync
+    /// per dirty segment, one WAL append, one WAL sync; nothing at all
+    /// when nothing is pending. See the module's crash-consistency notes
+    /// for the order and for what a failure means.
+    pub fn commit(&self) -> Result<(), PersistError> {
+        self.commit_locked(&mut self.log.lock().unwrap())
+    }
+
     fn checkpoint_locked(&self, log: &mut LogState) -> Result<(), PersistError> {
+        // The manifest is written from the in-memory index, which holds
+        // everything logged: all of it must be on the medium first.
+        self.commit_locked(log)?;
         let mut entries = Vec::new();
         for shard in &self.shards {
             let shard = shard.read().unwrap();
@@ -450,22 +535,22 @@ impl DurableContentStore {
         Ok(())
     }
 
-    /// Force a checkpoint now (manifest swap + WAL rotation).
+    /// Force a checkpoint now (commit, manifest swap, WAL rotation).
     pub fn checkpoint(&self) -> Result<(), PersistError> {
         let mut log = self.log.lock().unwrap();
         self.checkpoint_locked(&mut log)
     }
 
-    /// Store bytes under their digest; returns `true` if the blob is
+    /// Logged put: store bytes under their digest, durable at the next
+    /// [`DurableContentStore::commit`]. Returns `true` if the blob is
     /// new, `false` on a dedup hit (which only logs a ref increment).
-    pub fn put_with_digest(&self, digest: Digest, bytes: &[u8]) -> Result<bool, PersistError> {
+    pub fn log_put(&self, digest: Digest, bytes: &[u8]) -> Result<bool, PersistError> {
         let mut log = self.log.lock().unwrap();
         let exists = self.shards[shard_of(&digest)]
             .read()
             .unwrap()
             .contains_key(&digest);
         if exists {
-            self.wal_append(&mut log, &WalOp::AddRef { digest })?;
             self.shards[shard_of(&digest)]
                 .write()
                 .unwrap()
@@ -473,7 +558,7 @@ impl DurableContentStore {
                 .expect("existence checked under the log lock")
                 .refs += 1;
             self.dedup_hits.fetch_add(1, Ordering::Relaxed);
-            self.maybe_checkpoint(&mut log)?;
+            self.log_record(&mut log, &WalOp::AddRef { digest });
             return Ok(false);
         }
         // Roll the active segment by physical size, then append at the
@@ -490,20 +575,12 @@ impl DurableContentStore {
         let segment_id = log.segment;
         self.vfs
             .append(&file, &segment::encode_record(&digest, bytes))?;
-        self.vfs.sync(&file)?;
+        if log.dirty_segments.last() != Some(&segment_id) {
+            log.dirty_segments.push(segment_id);
+        }
         if let Some(o) = self.obs.get() {
             o.segment_appends.inc();
-            o.fsyncs.inc();
         }
-        self.wal_append(
-            &mut log,
-            &WalOp::Put {
-                digest,
-                segment: segment_id,
-                offset,
-                len: bytes.len() as u64,
-            },
-        )?;
         self.shards[shard_of(&digest)].write().unwrap().insert(
             digest,
             DurableBlob {
@@ -515,52 +592,81 @@ impl DurableContentStore {
         );
         self.unique_bytes
             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        self.maybe_checkpoint(&mut log)?;
+        self.log_record(
+            &mut log,
+            &WalOp::Put {
+                digest,
+                segment: segment_id,
+                offset,
+                len: bytes.len() as u64,
+            },
+        );
         Ok(true)
     }
 
-    /// Hash + store.
+    /// [`DurableContentStore::log_put`], durable on return.
+    pub fn put_with_digest(&self, digest: Digest, bytes: &[u8]) -> Result<bool, PersistError> {
+        let was_new = self.log_put(digest, bytes)?;
+        self.commit()?;
+        Ok(was_new)
+    }
+
+    /// Hash + store, durable on return.
     pub fn put(&self, bytes: &[u8]) -> Result<(Digest, bool), PersistError> {
         let digest = Sha256::digest(bytes);
         Ok((digest, self.put_with_digest(digest, bytes)?))
     }
 
-    /// Log one more reference to an existing blob.
-    pub fn add_ref(&self, digest: Digest) -> Result<(), PersistError> {
+    /// Logged add_ref: one more reference to an existing blob, durable
+    /// at the next commit. `NotFound` is its only error: the record is
+    /// queued in memory, and an in-op checkpoint's I/O error waits for
+    /// that commit.
+    pub fn log_add_ref(&self, digest: Digest) -> Result<(), PersistError> {
         let mut log = self.log.lock().unwrap();
-        {
-            let mut shard = self.shards[shard_of(&digest)].write().unwrap();
-            let blob = shard
-                .get_mut(&digest)
-                .ok_or(PersistError::NotFound(digest))?;
-            self.wal_append(&mut log, &WalOp::AddRef { digest })?;
-            blob.refs += 1;
-        }
+        self.shards[shard_of(&digest)]
+            .write()
+            .unwrap()
+            .get_mut(&digest)
+            .ok_or(PersistError::NotFound(digest))?
+            .refs += 1;
         self.dedup_hits.fetch_add(1, Ordering::Relaxed);
-        self.maybe_checkpoint(&mut log)
+        self.log_record(&mut log, &WalOp::AddRef { digest });
+        Ok(())
     }
 
-    /// Drop one reference; returns freed payload bytes when the blob
-    /// dies (its segment bytes become dead weight for compaction).
-    pub fn release(&self, digest: &Digest) -> Result<u64, PersistError> {
+    /// [`DurableContentStore::log_add_ref`], durable on return.
+    pub fn add_ref(&self, digest: Digest) -> Result<(), PersistError> {
+        self.log_add_ref(digest)?;
+        self.commit()
+    }
+
+    /// Logged release: drop one reference, durable at the next commit;
+    /// returns freed payload bytes when the blob dies (its segment
+    /// bytes become dead weight for compaction). Errors like
+    /// [`DurableContentStore::log_add_ref`].
+    pub fn log_release(&self, digest: &Digest) -> Result<u64, PersistError> {
         let mut log = self.log.lock().unwrap();
-        let freed;
+        let mut freed = 0;
         {
             let mut shard = self.shards[shard_of(digest)].write().unwrap();
             let blob = shard
                 .get_mut(digest)
                 .ok_or(PersistError::NotFound(*digest))?;
-            self.wal_append(&mut log, &WalOp::Release { digest: *digest })?;
             blob.refs -= 1;
             if blob.refs == 0 {
                 freed = blob.len;
                 shard.remove(digest);
                 self.unique_bytes.fetch_sub(freed, Ordering::Relaxed);
-            } else {
-                freed = 0;
             }
         }
-        self.maybe_checkpoint(&mut log)?;
+        self.log_record(&mut log, &WalOp::Release { digest: *digest });
+        Ok(freed)
+    }
+
+    /// [`DurableContentStore::log_release`], durable on return.
+    pub fn release(&self, digest: &Digest) -> Result<u64, PersistError> {
+        let freed = self.log_release(digest)?;
+        self.commit()?;
         Ok(freed)
     }
 
@@ -1008,6 +1114,33 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_commit_refuses_later_commits_until_recovery() {
+        let vfs = Arc::new(MemFs::new());
+        let mut cfg = DurableConfig::named("cas");
+        cfg.checkpoint_every_ops = 0;
+        let (store, _) = DurableContentStore::open(vfs.clone(), cfg.clone()).unwrap();
+        store.put(b"one").unwrap();
+        // Segment append, segment sync, then the WAL append tears.
+        vfs.set_crash_at(3);
+        assert!(store.put(b"two").is_err());
+        // The medium comes back, but the index is ahead of it and half
+        // a frame sits at the end of the log: appending more records
+        // behind it would acknowledge what replay can never reach.
+        vfs.power_cut();
+        let wal_len = vfs.file_len(&store.wal_file()).unwrap();
+        assert_eq!(store.commit(), Err(PersistError::Crashed));
+        assert_eq!(store.put(b"three"), Err(PersistError::Crashed));
+        assert_eq!(vfs.file_len(&store.wal_file()).unwrap(), wal_len);
+        // Recovery rebuilds the index from the medium and lifts it.
+        store.reopen_in_place().unwrap();
+        assert_eq!(store.blob_count(), 1);
+        store.put(b"three").unwrap();
+        let (reopened, _) = DurableContentStore::open(vfs, cfg).unwrap();
+        assert_eq!(reopened.state_fingerprint(), store.state_fingerprint());
+        assert_eq!(reopened.deep_verify().unwrap(), 2);
+    }
+
+    #[test]
     fn crash_between_manifest_swap_and_wal_cleanup_never_double_applies() {
         let vfs = Arc::new(MemFs::new());
         let mut cfg = DurableConfig::named("cas");
@@ -1117,6 +1250,76 @@ mod tests {
         let mut c = a.clone();
         c[0].1 = 3;
         assert_ne!(cas_state_fingerprint(a, 14), cas_state_fingerprint(c, 14));
+    }
+
+    /// Two writer threads on one store, run in lock step through
+    /// `script` — `(writer, commits)` per step, a barrier after each —
+    /// so the interleaving is the script's, not the scheduler's.
+    /// Returns the Det section and the fsync count.
+    fn two_writer_run(script: &[(usize, bool)]) -> (String, u64) {
+        const PAYLOADS: [[&[u8]; 2]; 2] = [
+            [b"a keeps this", b"a drops this"],
+            [b"b keeps this", b"b drops this"],
+        ];
+        let (vfs, store) = fresh(DurableConfig::named("cas"));
+        let reg = Registry::new();
+        store.attach_obs(&reg);
+        let step_done = std::sync::Barrier::new(2);
+        let writer = |me: usize| {
+            let (vfs, store, step_done) = (&vfs, &store, &step_done);
+            let [kept, dropped] = PAYLOADS[me];
+            move || {
+                for &(who, commits) in script {
+                    if who == me && !commits {
+                        store.log_put(Sha256::digest(kept), kept).unwrap();
+                        store.log_put(Sha256::digest(dropped), dropped).unwrap();
+                        store.log_release(&Sha256::digest(dropped)).unwrap();
+                    } else if who == me {
+                        store.commit().unwrap();
+                        // My own commit returned: my ops are on the
+                        // medium, whoever flushed them.
+                        let medium = vfs.fork();
+                        medium.power_cut();
+                        let (reopened, _) = DurableContentStore::open(
+                            Arc::new(medium),
+                            DurableConfig::named("cas"),
+                        )
+                        .unwrap();
+                        assert_eq!(reopened.get(&Sha256::digest(kept)).unwrap(), kept);
+                        assert!(!reopened.contains(&Sha256::digest(dropped)));
+                    }
+                    step_done.wait();
+                }
+            }
+        };
+        std::thread::scope(|s| {
+            s.spawn(writer(0));
+            s.spawn(writer(1));
+        });
+        let snap = reg.snapshot();
+        let (_, section, fsyncs) = snap
+            .counters
+            .iter()
+            .find(|(name, _, _)| name == "persist.fsyncs")
+            .unwrap();
+        assert_eq!(*section, Section::Wall);
+        (snap.render_section_json(Section::Det), *fsyncs)
+    }
+
+    #[test]
+    fn det_counters_ignore_who_commits_whose_records() {
+        // Each writer logs then commits its own batch; or both log
+        // before either commits, so the first commit flushes both
+        // batches and the second finds nothing to do.
+        let (det_apart, fsyncs_apart) =
+            two_writer_run(&[(0, false), (0, true), (1, false), (1, true)]);
+        let (det_overlapped, fsyncs_overlapped) =
+            two_writer_run(&[(0, false), (1, false), (0, true), (1, true)]);
+        assert_eq!(det_apart, det_overlapped);
+        assert!(det_apart.contains("persist.wal.appends"), "{det_apart}");
+        // The sync count is what scheduling moves: a segment sync and a
+        // WAL sync per commit that had something to flush.
+        assert_eq!((fsyncs_apart, fsyncs_overlapped), (4, 2));
     }
 
     #[test]

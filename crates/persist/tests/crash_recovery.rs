@@ -7,7 +7,10 @@
 //! never half-applied. The op sequences come from the proptest
 //! harness, so the sweep covers many shapes of put/add_ref/release
 //! interleavings (including dedup hits and death-and-rebirth of the
-//! same digest).
+//! same digest). A second sweep arms a crash at every medium mutation
+//! of a group-committed batch — the cut now lands between the segment
+//! syncs and the WAL write as well as inside them — and asserts the
+//! same prefix invariant.
 
 use std::sync::Arc;
 
@@ -200,4 +203,87 @@ fn corrupt_manifest_is_rejected_not_panicked() {
         Err(PersistError::CorruptManifest(_)) => {}
         other => panic!("expected CorruptManifest, got {:?}", other.map(|_| ())),
     }
+}
+
+/// One step of the scripted batch of
+/// [`crash_at_every_mutation_of_a_batch_recovers_a_record_prefix`].
+type BatchStep = Box<dyn Fn(&DurableContentStore) -> Result<(), PersistError>>;
+
+/// The batch: new puts across a segment roll, a dedup put, an
+/// `add_ref`, a release to zero — each logs exactly one record — and
+/// the commit that makes them durable. `base` is committed beforehand.
+fn batch_script(base: &'static [u8]) -> Vec<BatchStep> {
+    let (b, c): (&[u8], &[u8]) = (&[0xB0; 40], &[0xC0; 24]);
+    vec![
+        Box::new(move |s| s.log_put(Sha256::digest(b), b).map(drop)), // fills segment 1
+        Box::new(move |s| s.log_put(Sha256::digest(c), c).map(drop)), // rolls to segment 2
+        Box::new(move |s| s.log_put(Sha256::digest(base), base).map(drop)), // dedup
+        Box::new(move |s| s.log_add_ref(Sha256::digest(b))),
+        Box::new(move |s| s.log_release(&Sha256::digest(c)).map(drop)), // dies
+        Box::new(|s| s.commit()),
+    ]
+}
+
+#[test]
+fn crash_at_every_mutation_of_a_batch_recovers_a_record_prefix() {
+    const BASE: &[u8] = b"committed before the batch";
+    let mut cfg = wal_only("t");
+    cfg.segment_target_bytes = 64;
+    let fresh = || {
+        let vfs = Arc::new(MemFs::new());
+        let (store, _) = DurableContentStore::open(Arc::clone(&vfs) as _, cfg.clone()).unwrap();
+        store.put(BASE).unwrap();
+        (vfs, store)
+    };
+
+    // Reference run, no crash: the state after every logged record, and
+    // how many medium mutations the batch makes.
+    let (vfs, store) = fresh();
+    let before = vfs.mutations();
+    let mut prefixes = vec![store.state_fingerprint()];
+    for step in batch_script(BASE) {
+        step(&store).unwrap();
+        prefixes.push(store.state_fingerprint());
+    }
+    prefixes.pop(); // the commit logs nothing
+    let full = prefixes.last().unwrap().clone();
+    let mutations = vfs.mutations() - before;
+    // 2 segment appends; then 2 segment syncs, 1 WAL append, 1 WAL sync.
+    assert_eq!(mutations, 6, "the batch must span a segment roll");
+    assert!(vfs.exists("t.seg-000002"));
+
+    let mut proper_prefix_seen = false;
+    for n in 1..=mutations + 1 {
+        let (vfs, store) = fresh();
+        vfs.set_crash_at(n);
+        let committed = batch_script(BASE).iter().try_for_each(|step| step(&store));
+        assert_eq!(committed.is_ok(), n > mutations, "crash at mutation {n}");
+        vfs.power_cut();
+        let (recovered, _) = DurableContentStore::open(Arc::clone(&vfs) as _, cfg.clone())
+            .unwrap_or_else(|e| panic!("crash at mutation {n}: recovery failed: {e}"));
+        let fp = recovered.state_fingerprint();
+        let records = prefixes
+            .iter()
+            .position(|p| *p == fp)
+            .unwrap_or_else(|| panic!("crash at mutation {n}: recovered state is no prefix"));
+        proper_prefix_seen |= 0 < records && records < prefixes.len() - 1;
+        if committed.is_ok() {
+            assert_eq!(fp, full, "a commit that returned Ok lost records");
+        }
+        // No live entry points at a payload the crash took.
+        let live = recovered.snapshot_refs();
+        assert_eq!(recovered.deep_verify().unwrap(), live.len(), "crash at {n}");
+        for (digest, _, len) in live {
+            assert_eq!(recovered.get(&digest).unwrap().len() as u64, len);
+        }
+        // The in-place recovery of the crashed handle agrees.
+        store.reopen_in_place().unwrap();
+        assert_eq!(store.state_fingerprint(), fp, "crash at mutation {n}");
+        store.put(b"writable again").unwrap();
+    }
+    // The torn WAL append leaves whole records of the batch behind.
+    assert!(
+        proper_prefix_seen,
+        "no cut point recovered part of the batch"
+    );
 }

@@ -113,6 +113,9 @@ pub enum StoreError {
     /// The request cannot be served by this store (e.g. functional
     /// retrieval from a monolithic store).
     Unsupported(String),
+    /// The durable medium failed (WAL append, fsync, checkpoint): the
+    /// mutation is applied in memory but not acknowledged as durable.
+    Io(String),
 }
 
 impl std::fmt::Display for StoreError {
@@ -122,6 +125,7 @@ impl std::fmt::Display for StoreError {
             StoreError::Resolve(e) => write!(f, "resolve error: {e}"),
             StoreError::Corrupt(what) => write!(f, "corrupt: {what}"),
             StoreError::Unsupported(what) => write!(f, "unsupported: {what}"),
+            StoreError::Io(what) => write!(f, "durable medium: {what}"),
         }
     }
 }
@@ -131,6 +135,12 @@ impl std::error::Error for StoreError {}
 impl From<ResolveError> for StoreError {
     fn from(e: ResolveError) -> Self {
         StoreError::Resolve(e)
+    }
+}
+
+impl From<xpl_persist::PersistError> for StoreError {
+    fn from(e: xpl_persist::PersistError) -> Self {
+        StoreError::Io(e.to_string())
     }
 }
 

@@ -28,15 +28,20 @@
 //!
 //! [`ContentStore::new_durable`] attaches an `xpl-persist`
 //! [`DurableContentStore`]: every mutation (`put`, `add_ref`,
-//! `release`) writes through to the log-structured on-disk store
-//! *before* the in-memory state changes, so the durable log always
-//! holds a superset-ordered record of the in-memory history and
-//! reopen-after-crash converges to the same blobs, refcounts and size
-//! ledger ([`ContentStore::state_fingerprint`] is the convergence
-//! check the churn oracle uses). A write-through failure is a panic:
-//! by construction the harness only crashes the medium at operation
-//! boundaries (and recovers before the next op), so an error here is a
-//! subsystem bug, not an injected fault.
+//! `release`) is *logged* to the log-structured on-disk store as it is
+//! applied in memory — a new blob is appended to a segment, the WAL
+//! record is queued — and [`ContentStore::commit`] makes everything
+//! logged durable at once (segments synced first, then one WAL append
+//! and one sync). The owner of the store calls it once per repository
+//! operation, on every exit, before reporting success: what returned
+//! `Ok` survives a power cut, and reopen-after-crash converges to the
+//! same blobs, refcounts and size ledger
+//! ([`ContentStore::state_fingerprint`] is the convergence check the
+//! churn oracle uses). A failed WAL append or fsync is a
+//! [`StoreError::Io`] out of `commit`. Two things still panic: a
+//! durable index that disagrees with this one (a subsystem bug), and
+//! the segment append of a new blob — `put` returns `(Digest, bool)`
+//! and has no error channel until the one-CAS item gives it one.
 //!
 //! # Codec tiers
 //!
@@ -67,6 +72,8 @@ use xpl_obs::{Counter, Histogram, ObsSlot, Registry, Section};
 use xpl_persist::{cas_state_fingerprint, DurableContentStore};
 use xpl_simio::SimDevice;
 use xpl_util::{Digest, FxHashMap, Sha256};
+
+use crate::api::StoreError;
 
 /// Number of digest-addressed segments. A power of two so the shard of a
 /// digest is a mask of its first byte.
@@ -313,8 +320,8 @@ impl ContentStore {
         }
     }
 
-    /// A store whose mutations write through to a durable
-    /// log-structured backend before touching memory.
+    /// A store whose mutations are logged to a durable log-structured
+    /// backend and made durable by [`ContentStore::commit`].
     pub fn new_durable(device: Arc<SimDevice>, durable: Arc<DurableContentStore>) -> Self {
         let mut store = Self::new(device);
         store.durable = Some(durable);
@@ -362,8 +369,10 @@ impl ContentStore {
     pub fn put_with_digest(&self, digest: Digest, bytes: &[u8]) -> bool {
         let mut shard = self.shard(&digest).write().unwrap();
         if let Some(d) = &self.durable {
+            // The one write-through step that touches the medium (the
+            // segment append); see the module's durability notes.
             let was_new = d
-                .put_with_digest(digest, bytes)
+                .log_put(digest, bytes)
                 .expect("durable write-through: put");
             debug_assert_eq!(
                 was_new,
@@ -438,7 +447,8 @@ impl ContentStore {
         match shard.get_mut(&digest) {
             Some(b) => {
                 if let Some(d) = &self.durable {
-                    d.add_ref(digest).expect("durable write-through: add_ref");
+                    d.log_add_ref(digest)
+                        .expect("durable backend diverged on add_ref");
                 }
                 b.refs += 1;
                 self.dedup_hits.fetch_add(1, Ordering::Relaxed);
@@ -544,7 +554,9 @@ impl ContentStore {
         let mut shard = self.shard(digest).write().unwrap();
         let b = shard.get_mut(digest).ok_or(CasError::NotFound(*digest))?;
         if let Some(d) = &self.durable {
-            let freed = d.release(digest).expect("durable write-through: release");
+            let freed = d
+                .log_release(digest)
+                .expect("durable backend diverged on release");
             debug_assert_eq!(
                 freed,
                 if b.refs == 1 { b.stored_len } else { 0 },
@@ -566,6 +578,25 @@ impl ContentStore {
             return Ok(freed);
         }
         Ok(0)
+    }
+
+    /// Make every mutation logged so far durable (see the module's
+    /// durability notes); a no-op without a durable backend.
+    pub fn commit(&self) -> Result<(), StoreError> {
+        match &self.durable {
+            Some(d) => Ok(d.commit()?),
+            None => Ok(()),
+        }
+    }
+
+    /// Close a mutation of the store's owner: commit, then hand back
+    /// the mutation's own outcome (its error wins over the commit's).
+    /// Owners run every exit of a mutation through this — an early
+    /// `Err` has still logged releases and puts that memory already
+    /// reflects.
+    pub fn committed<T>(&self, outcome: Result<T, StoreError>) -> Result<T, StoreError> {
+        let committed = self.commit();
+        outcome.and_then(|value| committed.map(|()| value))
     }
 
     /// Unique stored payload bytes, logical / uncompressed (lock-free
@@ -956,7 +987,9 @@ mod tests {
         assert_eq!(durable.refs_of(&d1), Some(2));
         assert!(!durable.contains(&d2));
 
-        // Reopening from the medium converges to the same state.
+        // Once committed, reopening from the medium converges to the
+        // same state.
+        cas.commit().unwrap();
         let (reopened, report) =
             DurableContentStore::open(vfs, DurableConfig::named("cas")).unwrap();
         assert_eq!(report.wal_records_replayed, 6);
@@ -1141,6 +1174,7 @@ mod tests {
         cas.get(&d).unwrap();
         cas.maintain();
         assert_eq!(cas.codec_of(&d), Some(BlobCodec::Lz4));
+        cas.commit().unwrap();
         let (reopened, _) = DurableContentStore::open(vfs, DurableConfig::named("cas")).unwrap();
         assert_eq!(reopened.state_fingerprint(), cas.state_fingerprint());
         assert_eq!(reopened.get(&d).unwrap(), data);

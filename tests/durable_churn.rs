@@ -13,7 +13,9 @@
 //!    threads** (all durable work rides the replica-serial mutation
 //!    stream);
 //! 3. the end-of-replay CAS fingerprints equal the purely in-memory
-//!    replay's — durability changes nothing about the logical state.
+//!    replay's — durability changes nothing about the logical state;
+//! 4. group commit holds: the replay syncs the medium at most 0.6 times
+//!    per WAL record (one commit per repository op, not one per record).
 
 use expelliarmus::bench::churn::{run_churn, ChurnConfig, DurableCfg};
 use expelliarmus::util::Sha256;
@@ -109,5 +111,30 @@ fn durable_replay_converges_to_the_in_memory_oracle() {
     assert!(
         mem.durable.is_none(),
         "in-memory replay reports no durable leg"
+    );
+}
+
+#[test]
+fn durable_replay_syncs_at_most_six_times_per_ten_wal_records() {
+    let registry = xpl_obs::Registry::new();
+    let mut cfg = durable_cfg();
+    cfg.registry = Some(std::sync::Arc::clone(&registry));
+    let report = run_churn(&cfg);
+    assert!(report.violations.is_empty(), "{:#?}", report.violations);
+    let snapshot = registry.snapshot();
+    let counter = |name: &str| {
+        let (_, _, n) = snapshot.counters.iter().find(|c| c.0 == name).unwrap();
+        *n
+    };
+    let (syncs, records) = (counter("persist.fsyncs"), counter("persist.wal.appends"));
+    let summaries = report.durable.expect("durable summaries present");
+    assert_eq!(
+        records,
+        summaries.iter().map(|s| s.wal_appends).sum::<u64>()
+    );
+    assert!(syncs > 0, "a durable replay syncs");
+    assert!(
+        syncs * 10 <= records * 6,
+        "{syncs} syncs for {records} WAL records"
     );
 }
