@@ -75,10 +75,6 @@ impl MirageStore {
         self
     }
 
-    pub fn unique_files(&self) -> usize {
-        self.cas.blob_count()
-    }
-
     pub fn dedup_hits(&self) -> u64 {
         self.cas.dedup_hits()
     }

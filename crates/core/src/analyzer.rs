@@ -24,8 +24,7 @@ pub struct Analysis {
 }
 
 /// Analyze `vmi` through `handle`, consulting the current masters. The
-/// caller passes the semantic section it already holds (publish runs
-/// under the mutation gate, so the read guard is uncontended).
+/// caller passes the semantic section of the catalog it already holds.
 pub fn analyze(
     env: &SimEnv,
     semantic: &SemanticState,
@@ -95,8 +94,8 @@ mod tests {
         let env = repo.env().clone();
         let handle = GuestHandle::launch(&env, &mut mini);
         let vmi_copy = handle.vmi().clone();
-        let sem = repo.state.semantic.read().unwrap();
-        let a = analyze(&env, &sem, &w.catalog, &handle, &vmi_copy);
+        let cat = repo.state.read();
+        let a = analyze(&env, &cat.semantic, &w.catalog, &handle, &vmi_copy);
         assert_eq!(a.similarity, 0.0);
         assert!(a.best_master.is_none());
         assert!(a.graph.package_count() > 3);
@@ -113,8 +112,8 @@ mod tests {
         let env = repo.env().clone();
         let handle = GuestHandle::launch(&env, &mut redis);
         let vmi_copy = handle.vmi().clone();
-        let sem = repo.state.semantic.read().unwrap();
-        let a = analyze(&env, &sem, &w.catalog, &handle, &vmi_copy);
+        let cat = repo.state.read();
+        let a = analyze(&env, &cat.semantic, &w.catalog, &handle, &vmi_copy);
         assert!(
             a.similarity > 0.5,
             "redis vs mini-master similarity {}",
@@ -134,9 +133,9 @@ mod tests {
         let env = repo.env().clone();
         let handle = GuestHandle::launch(&env, &mut redis);
         let vmi_copy = handle.vmi().clone();
-        let sem = repo.state.semantic.read().unwrap();
+        let cat = repo.state.read();
         let t0 = env.clock.now();
-        analyze(&env, &sem, &w.catalog, &handle, &vmi_copy);
+        analyze(&env, &cat.semantic, &w.catalog, &handle, &vmi_copy);
         let dt = env.clock.since(t0).as_secs_f64();
         assert!(dt < 0.2, "analysis charged {dt}s");
     }

@@ -7,18 +7,18 @@
 //! new base + master graph, or merge into the selected base's master
 //! (lines 15–21); absorb and delete replaced bases (lines 22–28).
 //!
-//! Publishing holds the repository's operation gate in write mode for
-//! its whole run: Algorithm 1 is order-sensitive (similarity, base
-//! selection and master consolidation all read the evolving repository),
-//! so publishes serialize — and because retrievals hold the same gate in
+//! Publishing holds the repository's catalog in write mode for its
+//! whole run: Algorithm 1 is order-sensitive (similarity, base selection
+//! and master consolidation all read the evolving repository), so
+//! publishes serialize — and because retrievals hold the same lock in
 //! read mode, a publish can never release a replaced generation's CAS
-//! blobs while an assembly is reading them. The gate is also the
+//! blobs while an assembly is reading them. The lock is also the
 //! durability boundary: CAS mutations are only logged while the
 //! algorithm runs, and one commit per section makes them durable before
 //! the publish returns.
 
 use crate::analyzer;
-use crate::repo::{IndexedPackage, RepoState, StoredBase, StoredData};
+use crate::repo::{IndexedPackage, PublishedImage, RepoCatalog, RepoState, StoredBase, StoredData};
 use crate::select::select_base_image;
 use xpl_guestfs::{GuestHandle, Vmi};
 use xpl_metadb::Value;
@@ -40,22 +40,27 @@ pub enum PublishMode {
 }
 
 /// Run Algorithm 1 for `vmi`, durably: both CAS sections are committed
-/// once before the gate is released, also when the algorithm bailed out
-/// early — memory has applied whatever it logged by then.
+/// once before the catalog is released, also when the algorithm bailed
+/// out early — memory has applied whatever it logged by then.
 pub fn publish(
     state: &RepoState,
     catalog: &Catalog,
     vmi: &Vmi,
 ) -> Result<PublishReport, StoreError> {
-    let _gate = state.op_gate.write().unwrap();
-    state.committed(decompose(state, catalog, vmi))
+    let mut cat = state.write();
+    state.committed(decompose(state, &mut cat, catalog, vmi))
 }
 
-/// Algorithm 1 proper. Caller holds the operation gate in write mode.
-fn decompose(state: &RepoState, catalog: &Catalog, vmi: &Vmi) -> Result<PublishReport, StoreError> {
+/// Algorithm 1 proper, over the catalog the caller holds in write mode.
+fn decompose(
+    state: &RepoState,
+    cat: &mut RepoCatalog,
+    catalog: &Catalog,
+    vmi: &Vmi,
+) -> Result<PublishReport, StoreError> {
     let env = state.env.clone();
     let t0 = env.clock.now();
-    let bytes_before = state.repo_bytes();
+    let bytes_before = state.repo_bytes(cat);
     let mut report = PublishReport {
         image: vmi.name.clone(),
         ..Default::default()
@@ -70,8 +75,7 @@ fn decompose(state: &RepoState, catalog: &Catalog, vmi: &Vmi) -> Result<PublishR
     // ---- Semantic analysis (§IV-B). --------------------------------
     let vmi_snapshot = handle.vmi().clone();
     let analysis = report.breakdown.measure(&env.clock, "analyze", || {
-        let semantic = state.semantic.read().unwrap();
-        analyzer::analyze(&env, &semantic, catalog, &handle, &vmi_snapshot)
+        analyzer::analyze(&env, &cat.semantic, catalog, &handle, &vmi_snapshot)
     });
     report.similarity = analysis.similarity;
     let graph = analysis.graph;
@@ -88,15 +92,8 @@ fn decompose(state: &RepoState, catalog: &Catalog, vmi: &Vmi) -> Result<PublishR
         "export packages",
         || -> Result<(), StoreError> {
             for v in &primary_sub.vertices {
-                let meta = catalog.get(v.pkg);
-                let identity = meta.identity();
-                let indexed_digest = state
-                    .package_index
-                    .read()
-                    .unwrap()
-                    .get(&identity)
-                    .map(|p| p.digest);
-                if let Some(digest) = indexed_digest {
+                let identity = catalog.get(v.pkg).identity();
+                if let Some(digest) = cat.package_index.get(&identity).map(|p| p.digest) {
                     if state.mode == PublishMode::SemanticDecomposition {
                         // The variant rebuilds the package anyway; the CAS
                         // dedups it, and the put doubles as this image's ref.
@@ -117,22 +114,21 @@ fn decompose(state: &RepoState, catalog: &Catalog, vmi: &Vmi) -> Result<PublishR
                 // installed size) and store it.
                 let deb = handle.export_deb(catalog, v.pkg);
                 state.packages.put_with_digest(deb.digest, &deb.bytes);
-                state.package_index.write().unwrap().insert(
+                cat.package_index.insert(
                     identity.clone(),
                     IndexedPackage {
                         digest: deb.digest,
                         package: v.pkg,
-                        installed_size: meta.installed_size,
                     },
                 );
-                let _ = state.db.lock().unwrap().insert(
+                cat.insert_row(
                     "packages",
                     vec![
                         Value::from(identity),
                         Value::from(deb.digest.to_hex()),
                         Value::from(deb.bytes.len() as u64),
                     ],
-                );
+                )?;
                 package_refs.push(deb.digest);
                 exported += 1;
             }
@@ -142,9 +138,7 @@ fn decompose(state: &RepoState, catalog: &Catalog, vmi: &Vmi) -> Result<PublishR
     report.units_stored = exported;
 
     // ---- Store user data (line 6). -----------------------------------
-    // On re-publish the previous generation's data manifest comes back
-    // here and is released after the new one holds its references.
-    let old_data = report.breakdown.measure(&env.clock, "store data", || {
+    let data = report.breakdown.measure(&env.clock, "store data", || {
         let mut stored = StoredData::default();
         for f in handle.vmi().user_data_files() {
             let content = f.content();
@@ -152,11 +146,7 @@ fn decompose(state: &RepoState, catalog: &Catalog, vmi: &Vmi) -> Result<PublishR
             stored.files.push(f);
             stored.digests.push(digest);
         }
-        state
-            .data_index
-            .write()
-            .unwrap()
-            .insert(handle.vmi().name.clone(), stored)
+        stored
     });
 
     // ---- Strip the image down to the base (lines 7–11). --------------
@@ -177,59 +167,56 @@ fn decompose(state: &RepoState, catalog: &Catalog, vmi: &Vmi) -> Result<PublishR
     let base_graph = graph.base_subgraph();
     let base_attrs = handle.vmi().base.clone();
     let selection = report.breakdown.measure(&env.clock, "select base", || {
-        let semantic = state.semantic.read().unwrap();
-        select_base_image(&semantic, &base_attrs, &base_graph, &primary_sub)
+        select_base_image(&cat.semantic, &base_attrs, &base_graph, &primary_sub)
     });
 
     let base_id = match &selection.chosen_existing {
         None => {
             // Store the incoming base (lines 15–17): reset, repack,
             // upload, create its master graph.
-            let id = format!(
-                "base:{}:{}",
-                base_attrs.key(),
-                state.semantic.read().unwrap().bases.len()
-            );
-            report.breakdown.measure(&env.clock, "store base", || {
-                handle.sysprep_reset();
-                let work = handle.vmi_mut();
-                work.primary.clear();
-                work.refresh_status_file(catalog);
-                work.rebuild_disk();
-                let packed = work.disk.serialize();
-                let qcow_bytes = packed.len() as u64;
-                env.local.charge_fixed(xpl_simio::SimDuration(
-                    env.costs.base_pack_per_byte.0
-                        * qcow_bytes.saturating_mul(xpl_util::SCALE_FACTOR),
-                ));
-                env.local.charge_copy_to(&env.repo, qcow_bytes);
-                let _ = state.db.lock().unwrap().insert(
-                    "bases",
-                    vec![
-                        Value::from(id.clone()),
-                        Value::from(work.base.key()),
-                        Value::from(qcow_bytes),
-                    ],
-                );
-                let mut semantic = state.semantic.write().unwrap();
-                semantic.bases.push(StoredBase {
-                    id: id.clone(),
-                    attrs: work.base.clone(),
-                    fs: work.fs.clone(),
-                    pkgdb: work.pkgdb.clone(),
-                    qcow_bytes,
-                    base_graph: base_graph.clone(),
-                });
-                semantic
-                    .masters
-                    .insert(id.clone(), MasterGraph::create(&graph));
-            });
+            let id = format!("base:{}:{}", base_attrs.key(), cat.semantic.bases.len());
+            report
+                .breakdown
+                .measure(&env.clock, "store base", || -> Result<(), StoreError> {
+                    handle.sysprep_reset();
+                    let work = handle.vmi_mut();
+                    work.primary.clear();
+                    work.refresh_status_file(catalog);
+                    work.rebuild_disk();
+                    let packed = work.disk.serialize();
+                    let qcow_bytes = packed.len() as u64;
+                    env.local.charge_fixed(xpl_simio::SimDuration(
+                        env.costs.base_pack_per_byte.0
+                            * qcow_bytes.saturating_mul(xpl_util::SCALE_FACTOR),
+                    ));
+                    env.local.charge_copy_to(&env.repo, qcow_bytes);
+                    cat.insert_row(
+                        "bases",
+                        vec![
+                            Value::from(id.clone()),
+                            Value::from(work.base.key()),
+                            Value::from(qcow_bytes),
+                        ],
+                    )?;
+                    cat.semantic.bases.push(StoredBase {
+                        id: id.clone(),
+                        attrs: work.base.clone(),
+                        fs: work.fs.clone(),
+                        pkgdb: work.pkgdb.clone(),
+                        qcow_bytes,
+                        base_graph: base_graph.clone(),
+                    });
+                    cat.semantic
+                        .masters
+                        .insert(id.clone(), MasterGraph::create(&graph));
+                    Ok(())
+                })?;
             id
         }
         Some(id) => {
             // Merge into the existing master (lines 19–21).
-            let mut semantic = state.semantic.write().unwrap();
-            let master = semantic
+            let master = cat
+                .semantic
                 .masters
                 .get_mut(id)
                 .ok_or_else(|| StoreError::Corrupt(format!("master missing for base {id}")))?;
@@ -242,75 +229,41 @@ fn decompose(state: &RepoState, catalog: &Catalog, vmi: &Vmi) -> Result<PublishR
     let image_name = work.name.clone();
 
     // ---- Absorb and delete replaced bases (lines 22–28). -------------
-    {
-        let mut semantic = state.semantic.write().unwrap();
-        for replaced_id in &selection.replace {
-            if replaced_id == &base_id {
-                continue;
-            }
-            if let Some(replaced_master) = semantic.masters.get(replaced_id).cloned() {
-                if let Some(master) = semantic.masters.get_mut(&base_id) {
-                    master.absorb_master(&replaced_master);
-                }
-            }
-            semantic.remove_base(replaced_id);
+    for replaced_id in &selection.replace {
+        if replaced_id == &base_id {
+            continue;
         }
+        if let Some(replaced_master) = cat.semantic.masters.get(replaced_id).cloned() {
+            if let Some(master) = cat.semantic.masters.get_mut(&base_id) {
+                master.absorb_master(&replaced_master);
+            }
+        }
+        cat.semantic.remove_base(replaced_id);
     }
 
-    let new_row = state
-        .db
-        .lock()
-        .unwrap()
-        .insert(
-            "images",
-            vec![
-                Value::from(image_name.clone()),
-                Value::from(base_id),
-                Value::from((report.similarity * 1000.0) as u64),
-            ],
-        )
-        .ok();
-    {
-        let mut published = state.published.write().unwrap();
-        if !published.iter().any(|n| n == &image_name) {
-            published.push(image_name.clone());
-        }
-    }
+    let new_row = cat.insert_row(
+        "images",
+        vec![
+            Value::from(image_name.clone()),
+            Value::from(base_id),
+            Value::from((report.similarity * 1000.0) as u64),
+        ],
+    )?;
 
     // ---- Release the replaced generation (re-publish / upgrade). -----
     // The new generation already holds its references, so content shared
     // across generations survives the release.
-    let old_refs = state
-        .image_packages
-        .write()
-        .unwrap()
-        .insert(image_name.clone(), package_refs);
-    if let Some(old_refs) = old_refs {
-        for digest in old_refs {
-            state.release_package_ref(&digest)?;
-        }
+    let image = PublishedImage {
+        packages: package_refs,
+        data,
+    };
+    if let Some(replaced) = cat.images.insert(image_name.clone(), image) {
+        state.release_image(cat, replaced)?;
     }
-    if let Some(old_data) = old_data {
-        for digest in &old_data.digests {
-            state
-                .data_store
-                .release(digest)
-                .map_err(|_| StoreError::Corrupt(format!("stale data blob {digest}")))?;
-        }
-    }
-    {
-        let mut db = state.db.lock().unwrap();
-        if let Ok(rows) = db.find_by("images", "name", &Value::from(image_name.clone())) {
-            for row in rows {
-                if Some(row) != new_row {
-                    let _ = db.delete("images", row);
-                }
-            }
-        }
-    }
+    cat.delete_rows("images", "name", &image_name, Some(new_row))?;
 
     report.duration = env.clock.since(t0);
-    let after = state.repo_bytes();
+    let after = state.repo_bytes(cat);
     report.bytes_added = after.saturating_sub(bytes_before);
     report.bytes_freed = bytes_before.saturating_sub(after);
     Ok(report)

@@ -7,35 +7,33 @@
 //!
 //! # Concurrency model
 //!
-//! [`RepoState`] is no longer one big `&mut` value: each section is
-//! independently lockable so an operation holds only the shards it
-//! touches —
+//! One lock: `RepoState::catalog`, an `RwLock` over `RepoCatalog`.
+//! The catalog is everything the repository knows about its content —
+//! stored bases and master graphs, the package identity index, one
+//! `PublishedImage` entry per live image, and the metadata database.
 //!
-//! * the package and user-data CAS are digest-sharded and internally
-//!   synchronized (`xpl_store::cas`);
-//! * `package_index`, `data_index`, `published` and `image_packages` are
-//!   `RwLock`s held for map access only;
-//! * `semantic` (stored bases + master graphs) is one `RwLock`, because
-//!   base selection and master consolidation read and write them as a
-//!   unit;
-//! * the metadata database is a `Mutex` (row operations are short).
+//! * Publish, delete and maintain take the write side once, for the
+//!   whole operation. Algorithm 1 is order-sensitive (similarity scores,
+//!   base selection and master consolidation all depend on what is
+//!   already stored), so mutations serialize — which also keeps replayed
+//!   traces deterministic.
+//! * Retrieve, `retrieve_range` and every observer (`repo_bytes`,
+//!   `check_integrity`, `check_invariants`, `masters`, the counts) take
+//!   the read side once. Any number run concurrently; none can see a
+//!   half-applied mutation, and a mutation can never free CAS blobs out
+//!   from under an in-flight assembly.
 //!
-//! Retrievals take only read guards and run concurrently with each
-//! other and hold the `op_gate` in read mode, so a same-name delete or
-//! upgrade-publish can never free CAS blobs out from under an in-flight
-//! assembly. Publishes and deletes hold `op_gate` in write mode:
-//! Algorithm 1 is order-sensitive (similarity scores, base selection and
-//! master consolidation all depend on what is already stored), so
-//! repository mutations serialize — which also keeps replayed traces
-//! deterministic. Lock order: `op_gate` → `semantic` →
-//! `package_index` → `data_index` → `published` → `image_packages` →
-//! `db`; guards of later locks are never held while acquiring earlier
-//! ones.
+//! The guard's target travels down the call tree as `&RepoCatalog` /
+//! `&mut RepoCatalog`; no function re-acquires the lock it was called
+//! under. The two content stores (package and user-data CAS) sit outside
+//! the lock: they are digest-sharded and internally synchronized
+//! (`xpl_store::cas`), and every call that changes them is made by an
+//! operation holding the catalog in write mode.
 
-use std::sync::{Mutex, RwLock};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use xpl_guestfs::{FsTree, Vmi};
-use xpl_metadb::{ColumnDef, Database, Schema, Value};
+use xpl_metadb::{ColumnDef, Database, DbError, RowId, Schema, Value};
 use xpl_pkg::{BaseImageAttrs, Catalog, DpkgDb, PackageId};
 use xpl_semgraph::{MasterGraph, SemanticGraph};
 use xpl_simio::SimEnv;
@@ -67,7 +65,6 @@ pub struct StoredBase {
 pub struct IndexedPackage {
     pub digest: Digest,
     pub package: PackageId,
-    pub installed_size: u64,
 }
 
 /// Stored user data of one image.
@@ -77,9 +74,19 @@ pub struct StoredData {
     pub digests: Vec<Digest>,
 }
 
+/// What the repository holds for one published image: one CAS reference
+/// per entry of `packages` and of `data.digests`, taken by its latest
+/// publish and released together when the image is deleted or replaced.
+pub(crate) struct PublishedImage {
+    /// Package blobs the image's primary subgraph touches.
+    pub(crate) packages: Vec<Digest>,
+    /// Its user-data manifest.
+    pub(crate) data: StoredData,
+}
+
 /// The semantic section of the repository: stored bases and their master
 /// graphs. Selection (Algorithm 2) and consolidation (Algorithm 1 lines
-/// 22–28) read and write these together, so they share one lock.
+/// 22–28) read and write these together.
 #[derive(Default)]
 pub struct SemanticState {
     pub bases: Vec<StoredBase>,
@@ -88,10 +95,6 @@ pub struct SemanticState {
 }
 
 impl SemanticState {
-    pub fn base_by_id(&self, id: &str) -> Option<&StoredBase> {
-        self.bases.iter().find(|b| b.id == id)
-    }
-
     pub fn bases_with_attrs(&self, key: &str) -> Vec<&StoredBase> {
         self.bases.iter().filter(|b| b.attrs.key() == key).collect()
     }
@@ -105,6 +108,94 @@ impl SemanticState {
     pub fn qcow_bytes_total(&self) -> u64 {
         self.bases.iter().map(|b| b.qcow_bytes).sum()
     }
+
+    /// See [`ExpelliarmusRepo::check_invariants`].
+    fn check_invariants(&self) -> Result<(), String> {
+        if self.masters.len() != self.bases.len() {
+            return Err(format!(
+                "{} masters vs {} bases",
+                self.masters.len(),
+                self.bases.len()
+            ));
+        }
+        for base in &self.bases {
+            let master = self
+                .masters
+                .get(&base.id)
+                .ok_or_else(|| format!("base {} has no master", base.id))?;
+            let mgraph = master.as_graph();
+            let comp = xpl_semgraph::compatibility(&base.base_graph, &mgraph);
+            if comp != 1.0 {
+                return Err(format!(
+                    "master of {} incompatible with its base: {comp}",
+                    base.id
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Everything the repository knows about its content; lives behind
+/// `RepoState::catalog`.
+pub(crate) struct RepoCatalog {
+    /// Stored bases + master graphs.
+    pub(crate) semantic: SemanticState,
+    /// identity (`name=version/arch`) → blob + metadata.
+    pub(crate) package_index: FxHashMap<String, IndexedPackage>,
+    /// image name → what its latest publish stored. The integrity audit
+    /// checks both CAS sections' refcounts against exactly this map.
+    pub(crate) images: FxHashMap<String, PublishedImage>,
+    /// Metadata DB (charged against the repository device).
+    db: Database,
+}
+
+/// The metadb's schema is constant, so these never fire; they keep a
+/// schema edit from silently shrinking `repo_bytes`.
+fn metadb_error(e: DbError) -> StoreError {
+    StoreError::Corrupt(format!("metadb: {e}"))
+}
+
+impl RepoCatalog {
+    fn new(env: &SimEnv) -> Self {
+        let mut db = Database::on_device(Arc::clone(&env.repo));
+        for (table, key, columns) in [
+            ("packages", "identity", ["digest", "deb_size"]),
+            ("bases", "id", ["attrs", "qcow_bytes"]),
+            ("images", "name", ["base_id", "similarity"]),
+        ] {
+            let mut defs = vec![ColumnDef::indexed(key)];
+            defs.extend(columns.map(ColumnDef::plain));
+            db.create_table(Schema::new(table, defs)).expect("fresh db");
+        }
+        RepoCatalog {
+            semantic: SemanticState::default(),
+            package_index: FxHashMap::default(),
+            images: FxHashMap::default(),
+            db,
+        }
+    }
+
+    pub(crate) fn insert_row(&mut self, table: &str, row: Vec<Value>) -> Result<RowId, StoreError> {
+        self.db.insert(table, row).map_err(metadb_error)
+    }
+
+    /// Delete the rows of `table` whose `column` is `value`, except `keep`.
+    pub(crate) fn delete_rows(
+        &mut self,
+        table: &str,
+        column: &str,
+        value: &str,
+        keep: Option<RowId>,
+    ) -> Result<(), StoreError> {
+        let rows = self.db.find_by(table, column, &Value::from(value));
+        for row in rows.map_err(metadb_error)? {
+            if Some(row) != keep {
+                self.db.delete(table, row).map_err(metadb_error)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Internal repository state shared by the algorithm modules.
@@ -113,94 +204,53 @@ pub struct RepoState {
     pub mode: PublishMode,
     /// `.deb` blobs (digest-sharded, internally synchronized).
     pub packages: ContentStore,
-    /// identity (`name=version/arch`) → blob + metadata.
-    pub package_index: RwLock<FxHashMap<String, IndexedPackage>>,
     /// User-data blobs.
     pub data_store: ContentStore,
-    /// image name → its user-data manifest.
-    pub data_index: RwLock<FxHashMap<String, StoredData>>,
-    /// Stored bases + master graphs.
-    pub semantic: RwLock<SemanticState>,
-    /// Metadata DB (charged against the repository device).
-    pub db: Mutex<Database>,
-    /// Image names published (for duplicate detection / stats).
-    pub published: RwLock<Vec<String>>,
-    /// image name → package blob digests its latest publish references.
-    /// The churn oracle checks CAS refcounts against this exact map.
-    pub image_packages: RwLock<FxHashMap<String, Vec<Digest>>>,
-    /// The operation gate: publish/delete hold it in write mode
-    /// (Algorithm 1 is order-sensitive, so mutations serialize — and a
-    /// mutation can release CAS blobs, which must never happen under an
-    /// in-flight retrieval); retrievals hold it in read mode and run
-    /// concurrently with each other.
-    pub op_gate: RwLock<()>,
+    /// The one lock; see the module docs.
+    catalog: RwLock<RepoCatalog>,
 }
 
 impl RepoState {
-    pub fn new(env: SimEnv, mode: PublishMode) -> Self {
-        Self::with_durable(env, mode, None, None)
-    }
-
     /// Repository whose package and user-data CAS write through to
-    /// durable log-structured backends (see `xpl_persist`).
-    pub fn with_durable(
+    /// durable log-structured backends (see `xpl_persist`) where given.
+    fn new(
         env: SimEnv,
         mode: PublishMode,
-        packages: Option<std::sync::Arc<xpl_persist::DurableContentStore>>,
-        data: Option<std::sync::Arc<xpl_persist::DurableContentStore>>,
+        packages: Option<Arc<xpl_persist::DurableContentStore>>,
+        data: Option<Arc<xpl_persist::DurableContentStore>>,
     ) -> Self {
-        let mut db = Database::on_device(std::sync::Arc::clone(&env.repo));
-        db.create_table(Schema::new(
-            "packages",
-            vec![
-                ColumnDef::indexed("identity"),
-                ColumnDef::plain("digest"),
-                ColumnDef::plain("deb_size"),
-            ],
-        ))
-        .expect("fresh db");
-        db.create_table(Schema::new(
-            "bases",
-            vec![
-                ColumnDef::indexed("id"),
-                ColumnDef::plain("attrs"),
-                ColumnDef::plain("qcow_bytes"),
-            ],
-        ))
-        .expect("fresh db");
-        db.create_table(Schema::new(
-            "images",
-            vec![
-                ColumnDef::indexed("name"),
-                ColumnDef::plain("base_id"),
-                ColumnDef::plain("similarity"),
-            ],
-        ))
-        .expect("fresh db");
-        let attach =
-            |durable: Option<std::sync::Arc<xpl_persist::DurableContentStore>>| match durable {
-                Some(d) => ContentStore::new_durable(std::sync::Arc::clone(&env.repo), d),
-                None => ContentStore::new(std::sync::Arc::clone(&env.repo)),
-            };
+        let attach = |durable: Option<Arc<xpl_persist::DurableContentStore>>| match durable {
+            Some(d) => ContentStore::new_durable(Arc::clone(&env.repo), d),
+            None => ContentStore::new(Arc::clone(&env.repo)),
+        };
         RepoState {
             packages: attach(packages),
             data_store: attach(data),
-            package_index: RwLock::new(FxHashMap::default()),
-            data_index: RwLock::new(FxHashMap::default()),
-            semantic: RwLock::new(SemanticState::default()),
-            db: Mutex::new(db),
-            published: RwLock::new(Vec::new()),
-            image_packages: RwLock::new(FxHashMap::default()),
-            op_gate: RwLock::new(()),
+            catalog: RwLock::new(RepoCatalog::new(&env)),
             env,
             mode,
         }
     }
 
+    /// The catalog, shared. A poisoned lock means a mutation panicked
+    /// half-way; nothing it left behind can be trusted.
+    pub(crate) fn read(&self) -> RwLockReadGuard<'_, RepoCatalog> {
+        self.catalog.read().expect("catalog lock poisoned")
+    }
+
+    /// The catalog, exclusive: the whole of one publish/delete/maintain.
+    pub(crate) fn write(&self) -> RwLockWriteGuard<'_, RepoCatalog> {
+        self.catalog.write().expect("catalog lock poisoned")
+    }
+
     /// Release one image reference to a package blob. When the last
     /// reference drops, the blob, its identity index entries and its
     /// metadata rows go with it. Returns freed bytes.
-    pub fn release_package_ref(&self, digest: &Digest) -> Result<u64, StoreError> {
+    fn release_package_ref(
+        &self,
+        cat: &mut RepoCatalog,
+        digest: &Digest,
+    ) -> Result<u64, StoreError> {
         let freed = self
             .packages
             .release(digest)
@@ -208,25 +258,45 @@ impl RepoState {
         if freed > 0 {
             // Linear scan over the index, but only on last-ref frees — the
             // cold path of delete/upgrade, never publish or retrieve.
-            let identities: Vec<String> = {
-                let index = self.package_index.read().unwrap();
-                index
-                    .iter()
-                    .filter(|(_, p)| p.digest == *digest)
-                    .map(|(identity, _)| identity.clone())
-                    .collect()
-            };
-            for identity in identities {
-                self.package_index.write().unwrap().remove(&identity);
-                let mut db = self.db.lock().unwrap();
-                if let Ok(rows) = db.find_by("packages", "identity", &Value::from(identity)) {
-                    for row in rows {
-                        let _ = db.delete("packages", row);
-                    }
+            let mut gone = Vec::new();
+            cat.package_index.retain(|identity, p| {
+                let keep = p.digest != *digest;
+                if !keep {
+                    gone.push(identity.clone());
                 }
+                keep
+            });
+            for identity in gone {
+                cat.delete_rows("packages", "identity", &identity, None)?;
             }
         }
         Ok(freed)
+    }
+
+    /// Release every CAS reference `image` holds — a deleted image, or
+    /// the generation a re-publish replaced. Returns how many blobs that
+    /// freed.
+    pub(crate) fn release_image(
+        &self,
+        cat: &mut RepoCatalog,
+        image: PublishedImage,
+    ) -> Result<usize, StoreError> {
+        let mut units = 0usize;
+        for digest in &image.packages {
+            if self.release_package_ref(cat, digest)? > 0 {
+                units += 1;
+            }
+        }
+        for digest in &image.data.digests {
+            let freed = self
+                .data_store
+                .release(digest)
+                .map_err(|_| StoreError::Corrupt(format!("data blob {digest}")))?;
+            if freed > 0 {
+                units += 1;
+            }
+        }
+        Ok(units)
     }
 
     /// Close a publish/delete: commit both CAS sections (see
@@ -238,11 +308,11 @@ impl RepoState {
 
     /// Repository footprint: package blobs + data blobs + base qcow2s +
     /// metadata payload.
-    pub fn repo_bytes(&self) -> u64 {
+    pub(crate) fn repo_bytes(&self, cat: &RepoCatalog) -> u64 {
         self.packages.unique_bytes()
             + self.data_store.unique_bytes()
-            + self.semantic.read().unwrap().qcow_bytes_total()
-            + self.db.lock().unwrap().payload_bytes()
+            + cat.semantic.qcow_bytes_total()
+            + cat.db.payload_bytes()
     }
 }
 
@@ -254,16 +324,14 @@ pub struct ExpelliarmusRepo {
 impl ExpelliarmusRepo {
     /// Standard (similarity-aware) repository.
     pub fn new(env: SimEnv) -> Self {
-        ExpelliarmusRepo {
-            state: RepoState::new(env, PublishMode::Expelliarmus),
-        }
+        Self::with_mode(env, PublishMode::Expelliarmus)
     }
 
     /// Variant used in Figure 4b's "Semantic" series: decomposes but
     /// exports every package regardless of repository contents.
     pub fn with_mode(env: SimEnv, mode: PublishMode) -> Self {
         ExpelliarmusRepo {
-            state: RepoState::new(env, mode),
+            state: RepoState::new(env, mode, None, None),
         }
     }
 
@@ -274,16 +342,11 @@ impl ExpelliarmusRepo {
     /// oracle's `Crash`/`Recover` handling.
     pub fn new_durable(
         env: SimEnv,
-        packages: std::sync::Arc<xpl_persist::DurableContentStore>,
-        data: std::sync::Arc<xpl_persist::DurableContentStore>,
+        packages: Arc<xpl_persist::DurableContentStore>,
+        data: Arc<xpl_persist::DurableContentStore>,
     ) -> Self {
         ExpelliarmusRepo {
-            state: RepoState::with_durable(
-                env,
-                PublishMode::Expelliarmus,
-                Some(packages),
-                Some(data),
-            ),
+            state: RepoState::new(env, PublishMode::Expelliarmus, Some(packages), Some(data)),
         }
     }
 
@@ -298,84 +361,42 @@ impl ExpelliarmusRepo {
         self
     }
 
-    /// The delete itself. Caller holds the operation gate in write mode
-    /// and commits on every outcome.
-    fn delete_gated(&self, name: &str) -> Result<DeleteReport, StoreError> {
-        let env = self.state.env.clone();
-        let t0 = env.clock.now();
-        let before = self.state.repo_bytes();
-        // One guard per probe (guards of `||` operands live to the end of
-        // the statement — keep them from overlapping out of lock order).
-        let in_packages = { self.state.image_packages.read().unwrap().contains_key(name) };
-        let in_data = { self.state.data_index.read().unwrap().contains_key(name) };
-        let in_published = {
-            self.state
-                .published
-                .read()
-                .unwrap()
-                .iter()
-                .any(|n| n == name)
-        };
-        let known = in_packages || in_data || in_published;
-        if !known {
-            return Err(StoreError::NotFound(name.to_string()));
-        }
-        let mut units = 0usize;
-        let refs = self.state.image_packages.write().unwrap().remove(name);
-        if let Some(refs) = refs {
-            for digest in refs {
-                if self.state.release_package_ref(&digest)? > 0 {
-                    units += 1;
-                }
-            }
-        }
-        let data = self.state.data_index.write().unwrap().remove(name);
-        if let Some(data) = data {
-            for digest in &data.digests {
-                let freed = self
-                    .state
-                    .data_store
-                    .release(digest)
-                    .map_err(|_| StoreError::Corrupt(format!("data blob {digest}")))?;
-                if freed > 0 {
-                    units += 1;
-                }
-            }
-        }
-        self.state.published.write().unwrap().retain(|n| n != name);
-        {
-            let mut db = self.state.db.lock().unwrap();
-            if let Ok(rows) = db.find_by("images", "name", &Value::from(name)) {
-                for row in rows {
-                    let _ = db.delete("images", row);
-                }
-            }
-        }
+    /// The delete itself. Caller holds the catalog in write mode and
+    /// commits on every outcome.
+    fn delete_image(&self, cat: &mut RepoCatalog, name: &str) -> Result<DeleteReport, StoreError> {
+        let st = &self.state;
+        let t0 = st.env.clock.now();
+        let before = st.repo_bytes(cat);
+        let image = cat
+            .images
+            .remove(name)
+            .ok_or_else(|| StoreError::NotFound(name.to_string()))?;
+        let units = st.release_image(cat, image)?;
+        cat.delete_rows("images", "name", name, None)?;
         // Stored bases and master graphs are shared substrate across all
         // published images; deletes keep them (Algorithm 1's consolidation
         // already bounds their number).
         Ok(DeleteReport {
             image: name.to_string(),
-            duration: env.clock.since(t0),
-            bytes_freed: before.saturating_sub(self.state.repo_bytes()),
+            duration: st.env.clock.since(t0),
+            bytes_freed: before.saturating_sub(st.repo_bytes(cat)),
             units_removed: units,
         })
     }
 
     pub fn base_count(&self) -> usize {
-        self.state.semantic.read().unwrap().bases.len()
+        self.state.read().semantic.bases.len()
     }
 
     pub fn package_count(&self) -> usize {
-        self.state.package_index.read().unwrap().len()
+        self.state.read().package_index.len()
     }
 
-    /// Snapshot of the master graphs (cloned out of the semantic lock).
+    /// Snapshot of the master graphs (cloned out of the catalog lock).
     pub fn masters(&self) -> Vec<MasterGraph> {
         self.state
-            .semantic
             .read()
-            .unwrap()
+            .semantic
             .masters
             .values()
             .cloned()
@@ -394,29 +415,7 @@ impl ExpelliarmusRepo {
     ///    mutually compatible masters (the selection algorithm must have
     ///    consolidated them).
     pub fn check_invariants(&self) -> Result<(), String> {
-        let sem = self.state.semantic.read().unwrap();
-        if sem.masters.len() != sem.bases.len() {
-            return Err(format!(
-                "{} masters vs {} bases",
-                sem.masters.len(),
-                sem.bases.len()
-            ));
-        }
-        for base in &sem.bases {
-            let master = sem
-                .masters
-                .get(&base.id)
-                .ok_or_else(|| format!("base {} has no master", base.id))?;
-            let mgraph = master.as_graph();
-            let comp = xpl_semgraph::compatibility(&base.base_graph, &mgraph);
-            if comp != 1.0 {
-                return Err(format!(
-                    "master of {} incompatible with its base: {comp}",
-                    base.id
-                ));
-            }
-        }
-        Ok(())
+        self.state.read().semantic.check_invariants()
     }
 }
 
@@ -425,7 +424,7 @@ impl ImageStore for ExpelliarmusRepo {
         "Expelliarmus"
     }
 
-    fn attach_obs(&self, reg: &std::sync::Arc<xpl_obs::Registry>) {
+    fn attach_obs(&self, reg: &Arc<xpl_obs::Registry>) {
         // Both shards share one registry: their `cas.*` counters resolve
         // to the same metric names, so the snapshot reports the
         // repository-wide aggregate (relaxed adds commute).
@@ -456,52 +455,41 @@ impl ImageStore for ExpelliarmusRepo {
     }
 
     fn delete(&self, name: &str) -> Result<DeleteReport, StoreError> {
-        let _gate = self.state.op_gate.write().unwrap();
-        self.state.committed(self.delete_gated(name))
+        let mut cat = self.state.write();
+        self.state.committed(self.delete_image(&mut cat, name))
     }
 
     fn repo_bytes(&self) -> u64 {
-        self.state.repo_bytes()
+        self.state.repo_bytes(&self.state.read())
     }
 
     fn check_integrity(&self) -> Result<(), String> {
-        self.check_invariants()?;
         let st = &self.state;
-        // Package CAS refcounts == live image references, exactly.
+        let cat = st.read();
+        cat.semantic.check_invariants()?;
+        // CAS refcounts == live image references, exactly, in both
+        // sections.
         let mut expected: FxHashMap<Digest, u32> = FxHashMap::default();
-        for refs in st.image_packages.read().unwrap().values() {
-            for d in refs {
+        let mut expected_data: FxHashMap<Digest, u32> = FxHashMap::default();
+        for image in cat.images.values() {
+            for d in &image.packages {
                 *expected.entry(*d).or_insert(0) += 1;
+            }
+            for d in &image.data.digests {
+                *expected_data.entry(*d).or_insert(0) += 1;
             }
         }
         st.packages
             .audit_refs(&expected)
             .map_err(|e| format!("package CAS: {e}"))?;
-        for (identity, p) in st.package_index.read().unwrap().iter() {
+        for (identity, p) in &cat.package_index {
             if !st.packages.contains(&p.digest) {
                 return Err(format!("index entry {identity} points at a missing blob"));
             }
         }
-        // Data CAS refcounts == live data manifests.
-        let mut expected_data: FxHashMap<Digest, u32> = FxHashMap::default();
-        for data in st.data_index.read().unwrap().values() {
-            for d in &data.digests {
-                *expected_data.entry(*d).or_insert(0) += 1;
-            }
-        }
         st.data_store
             .audit_refs(&expected_data)
-            .map_err(|e| format!("data CAS: {e}"))?;
-        {
-            let data_index = st.data_index.read().unwrap();
-            let published = st.published.read().unwrap();
-            for name in data_index.keys() {
-                if !published.iter().any(|n| n == name) {
-                    return Err(format!("data manifest for unpublished image {name}"));
-                }
-            }
-        }
-        Ok(())
+            .map_err(|e| format!("data CAS: {e}"))
     }
 
     fn check_integrity_deep(&self) -> Result<(), String> {
@@ -517,9 +505,9 @@ impl ImageStore for ExpelliarmusRepo {
     }
 
     fn maintain(&self) -> xpl_store::MaintainReport {
-        // Take the gate in write mode: maintenance is a mutation of the
-        // representation and must not race an in-flight retrieval.
-        let _gate = self.state.op_gate.write().unwrap();
+        // Write mode: maintenance is a mutation of the representation and
+        // must not race an in-flight retrieval.
+        let _cat = self.state.write();
         let t0 = self.state.env.clock.now();
         let pkgs = self.state.packages.maintain();
         let data = self.state.data_store.maintain();

@@ -5,7 +5,7 @@
 //! (band 2), `virt-sysprep` reset (band 3), import data + install
 //! packages from the local repository (band 4).
 
-use crate::repo::RepoState;
+use crate::repo::{RepoCatalog, RepoState};
 use xpl_guestfs::{FileOwner, GuestHandle, Vmi};
 use xpl_pkg::dpkgdb::InstallReason;
 use xpl_pkg::{Catalog, PackageId};
@@ -22,11 +22,11 @@ pub const PHASES: [&str; 4] = [
 
 /// Run Algorithm 3 for `request`.
 ///
-/// Retrieval is a read-only operation: it holds the operation gate in
-/// read mode (any number of retrievals run concurrently; mutations —
-/// which can release CAS blobs — wait for the write side) plus read
-/// guards on the semantic section and the package index, held across
-/// the assembly because the stored base is borrowed out of the guard.
+/// Retrieval is a read-only operation: it holds the repository's
+/// catalog in read mode across the whole assembly (any number of
+/// retrievals run concurrently; mutations — which can release CAS blobs
+/// — wait for the write side), because the stored base is borrowed out
+/// of the guard.
 ///
 /// Per-op metrics caveat: `duration` and `bytes_read` come from the
 /// store's shared clock and device counters, so under *concurrent*
@@ -39,8 +39,8 @@ pub fn retrieve(
     catalog: &Catalog,
     request: &RetrieveRequest,
 ) -> Result<(Vmi, RetrieveReport), StoreError> {
-    let _gate = state.op_gate.read().unwrap();
-    retrieve_impl(state, catalog, request, true).map(|(vmi, report, _)| (vmi, report))
+    let cat = state.read();
+    retrieve_impl(state, &cat, catalog, request, true).map(|(vmi, report, _)| (vmi, report))
 }
 
 /// The packages an assembly installs, each resolved once to the exported
@@ -57,10 +57,10 @@ type Installs = Vec<(PackageId, Digest)>;
 ///   skip the repository blob reads and the disk build; the range path
 ///   then fetches only the blob slices its extents overlap.
 ///
-/// Callers hold the operation gate; this function takes the remaining
-/// guards in lock order.
+/// `cat` is the catalog the caller holds in read mode.
 fn retrieve_impl(
     state: &RepoState,
+    cat: &RepoCatalog,
     catalog: &Catalog,
     request: &RetrieveRequest,
     materialize: bool,
@@ -73,10 +73,7 @@ fn retrieve_impl(
         ..Default::default()
     };
 
-    // Read guards for the whole assembly, in lock order (semantic →
-    // package_index). Publishes wait; other retrievals share.
-    let semantic = state.semantic.read().unwrap();
-    let package_index = state.package_index.read().unwrap();
+    let (semantic, package_index) = (&cat.semantic, &cat.package_index);
 
     // ---- Locate a base + master serving this request (line 1–2). -----
     let key = request.base.key();
@@ -166,13 +163,12 @@ fn retrieve_impl(
     });
 
     // ---- Phase 4: import (data + packages). -----------------------------
-    let data_index = state.data_index.read().unwrap();
     report
         .breakdown
         .measure(&env.clock, PHASES[3], || -> Result<(), StoreError> {
             // User data: prefer repository-stored data for this image name;
             // otherwise import what the request carries.
-            let files = match data_index.get(&request.name) {
+            let files = match cat.images.get(&request.name).map(|image| &image.data) {
                 Some(d) => {
                     if materialize {
                         for digest in &d.digests {
@@ -254,20 +250,20 @@ pub fn retrieve_range(
     start: u64,
     len: u64,
 ) -> Result<(Vec<u8>, RetrieveReport), StoreError> {
-    let _gate = state.op_gate.read().unwrap();
+    let cat = state.read();
     let env = state.env.clone();
     let t0 = env.clock.now();
     let reads_before = env.repo.stats().bytes_read;
 
-    let (vmi, mut report, to_install) = retrieve_impl(state, catalog, request, false)?;
+    let (vmi, mut report, to_install) = retrieve_impl(state, &cat, catalog, request, false)?;
     let to_install: FxHashMap<PackageId, Digest> = to_install.into_iter().collect();
 
     // Blob addresses of the image's stored user data. Files and digests
     // are parallel vectors from publish; images assembled from
     // request-carried user data have no stored blobs and fall back to
     // local generation (the bytes arrived with the request).
-    let data_index = state.data_index.read().unwrap();
-    let data_digests: FxHashMap<IStr, Digest> = match data_index.get(&request.name) {
+    let stored = cat.images.get(&request.name).map(|image| &image.data);
+    let data_digests: FxHashMap<IStr, Digest> = match stored {
         Some(d) => d
             .files
             .iter()

@@ -173,8 +173,8 @@ mod tests {
         let repo = ExpelliarmusRepo::new(w.env());
         let (base_g, prim_g) = graph_of(&w, "redis");
         let attrs = w.template.attrs.clone();
-        let sem = repo.state.semantic.read().unwrap();
-        let sel = select_base_image(&sem, &attrs, &base_g, &prim_g);
+        let cat = repo.state.read();
+        let sel = select_base_image(&cat.semantic, &attrs, &base_g, &prim_g);
         assert_eq!(sel.chosen_existing, None);
         assert!(sel.replace.is_empty());
     }
@@ -188,8 +188,8 @@ mod tests {
 
         let (base_g, prim_g) = graph_of(&w, "redis");
         let attrs = w.template.attrs.clone();
-        let sem = repo.state.semantic.read().unwrap();
-        let sel = select_base_image(&sem, &attrs, &base_g, &prim_g);
+        let cat = repo.state.read();
+        let sel = select_base_image(&cat.semantic, &attrs, &base_g, &prim_g);
         assert!(
             sel.chosen_existing.is_some(),
             "should reuse the stored base"
@@ -206,8 +206,8 @@ mod tests {
         let mut attrs = w.template.attrs.clone();
         attrs.version = "18.04".into();
         base_g.base = attrs.clone();
-        let sem = repo.state.semantic.read().unwrap();
-        let sel = select_base_image(&sem, &attrs, &base_g, &prim_g);
+        let cat = repo.state.read();
+        let sel = select_base_image(&cat.semantic, &attrs, &base_g, &prim_g);
         assert_eq!(
             sel.chosen_existing, None,
             "different quadruple must store new base"
@@ -271,7 +271,8 @@ mod replacement_tests {
         full.vertices.extend(ps.vertices.iter().cloned());
         let full = SemanticGraph::from_parts(id, bg.base.clone(), full.vertices, vec![]);
         let master = xpl_semgraph::MasterGraph::create(&full);
-        let mut sem = repo.state.semantic.write().unwrap();
+        let mut cat = repo.state.write();
+        let sem = &mut cat.semantic;
         sem.bases.push(StoredBase {
             id: id.to_string(),
             attrs: bg.base.clone(),
@@ -305,8 +306,13 @@ mod replacement_tests {
 
         let incoming_bg = base_graph(&[]);
         let incoming_ps = prim_graph(&[("postgres", "9.5")]);
-        let sem = repo.state.semantic.read().unwrap();
-        let sel = select_base_image(&sem, &incoming_bg.base.clone(), &incoming_bg, &incoming_ps);
+        let cat = repo.state.read();
+        let sel = select_base_image(
+            &cat.semantic,
+            &incoming_bg.base.clone(),
+            &incoming_bg,
+            &incoming_ps,
+        );
         let chosen = sel.chosen_existing.expect("must reuse a stored base");
         assert!(chosen == "base:a" || chosen == "base:b");
         // The other stored base is redundant (compatible) → replace list.
@@ -338,8 +344,13 @@ mod replacement_tests {
         // Incoming base matches a's flavour.
         let incoming_bg = base_graph(&[("libwidget", "2.0")]);
         let incoming_ps = prim_graph(&[("mongo", "3.6")]);
-        let sem = repo.state.semantic.read().unwrap();
-        let sel = select_base_image(&sem, &incoming_bg.base.clone(), &incoming_bg, &incoming_ps);
+        let cat = repo.state.read();
+        let sel = select_base_image(
+            &cat.semantic,
+            &incoming_bg.base.clone(),
+            &incoming_bg,
+            &incoming_ps,
+        );
         // Whatever is chosen, base:b must not be replaced by a 2.0-flavour
         // base (its hosted package pins 1.0).
         if let Some(chosen) = &sel.chosen_existing {

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use crate::clock::{SimClock, SimDuration, SimInstant};
+use crate::clock::{SimClock, SimDuration};
 
 /// An ordered list of `(label, duration)` segments.
 #[derive(Clone, Debug, Default)]
@@ -37,11 +37,6 @@ impl Breakdown {
         } else {
             self.segments.push((label.to_string(), d));
         }
-    }
-
-    /// Attribute time since `start` to `label` (explicit-start variant).
-    pub fn record_since(&mut self, clock: &Arc<SimClock>, label: &str, start: SimInstant) {
-        self.record(label, clock.since(start));
     }
 
     pub fn get(&self, label: &str) -> SimDuration {
