@@ -66,16 +66,24 @@ fn decompose(
         ..Default::default()
     };
 
-    // Work on a private copy: decomposition is destructive.
-    let mut work = vmi.clone();
+    // Work on a private copy: decomposition is destructive. The uploaded
+    // disk is never read (a new base's disk is rebuilt from the stripped
+    // tree), so the copy carries an empty one.
+    let mut work = Vmi {
+        name: vmi.name.clone(),
+        base: vmi.base.clone(),
+        fs: vmi.fs.clone(),
+        pkgdb: vmi.pkgdb.clone(),
+        primary: vmi.primary.clone(),
+        disk: xpl_vdisk::QcowImage::create(&vmi.name, 0),
+    };
     let mut handle = report.breakdown.measure(&env.clock, "handle", || {
         GuestHandle::launch(&env, &mut work)
     });
 
     // ---- Semantic analysis (§IV-B). --------------------------------
-    let vmi_snapshot = handle.vmi().clone();
     let analysis = report.breakdown.measure(&env.clock, "analyze", || {
-        analyzer::analyze(&env, &cat.semantic, catalog, &handle, &vmi_snapshot)
+        analyzer::analyze(&env, &cat.semantic, catalog, &handle, handle.vmi())
     });
     report.similarity = analysis.similarity;
     let graph = analysis.graph;

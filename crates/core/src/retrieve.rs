@@ -347,6 +347,45 @@ mod tests {
         assert_eq!(got.user_data_bytes(), original.user_data_bytes());
     }
 
+    /// What the free retrieve-side reset rests on: a base is reset before
+    /// it is stored, whichever image it was cut from, so the reset a
+    /// retrieve runs on its copy finds nothing to drop — and still
+    /// charges the fixed cost (Fig. 5a band 3).
+    #[test]
+    fn a_stored_base_is_already_reset() {
+        use xpl_guestfs::{FileOwner, FsTree, GuestHandle, Vmi};
+        let w = World::small();
+        for first in w.image_names() {
+            let repo = ExpelliarmusRepo::new(w.env());
+            let rest = w.image_names().into_iter().filter(|&name| name != first);
+            for name in std::iter::once(first).chain(rest) {
+                repo.publish(&w.catalog, &w.build_image(name)).unwrap();
+                let cat = repo.state.read();
+                assert!(!cat.semantic.bases.is_empty());
+                for base in &cat.semantic.bases {
+                    for rec in base.fs.iter() {
+                        assert_ne!(rec.owner, FileOwner::UserData, "{}: {}", base.id, rec.path);
+                        assert!(!FsTree::is_junk_path(rec.path), "{}: {}", base.id, rec.path);
+                    }
+                    let env = w.env();
+                    let mut vmi = Vmi {
+                        name: "reset".to_string(),
+                        base: base.attrs.clone(),
+                        fs: base.fs.clone(),
+                        pkgdb: base.pkgdb.clone(),
+                        primary: Vec::new(),
+                        disk: xpl_vdisk::QcowImage::create("reset", 0),
+                    };
+                    let mut handle = GuestHandle::launch(&env, &mut vmi);
+                    let t0 = env.clock.now();
+                    assert_eq!(handle.sysprep_reset(), 0);
+                    assert_eq!(env.clock.since(t0), env.costs.sysprep_reset);
+                    assert!(vmi.fs.iter().eq(base.fs.iter()), "view changed");
+                }
+            }
+        }
+    }
+
     #[test]
     fn retrieval_has_four_phases() {
         let w = World::small();

@@ -66,9 +66,9 @@ impl<'a> GuestHandle<'a> {
         self.remove_packages(&[name])
     }
 
-    /// Remove packages by name in one walk of the tree. Each package is
-    /// charged by its own removed bytes, in `names` order — the same
-    /// charges as removing them one at a time. Returns their sum.
+    /// Remove packages by name. Each package is charged by its own
+    /// removed bytes, in `names` order — the same charges as removing
+    /// them one at a time. Returns their sum.
     pub fn remove_packages(&mut self, names: &[IStr]) -> SimDuration {
         let mut total = SimDuration::ZERO;
         for removed in self.vmi.remove_packages_raw(names) {

@@ -9,7 +9,7 @@ use crate::fstree::{FileOwner, FileRecord, FsTree};
 use crate::mkfs;
 use xpl_pkg::dpkgdb::InstallReason;
 use xpl_pkg::{BaseImageAttrs, Catalog, DpkgDb, PackageId};
-use xpl_util::{FxHashMap, IStr};
+use xpl_util::IStr;
 use xpl_vdisk::QcowImage;
 
 /// A virtual machine image.
@@ -73,19 +73,12 @@ impl Vmi {
 
     /// Bytes of user data (`Data` component).
     pub fn user_data_bytes(&self) -> u64 {
-        self.fs
-            .iter()
-            .filter(|r| r.owner == FileOwner::UserData)
-            .map(|r| r.size as u64)
-            .sum()
+        self.fs.user_data().iter().map(|r| r.size as u64).sum()
     }
 
     /// User-data file records (for import on retrieval).
     pub fn user_data_files(&self) -> Vec<FileRecord> {
-        self.fs
-            .iter()
-            .filter(|r| r.owner == FileOwner::UserData)
-            .collect()
+        self.fs.user_data()
     }
 
     /// Identity strings of all installed packages — the functional
@@ -128,27 +121,18 @@ impl Vmi {
         self.pkgdb.install(catalog, id, reason);
     }
 
-    /// Remove the named packages' DB records, then all their files in one
-    /// walk of the tree; returns each package's removed bytes in `names`
-    /// order (0 for a name that is not installed).
+    /// Remove the named packages' DB records, then all their files;
+    /// returns each package's removed bytes in `names` order (0 for a
+    /// name that is not installed).
     pub fn remove_packages_raw(&mut self, names: &[IStr]) -> Vec<u64> {
-        let mut removed = vec![0u64; names.len()];
-        let slot_of: FxHashMap<PackageId, usize> = names
+        let (slots, ids): (Vec<usize>, Vec<PackageId>) = names
             .iter()
             .enumerate()
-            .filter_map(|(slot, &name)| Some((self.pkgdb.remove(name)?, slot)))
-            .collect();
-        if !slot_of.is_empty() {
-            self.fs.remove_where(|r| {
-                let FileOwner::Package(id) = r.owner else {
-                    return false;
-                };
-                let Some(&slot) = slot_of.get(&id) else {
-                    return false;
-                };
-                removed[slot] += r.size as u64;
-                true
-            });
+            .filter_map(|(slot, &name)| Some((slot, self.pkgdb.remove(name)?)))
+            .unzip();
+        let mut removed = vec![0u64; names.len()];
+        for (slot, bytes) in slots.into_iter().zip(self.fs.remove_packages(&ids)) {
+            removed[slot] = bytes;
         }
         removed
     }
