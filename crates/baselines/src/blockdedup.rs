@@ -255,7 +255,12 @@ impl BlockDedupStore {
             return Err(StoreError::Corrupt("reassembled length mismatch".into()));
         }
         self.env.local.charge_write(reassembled.len() as u64);
-        let vmi = recipe.snapshot.restore();
+        // The returned disk is the reassembled device, kept sparse. No
+        // allocation map was stored, so an all-zero cluster the published
+        // disk had allocated comes back unmapped: reads are identical,
+        // `serialize()` and `disk_bytes()` may be smaller.
+        let disk = xpl_vdisk::QcowImage::from_raw(&recipe.snapshot.name, &reassembled);
+        let vmi = recipe.snapshot.restore_with(disk);
         report.bytes_read = self.env.repo.stats().bytes_read - reads_before;
         report.duration = self.env.clock.since(t0);
         Ok((vmi, report))

@@ -192,12 +192,15 @@ impl ImageStore for GzipStore {
                 xpl_compress::decompress_auto(&entry.compressed)
                     .map_err(|e| StoreError::Corrupt(format!("codec: {e}")))
             })?;
-        // Verify the decompressed stream is the image we stored.
+        // Verify the decompressed stream is the image we stored; the
+        // returned disk is that stream, parsed.
         if raw.len() as u64 != entry.raw_len {
             return Err(StoreError::Corrupt("length mismatch after gunzip".into()));
         }
+        let disk = xpl_vdisk::QcowImage::deserialize_named(&entry.snapshot.name, &raw)
+            .map_err(|e| StoreError::Corrupt(format!("qcow2 stream: {e}")))?;
         report.bytes_read = entry.compressed.len() as u64;
-        let vmi = entry.snapshot.restore();
+        let vmi = entry.snapshot.restore_with(disk);
         self.env.local.charge_write(raw.len() as u64);
         report.duration = self.env.clock.since(t0);
         Ok((vmi, report))

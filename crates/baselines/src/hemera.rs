@@ -7,7 +7,7 @@
 //! files much faster than the file system").
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::RwLock;
 
 use crate::costs;
 use crate::snapshot::VmiSnapshot;
@@ -44,14 +44,14 @@ struct DbEntry {
 /// Hybrid DB/file-store image repository.
 ///
 /// Concurrency: large files go through the digest-sharded content store;
-/// the small-file row index and the manifest map are `RwLock`s, the
-/// metadata database is a `Mutex` (its rows are touched only on the
-/// small-file slow path). Lock order: manifests → db_index → db; the
+/// the small-file row index, the metadata database and the manifest map
+/// are `RwLock`s, so retrieves read rows side by side and only publishes
+/// and deletes write them. Lock order: manifests → db_index → db; the
 /// per-image stripe is always outermost.
 pub struct HemeraStore {
     env: SimEnv,
     cas: ContentStore,
-    db: Mutex<Database>,
+    db: RwLock<Database>,
     /// digest → refcounted row for already-stored small content (dedup).
     db_index: RwLock<FxHashMap<Digest, DbEntry>>,
     /// Unique small-file content bytes stored in the DB (accounted
@@ -74,7 +74,7 @@ impl HemeraStore {
         HemeraStore {
             env,
             cas,
-            db: Mutex::new(db),
+            db: RwLock::new(db),
             db_index: RwLock::new(FxHashMap::default()),
             db_content_bytes: AtomicU64::new(0),
             manifests: RwLock::new(FxHashMap::default()),
@@ -146,7 +146,7 @@ impl HemeraStore {
                         let (row, len) = (entry.row, entry.len);
                         db_index.remove(digest);
                         self.db
-                            .lock()
+                            .write()
                             .unwrap()
                             .delete("small_files", row)
                             .map_err(|e| StoreError::Corrupt(e.to_string()))?;
@@ -222,7 +222,7 @@ impl ImageStore for HemeraStore {
                                 let len = content.len() as u64;
                                 let row = self
                                     .db
-                                    .lock()
+                                    .write()
                                     .unwrap()
                                     .insert(
                                         "small_files",
@@ -293,25 +293,23 @@ impl ImageStore for HemeraStore {
             &self.env.clock,
             "read files",
             || -> Result<(), StoreError> {
+                // Both small-file structures once per retrieve, in lock
+                // order; concurrent retrieves share them.
+                let db_index = self.db_index.read().unwrap();
+                let db = self.db.read().unwrap();
                 for (record, placement) in &manifest.files {
                     match placement {
                         Placement::Db(digest) => {
                             // Row fetch: base row cost (charged by db.get) +
                             // Hemera's page-walk surcharge.
                             self.env.repo.charge_fixed(costs::hemera_row_fetch_extra());
-                            let row = {
-                                let db_index = self.db_index.read().unwrap();
-                                db_index
-                                    .get(digest)
-                                    .ok_or_else(|| {
-                                        StoreError::Corrupt(format!("db index for {}", record.path))
-                                    })?
-                                    .row
-                            };
-                            let got = self
-                                .db
-                                .lock()
-                                .unwrap()
+                            let row = db_index
+                                .get(digest)
+                                .ok_or_else(|| {
+                                    StoreError::Corrupt(format!("db index for {}", record.path))
+                                })?
+                                .row;
+                            let got = db
                                 .get("small_files", row)
                                 .map_err(|e| StoreError::Corrupt(e.to_string()))?;
                             if got.is_none() {
@@ -332,6 +330,8 @@ impl ImageStore for HemeraStore {
             },
         )?;
 
+        // Hemera keeps rows and files, not a disk, so the disk is
+        // rebuilt with `mkfs` from the snapshot's tree.
         let vmi = report.breakdown.measure(&self.env.clock, "assemble", || {
             let vmi = manifest.snapshot.restore();
             self.env.local.charge_write(vmi.disk_bytes());
@@ -392,7 +392,7 @@ impl ImageStore for HemeraStore {
             ));
         }
         let mut content = 0u64;
-        let db = self.db.lock().unwrap();
+        let db = self.db.read().unwrap();
         for (digest, entry) in db_index.iter() {
             let want = *db_expected
                 .get(digest)

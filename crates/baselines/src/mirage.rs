@@ -22,8 +22,21 @@ use xpl_store::{
 use xpl_util::{Digest, FxHashMap};
 
 struct Manifest {
+    /// In path order: the tree's iteration order at publish.
     files: Vec<(FileRecord, Digest)>,
     snapshot: VmiSnapshot,
+}
+
+impl Manifest {
+    /// The blob holding `rec`'s content: a binary search of the
+    /// path-sorted entries.
+    fn blob_of(&self, rec: &FileRecord) -> Option<Digest> {
+        let path = rec.path.as_str();
+        self.files
+            .binary_search_by(|(r, _)| r.path.as_str().cmp(path))
+            .ok()
+            .map(|i| self.files[i].1)
+    }
 }
 
 /// File-level deduplicating image repository.
@@ -252,7 +265,8 @@ impl ImageStore for MirageStore {
             },
         )?;
 
-        // Reassemble the image locally.
+        // Reassemble the image locally. Mirage keeps files, not a disk,
+        // so the disk is rebuilt with `mkfs` from the snapshot's tree.
         let vmi = report.breakdown.measure(&self.env.clock, "assemble", || {
             let vmi = manifest.snapshot.restore();
             self.env.local.charge_write(vmi.disk_bytes());
@@ -286,20 +300,15 @@ impl ImageStore for MirageStore {
         // slice of each touched blob leaves the store (per-file open
         // cost stays — Mirage's small-file penalty applies to ranges
         // too, just over far fewer files).
-        let by_path: FxHashMap<&str, Digest> = manifest
-            .files
-            .iter()
-            .map(|(r, d)| (r.path.as_str(), *d))
-            .collect();
         let bytes = report
             .breakdown
             .measure(&self.env.clock, "range assemble", || {
                 xpl_guestfs::materialize_range(&manifest.snapshot.fs, start, len, |rec, off, l| {
-                    let digest = by_path
-                        .get(rec.path.as_str())
+                    let digest = manifest
+                        .blob_of(rec)
                         .ok_or_else(|| format!("no blob for {}", rec.path))?;
                     self.cas
-                        .get_range(digest, off, l)
+                        .get_range(&digest, off, l)
                         .map_err(|e| format!("blob {}: {e:?}", rec.path))
                 })
             })

@@ -97,16 +97,16 @@ impl ImageStore for QcowStore {
             image: request.name.clone(),
             ..Default::default()
         };
-        let vmi = report.breakdown.measure(&self.env.clock, "download", || {
+        let disk = report.breakdown.measure(&self.env.clock, "download", || {
             self.env.repo.charge_open(entry.bytes.len() as u64);
             self.env
                 .repo
                 .charge_copy_to(&self.env.local, entry.bytes.len() as u64);
-            // Integrity: the stored stream must still parse.
-            xpl_vdisk::QcowImage::deserialize(&entry.bytes)
-                .map(|_| entry.snapshot.restore())
+            // The returned disk is the stored stream, parsed.
+            xpl_vdisk::QcowImage::deserialize_named(&entry.snapshot.name, &entry.bytes)
                 .map_err(|e| StoreError::Corrupt(format!("qcow2 stream: {e}")))
         })?;
+        let vmi = entry.snapshot.restore_with(disk);
         report.bytes_read = entry.bytes.len() as u64;
         report.duration = self.env.clock.since(t0);
         Ok((vmi, report))

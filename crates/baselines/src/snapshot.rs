@@ -2,25 +2,29 @@
 //!
 //! Monolithic stores keep the whole image; our scale model stores the
 //! actual (serialized/compressed/chunked) bytes for size accounting and a
-//! lightweight semantic snapshot (file tree + package DB) so retrieval can
-//! hand back a functional [`Vmi`] that tests compare against the original.
+//! lightweight semantic snapshot (file tree + package DB) beside them.
+//! A retrieve hands back a functional [`Vmi`] built from both:
+//!
+//! * stores that keep a disk return the one they read back —
+//!   [`VmiSnapshot::restore_with`] over Qcow2's parsed stream, Gzip's
+//!   inflated one, or the block-dedup stores' reassembled device;
+//! * stores that keep files (Mirage, Hemera) have no disk to return and
+//!   rebuild it with `mkfs` from the tree ([`VmiSnapshot::restore`]).
+//!
+//! Either way the snapshot supplies the tree, the package DB and the
+//! primary packages that tests compare against the original.
 
 use xpl_guestfs::{FsTree, Vmi};
 use xpl_pkg::{BaseImageAttrs, DpkgDb, PackageId};
+use xpl_vdisk::QcowImage;
 
-/// Summary statistics are exposed for store diagnostics even where a
-/// particular store doesn't read them.
 #[derive(Clone)]
-#[allow(dead_code)]
 pub struct VmiSnapshot {
     pub name: String,
     pub base: BaseImageAttrs,
     pub fs: FsTree,
     pub pkgdb: DpkgDb,
     pub primary: Vec<PackageId>,
-    pub mounted_bytes: u64,
-    pub file_count: usize,
-    pub disk_bytes: u64,
 }
 
 impl VmiSnapshot {
@@ -31,13 +35,10 @@ impl VmiSnapshot {
             fs: vmi.fs.clone(),
             pkgdb: vmi.pkgdb.clone(),
             primary: vmi.primary.clone(),
-            mounted_bytes: vmi.mounted_bytes(),
-            file_count: vmi.file_count(),
-            disk_bytes: vmi.disk_bytes(),
         }
     }
 
-    /// Rebuild a full Vmi (rematerializes the disk).
+    /// Rebuild a full Vmi, regenerating its disk with `mkfs`.
     pub fn restore(&self) -> Vmi {
         Vmi::assemble(
             &self.name,
@@ -46,5 +47,17 @@ impl VmiSnapshot {
             self.pkgdb.clone(),
             self.primary.clone(),
         )
+    }
+
+    /// The Vmi around `disk`, a disk the store read back.
+    pub fn restore_with(&self, disk: QcowImage) -> Vmi {
+        Vmi {
+            name: self.name.clone(),
+            base: self.base.clone(),
+            fs: self.fs.clone(),
+            pkgdb: self.pkgdb.clone(),
+            primary: self.primary.clone(),
+            disk,
+        }
     }
 }

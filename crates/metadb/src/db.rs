@@ -144,10 +144,11 @@ impl Database {
         Ok(id)
     }
 
-    pub fn get(&self, table: &str, id: RowId) -> Result<Option<Vec<Value>>, DbError> {
-        let t = self.table(table)?;
-        let row = t.get(id).map(|r| r.to_vec());
-        if let Some(r) = &row {
+    /// The row, by reference; charges a row read (plus its payload past
+    /// the row header) or, for a missing row, the failed lookup.
+    pub fn get(&self, table: &str, id: RowId) -> Result<Option<&[Value]>, DbError> {
+        let row = self.table(table)?.get(id);
+        if let Some(r) = row {
             self.charge_read_row(r);
         } else if let Some(dev) = &self.device {
             dev.charge_db_read(1);
@@ -411,6 +412,33 @@ mod tests {
         let ids = db.find_by("files", "digest", &"d".into()).unwrap();
         db.get("files", ids[0]).unwrap();
         assert!(env.clock.since(t1).as_nanos() > 0, "reads must charge time");
+    }
+
+    #[test]
+    fn get_by_reference_charges_what_the_cloned_row_charged() {
+        // A row at the 64-byte header limit and one past it. The model
+        // issues by hand the charges of the `get` that returned a cloned
+        // row: one row read, plus the payload when it passes the header.
+        for len in [64usize, 65] {
+            let (env, model) = (SimEnv::testbed(), SimEnv::testbed());
+            let mut dbs = [&env, &model].map(|e| {
+                let mut db = Database::on_device(Arc::clone(&e.repo));
+                db.create_table(Schema::new("files", vec![ColumnDef::plain("content")]))
+                    .unwrap();
+                db
+            });
+            let ids = dbs
+                .each_mut()
+                .map(|db| db.insert("files", vec![vec![7u8; len].into()]).unwrap());
+            let row = dbs[0].get("files", ids[0]).unwrap().unwrap();
+            assert_eq!(row, &[Value::from(vec![7u8; len])][..]);
+            model.repo.charge_db_read(1);
+            if len > 64 {
+                model.repo.charge_read(len as u64);
+            }
+            assert_eq!(env.repo.stats(), model.repo.stats(), "{len}-byte row");
+            assert_eq!(env.clock.now(), model.clock.now(), "{len}-byte row");
+        }
     }
 
     #[test]

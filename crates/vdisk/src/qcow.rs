@@ -182,14 +182,6 @@ impl QcowImage {
         Ok(out)
     }
 
-    fn allocate_cluster(&mut self) -> u64 {
-        let idx = self.clusters.len() as u64;
-        self.clusters
-            .push(vec![0u8; self.cluster_size() as usize].into_boxed_slice());
-        self.refcounts.push(1);
-        idx
-    }
-
     /// Ensure a guest cluster is locally allocated, copying from backing
     /// (or zero-filling) as needed; returns the physical index.
     fn ensure_cluster(&mut self, gc: u64) -> Result<u64, QcowError> {
@@ -197,7 +189,7 @@ impl QcowImage {
             return Ok(pc);
         }
         let cs = self.cluster_size();
-        let pc = self.allocate_cluster();
+        let pc = self.push_cluster(&[]);
         if let Some(b) = self.backing.clone() {
             let base_off = gc * cs;
             if base_off < b.virtual_size {
@@ -206,12 +198,25 @@ impl QcowImage {
                 self.clusters[pc as usize][..take].copy_from_slice(&data);
             }
         }
-        let (i1, i2) = self.split(gc);
-        if self.l1[i1].is_none() {
-            self.l1[i1] = Some(L2Table::new());
-        }
-        self.l1[i1].as_mut().unwrap().entries[i2] = pc;
+        self.map(gc, pc);
         Ok(pc)
+    }
+
+    /// Append a physical cluster holding `bytes`, zero-padded to the
+    /// cluster size; returns its index.
+    fn push_cluster(&mut self, bytes: &[u8]) -> u64 {
+        let mut cluster = vec![0u8; self.cluster_size() as usize].into_boxed_slice();
+        cluster[..bytes.len()].copy_from_slice(bytes);
+        self.clusters.push(cluster);
+        self.refcounts.push(1);
+        (self.clusters.len() - 1) as u64
+    }
+
+    /// Point guest cluster `gc` (inside the virtual size) at physical
+    /// cluster `pc`, creating its L2 table on first use.
+    fn map(&mut self, gc: u64, pc: u64) {
+        let (i1, i2) = self.split(gc);
+        self.l1[i1].get_or_insert_with(L2Table::new).entries[i2] = pc;
     }
 
     /// Write bytes at a guest offset (allocating / COW-copying clusters).
@@ -323,43 +328,32 @@ impl QcowImage {
     }
 
     /// [`QcowImage::deserialize`] with an explicit name.
+    ///
+    /// The stream is untrusted: every malformation — truncation, a
+    /// virtual size whose L1 table would exceed a fixed cap, a
+    /// guest-cluster key past the virtual size or not strictly above the
+    /// one before it, trailing bytes — is [`QcowError::Corrupt`].
     pub fn deserialize_named(name: &str, data: &[u8]) -> Result<QcowImage, QcowError> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], QcowError> {
-            if *pos + n > data.len() {
-                return Err(QcowError::Corrupt("truncated"));
-            }
-            let s = &data[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        if take(&mut pos, 4)? != MAGIC {
-            return Err(QcowError::Corrupt("bad magic"));
-        }
-        let virtual_size = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-        let cluster_bits = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-        if !(4..=20).contains(&cluster_bits) {
-            return Err(QcowError::Corrupt("bad cluster bits"));
-        }
-        let mut img = QcowImage::create_with_cluster_bits(name, virtual_size, cluster_bits);
-        let n = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
+        let header = StreamHeader::parse(data)?;
+        let mut img =
+            QcowImage::create_with_cluster_bits(name, header.virtual_size, header.cluster_bits);
         let cs = img.cluster_size() as usize;
-        for _ in 0..n {
-            let gc = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-            let bytes = take(&mut pos, cs)?.to_vec();
-            if gc * cs as u64 >= virtual_size.div_ceil(cs as u64) * cs as u64 {
+        let clusters_total = header.virtual_size.div_ceil(cs as u64);
+        let mut pos = STREAM_HEADER as usize;
+        let mut next_min = 0u64;
+        for _ in 0..header.mapped {
+            let gc = le_u64(data, pos)?;
+            let bytes = slice_at(data, pos + 8, cs)?;
+            if gc >= clusters_total {
                 return Err(QcowError::Corrupt("cluster out of range"));
             }
-            let pc = img.allocate_cluster();
-            img.clusters[pc as usize].copy_from_slice(&bytes);
-            let (i1, i2) = img.split(gc);
-            if i1 >= img.l1.len() {
-                return Err(QcowError::Corrupt("cluster out of range"));
+            if gc < next_min {
+                return Err(QcowError::Corrupt("cluster keys out of order"));
             }
-            if img.l1[i1].is_none() {
-                img.l1[i1] = Some(L2Table::new());
-            }
-            img.l1[i1].as_mut().unwrap().entries[i2] = pc;
+            next_min = gc + 1;
+            let pc = img.push_cluster(bytes);
+            img.map(gc, pc);
+            pos += 8 + cs;
         }
         if pos != data.len() {
             return Err(QcowError::Corrupt("trailing bytes"));
@@ -367,30 +361,95 @@ impl QcowImage {
         Ok(img)
     }
 
+    /// A sparse image over a raw device of `raw.len()` bytes: clusters
+    /// holding a nonzero byte are allocated, all-zero ones stay unmapped
+    /// and read as zeros (`qemu-img convert -S` on a raw file). The
+    /// result reads like `raw` over its whole virtual size.
+    pub fn from_raw(name: &str, raw: &[u8]) -> QcowImage {
+        Self::sparse(name, raw, DEFAULT_CLUSTER_BITS)
+    }
+
     /// Flatten a COW chain into a standalone image (like
-    /// `qemu-img convert`): every cluster readable from the chain becomes
-    /// local.
+    /// `qemu-img convert`): every nonzero cluster readable from the
+    /// chain becomes local, all-zero ones stay unmapped.
     pub fn flatten(&self, name: &str) -> Result<QcowImage, QcowError> {
-        let cs = self.cluster_size();
-        let mut out =
-            QcowImage::create_with_cluster_bits(name, self.virtual_size, self.cluster_bits);
-        let total = self.virtual_size.div_ceil(cs);
-        for gc in 0..total {
-            let off = gc * cs;
-            let take = cs.min(self.virtual_size - off) as usize;
-            let chunk = self.read_at(off, take)?;
-            // Skip all-zero clusters to keep the flattened image sparse.
+        let raw = self.read_at(0, self.virtual_size as usize)?;
+        Ok(Self::sparse(name, &raw, self.cluster_bits))
+    }
+
+    fn sparse(name: &str, raw: &[u8], cluster_bits: u32) -> QcowImage {
+        let mut img = QcowImage::create_with_cluster_bits(name, raw.len() as u64, cluster_bits);
+        let cs = img.cluster_size() as usize;
+        for (gc, chunk) in raw.chunks(cs).enumerate() {
             if chunk.iter().any(|&b| b != 0) {
-                out.write_at(off, &chunk)?;
+                let pc = img.push_cluster(chunk);
+                img.map(gc as u64, pc);
             }
         }
-        Ok(out)
+        img
     }
 }
 
 /// Byte length of the serialized-stream header (magic + virtual_size +
 /// cluster_bits + mapped count).
 pub const STREAM_HEADER: u64 = 24;
+
+/// The most L1 entries a parsed stream may ask for. 2^16 entries map
+/// 2^25 clusters (8 GiB materialized at the default cluster size, three
+/// orders of magnitude past any image here), so a forged virtual size is
+/// rejected before it can size a table.
+const MAX_L1_ENTRIES: u64 = 1 << 16;
+
+/// `len` bytes of `data` at `at`, or `Corrupt("truncated")`.
+fn slice_at(data: &[u8], at: usize, len: usize) -> Result<&[u8], QcowError> {
+    at.checked_add(len)
+        .and_then(|end| data.get(at..end))
+        .ok_or(QcowError::Corrupt("truncated"))
+}
+
+fn le_u64(data: &[u8], at: usize) -> Result<u64, QcowError> {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(slice_at(data, at, 8)?);
+    Ok(u64::from_le_bytes(word))
+}
+
+fn le_u32(data: &[u8], at: usize) -> Result<u32, QcowError> {
+    let mut word = [0u8; 4];
+    word.copy_from_slice(slice_at(data, at, 4)?);
+    Ok(u32::from_le_bytes(word))
+}
+
+/// The fixed header of a [`QcowImage::serialize`] stream, validated.
+struct StreamHeader {
+    virtual_size: u64,
+    cluster_bits: u32,
+    mapped: u64,
+}
+
+impl StreamHeader {
+    fn parse(data: &[u8]) -> Result<StreamHeader, QcowError> {
+        let data = slice_at(data, 0, STREAM_HEADER as usize)?;
+        if &data[0..4] != MAGIC {
+            return Err(QcowError::Corrupt("bad magic"));
+        }
+        let virtual_size = le_u64(data, 4)?;
+        let cluster_bits = le_u32(data, 12)?;
+        if !(4..=20).contains(&cluster_bits) {
+            return Err(QcowError::Corrupt("bad cluster bits"));
+        }
+        let l1_len = virtual_size
+            .div_ceil(1 << cluster_bits)
+            .div_ceil(1 << L2_ENTRIES_BITS);
+        if l1_len > MAX_L1_ENTRIES {
+            return Err(QcowError::Corrupt("virtual size too large"));
+        }
+        Ok(StreamHeader {
+            virtual_size,
+            cluster_bits,
+            mapped: le_u64(data, 16)?,
+        })
+    }
+}
 
 /// Read `[start, start+len)` of the *virtual disk* directly from a
 /// [`QcowImage::serialize`] stream without materializing the image.
@@ -408,22 +467,17 @@ pub fn read_serialized_range<F>(mut fetch: F, start: u64, len: u64) -> Result<Ve
 where
     F: FnMut(u64, u64) -> Result<Vec<u8>, QcowError>,
 {
-    let header = fetch(0, STREAM_HEADER)?;
-    if header.len() < STREAM_HEADER as usize {
-        return Err(QcowError::Corrupt("truncated"));
-    }
-    if &header[0..4] != MAGIC {
-        return Err(QcowError::Corrupt("bad magic"));
-    }
-    let virtual_size = u64::from_le_bytes(header[4..12].try_into().unwrap());
-    let cluster_bits = u32::from_le_bytes(header[12..16].try_into().unwrap());
-    if !(4..=20).contains(&cluster_bits) {
-        return Err(QcowError::Corrupt("bad cluster bits"));
-    }
-    let mapped = u64::from_le_bytes(header[16..24].try_into().unwrap());
-    let cs = 1u64 << cluster_bits;
+    let header = StreamHeader::parse(&fetch(0, STREAM_HEADER)?)?;
+    let cs = 1u64 << header.cluster_bits;
     let entry_len = 8 + cs;
-    let end = start.saturating_add(len).min(virtual_size);
+    // Stream offset of mapping entry `i` (plus `within`), checked: the
+    // mapped count is untrusted.
+    let entry_at = |i: u64, within: u64| {
+        i.checked_mul(entry_len)
+            .and_then(|o| o.checked_add(STREAM_HEADER + within))
+            .ok_or(QcowError::Corrupt("mapping offset overflows"))
+    };
+    let end = start.saturating_add(len).min(header.virtual_size);
     if start >= end {
         return Ok(Vec::new());
     }
@@ -437,15 +491,11 @@ where
         let gc = pos / cs;
         let within = pos % cs;
         let take = (cs - within).min(end - pos);
-        let (mut lo, mut hi) = (lo_hint, mapped);
+        let (mut lo, mut hi) = (lo_hint, header.mapped);
         let mut found = None;
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            let key = fetch(STREAM_HEADER + mid * entry_len, 8)?;
-            if key.len() < 8 {
-                return Err(QcowError::Corrupt("truncated"));
-            }
-            let k = u64::from_le_bytes(key[0..8].try_into().unwrap());
+            let k = le_u64(&fetch(entry_at(mid, 0)?, 8)?, 0)?;
             match k.cmp(&gc) {
                 std::cmp::Ordering::Less => lo = mid + 1,
                 std::cmp::Ordering::Greater => hi = mid,
@@ -456,7 +506,7 @@ where
             }
         }
         if let Some(i) = found {
-            let bytes = fetch(STREAM_HEADER + i * entry_len + 8 + within, take)?;
+            let bytes = fetch(entry_at(i, 8 + within)?, take)?;
             if bytes.len() as u64 != take {
                 return Err(QcowError::Corrupt("truncated"));
             }
@@ -572,6 +622,65 @@ mod tests {
         assert!(QcowImage::deserialize(&bytes).is_err());
         let ser = img.serialize();
         assert!(QcowImage::deserialize(&ser[..ser.len() - 1]).is_err());
+    }
+
+    /// A two-cluster stream whose fields the hostile cases overwrite.
+    fn two_cluster_stream() -> Vec<u8> {
+        let mut img = QcowImage::create("h", 10_000);
+        img.write_at(0, b"first").unwrap();
+        img.write_at(img.cluster_size() * 3, b"second").unwrap();
+        img.serialize()
+    }
+
+    #[test]
+    fn deserialize_rejects_a_key_whose_offset_overflows() {
+        let mut bytes = two_cluster_stream();
+        bytes[24..32].copy_from_slice(&(1u64 << 63).to_le_bytes());
+        assert_eq!(
+            QcowImage::deserialize(&bytes).err(),
+            Some(QcowError::Corrupt("cluster out of range"))
+        );
+    }
+
+    #[test]
+    fn forged_virtual_size_is_rejected_before_sizing_l1() {
+        let mut bytes = two_cluster_stream();
+        // Bit 6 of header byte 11: a virtual size of 2^62.
+        bytes[11] ^= 0x40;
+        let err = Some(QcowError::Corrupt("virtual size too large"));
+        assert_eq!(QcowImage::deserialize(&bytes).err(), err);
+        let fetch = |off: u64, len: u64| Ok(bytes[off as usize..(off + len) as usize].to_vec());
+        assert_eq!(read_serialized_range(fetch, 0, 8).err(), err);
+    }
+
+    #[test]
+    fn deserialize_rejects_keys_out_of_order() {
+        let bytes = two_cluster_stream();
+        let cs = 1usize << DEFAULT_CLUSTER_BITS;
+        let (first, second) = (24..24 + 8 + cs, 24 + 8 + cs..bytes.len());
+        let mut swapped = bytes[..24].to_vec();
+        swapped.extend_from_slice(&bytes[second]);
+        swapped.extend_from_slice(&bytes[first.clone()]);
+        let order = Some(QcowError::Corrupt("cluster keys out of order"));
+        assert_eq!(QcowImage::deserialize(&swapped).err(), order);
+        let mut repeated = bytes[..24].to_vec();
+        repeated.extend_from_slice(&bytes[first.clone()]);
+        repeated.extend_from_slice(&bytes[first]);
+        assert_eq!(QcowImage::deserialize(&repeated).err(), order);
+    }
+
+    #[test]
+    fn from_raw_reads_like_the_device_and_skips_zero_clusters() {
+        let mut img = QcowImage::create("src", 5_000);
+        let cs = img.cluster_size();
+        img.write_at(cs, &vec![0u8; cs as usize]).unwrap(); // allocated zeros
+        img.write_at(10, b"head").unwrap();
+        img.write_at(4_990, b"tail-bytes").unwrap(); // the short last cluster
+        let raw = img.read_at(0, 5_000).unwrap();
+        let sparse = QcowImage::from_raw("dst", &raw);
+        assert_eq!(sparse.virtual_size(), 5_000);
+        assert_eq!(sparse.read_at(0, 5_000).unwrap(), raw);
+        assert_eq!(sparse.allocated_clusters(), img.allocated_clusters() - 1);
     }
 
     #[test]

@@ -216,7 +216,7 @@ proptest! {
         // back — row ids are not reused, like SQLite AUTOINCREMENT.)
         for (id, k) in kept.iter().zip(&keep) {
             let row = db.get("t", *id).unwrap();
-            prop_assert_eq!(row, Some(vec![Value::from(k.as_str())]));
+            prop_assert_eq!(row, Some(&[Value::from(k.as_str())][..]));
             prop_assert!(db.find_by("t", "k", &Value::from(k.as_str())).unwrap().contains(id));
         }
         for id in &tx_ids {

@@ -171,6 +171,69 @@ fn every_store_agrees_differentially_on_every_image() {
     }
 }
 
+/// Offsets of the block-group edges of a disk `mkfs` laid out: the
+/// superblock's end, then one group capacity (superblock bytes 20..28)
+/// apart, 512 groups in all.
+fn group_edges(disk: &expelliarmus::vdisk::QcowImage) -> Vec<u64> {
+    const SUPERBLOCK_BYTES: u64 = 512;
+    let sb = disk.read_at(20, 8).unwrap();
+    let cap = u64::from_le_bytes(sb.try_into().unwrap());
+    (0..=512).map(|g| SUPERBLOCK_BYTES + g * cap).collect()
+}
+
+#[test]
+fn every_baseline_returns_the_disk_it_published() {
+    // What each baseline returns is read back from what it stored —
+    // Qcow2's stream, Gzip's inflated stream, the block-dedup stores'
+    // reassembled device — or, for the file stores, rebuilt by mkfs. It
+    // must read like the published disk over the whole virtual size; the
+    // stream stores return the very stream; and a range straddling each
+    // block-group edge is the slice of the full retrieve.
+    let world = World::small();
+    let stores: Vec<(Box<dyn ImageStore>, bool)> = vec![
+        (Box::new(QcowStore::new(world.env())), true),
+        (Box::new(GzipStore::new(world.env())), true),
+        (Box::new(MirageStore::new(world.env())), false),
+        (Box::new(HemeraStore::new(world.env())), false),
+        (Box::new(FixedBlockDedupStore::new(world.env(), 256)), false),
+        (Box::new(CdcDedupStore::new(world.env(), 512)), false),
+    ];
+    for name in world.image_names() {
+        let vmi = world.build_image(name);
+        let size = vmi.disk.virtual_size();
+        let published = vmi.disk.read_at(0, size as usize).unwrap();
+        let req = RetrieveRequest::for_image(&vmi, &world.catalog);
+        for (store, same_stream) in &stores {
+            let label = format!("{} {name}", store.name());
+            store.publish(&world.catalog, &vmi).unwrap();
+            let (got, _) = store.retrieve(&world.catalog, &req).unwrap();
+            assert_eq!(got.disk.virtual_size(), size, "{label}: virtual size");
+            let full = got.disk.read_at(0, size as usize).unwrap();
+            assert!(
+                full == published,
+                "{label}: retrieved disk reads differently"
+            );
+            if *same_stream {
+                assert!(
+                    got.disk.serialize() == vmi.disk.serialize(),
+                    "{label}: serialized stream differs"
+                );
+            }
+            for edge in group_edges(&vmi.disk) {
+                let start = edge.saturating_sub(24);
+                let (bytes, _) = store
+                    .retrieve_range(&world.catalog, &req, start, 48)
+                    .unwrap();
+                let end = (start + 48).min(size);
+                assert!(
+                    bytes[..] == full[start as usize..end as usize],
+                    "{label}: range at group edge {edge}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn delete_frees_only_the_deleted_image() {
     // Publish three images everywhere, delete the middle one: the other
