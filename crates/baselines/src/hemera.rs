@@ -4,16 +4,16 @@
 //! *small* files as database rows and only large files in the file store
 //! ("stores large files in the repository and small sized files in the
 //! database, which optimizes VMI retrieval as the database handles small
-//! files much faster than the file system").
+//! files much faster than the file system"). The database is one
+//! refcounted table of small files, keyed by content digest; each row
+//! costs a database row on the repository device.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 use crate::costs;
 use crate::snapshot::VmiSnapshot;
 use rayon::prelude::*;
 use xpl_guestfs::{FileRecord, Vmi};
-use xpl_metadb::{ColumnDef, Database, RowId, Schema, Value};
 use xpl_pkg::Catalog;
 use xpl_simio::{SimDuration, SimEnv};
 use xpl_store::{
@@ -24,8 +24,9 @@ use xpl_util::{Digest, FxHashMap};
 
 /// Where one file's content lives.
 enum Placement {
-    /// Small file: a row in `small_files`, resolved through `db_index`.
+    /// Small file: the row of `SmallFiles` under this digest.
     Db(Digest),
+    /// Large file: a blob in the content store.
     Fs(Digest),
 }
 
@@ -35,29 +36,38 @@ struct Manifest {
 }
 
 /// One deduplicated small-file row, refcounted like a CAS blob.
-struct DbEntry {
-    row: RowId,
+struct SmallRow {
     refs: u32,
-    len: u64,
+    content: Vec<u8>,
+}
+
+impl SmallRow {
+    /// Row payload: the digest key (an integer column) and the content.
+    fn payload(&self) -> u64 {
+        8 + self.content.len() as u64
+    }
+}
+
+/// The small-file table.
+#[derive(Default)]
+struct SmallFiles {
+    rows: FxHashMap<Digest, SmallRow>,
+    /// Sum of the rows' content lengths. Row-key overhead is charged at
+    /// nominal scale by `metadata_overhead` instead.
+    content_bytes: u64,
 }
 
 /// Hybrid DB/file-store image repository.
 ///
 /// Concurrency: large files go through the digest-sharded content store;
-/// the small-file row index, the metadata database and the manifest map
-/// are `RwLock`s, so retrieves read rows side by side and only publishes
-/// and deletes write them. Lock order: manifests → db_index → db; the
-/// per-image stripe is always outermost.
+/// the small-file table and the manifest map are `RwLock`s, so retrieves
+/// read rows side by side and only publishes and deletes write them.
+/// Lock order: manifests → small; the per-image stripe is always
+/// outermost.
 pub struct HemeraStore {
     env: SimEnv,
     cas: ContentStore,
-    db: RwLock<Database>,
-    /// digest → refcounted row for already-stored small content (dedup).
-    db_index: RwLock<FxHashMap<Digest, DbEntry>>,
-    /// Unique small-file content bytes stored in the DB (accounted
-    /// separately from `db.payload_bytes()` so row-key overhead can be
-    /// charged at nominal, not real, scale).
-    db_content_bytes: AtomicU64,
+    small: RwLock<SmallFiles>,
     manifests: RwLock<FxHashMap<String, Manifest>>,
     names: NameLocks,
 }
@@ -65,18 +75,10 @@ pub struct HemeraStore {
 impl HemeraStore {
     pub fn new(env: SimEnv) -> Self {
         let cas = ContentStore::new(std::sync::Arc::clone(&env.repo));
-        let mut db = Database::on_device(std::sync::Arc::clone(&env.repo));
-        db.create_table(Schema::new(
-            "small_files",
-            vec![ColumnDef::indexed("digest"), ColumnDef::plain("content")],
-        ))
-        .expect("fresh db");
         HemeraStore {
             env,
             cas,
-            db: RwLock::new(db),
-            db_index: RwLock::new(FxHashMap::default()),
-            db_content_bytes: AtomicU64::new(0),
+            small: RwLock::new(SmallFiles::default()),
             manifests: RwLock::new(FxHashMap::default()),
             names: NameLocks::new(),
         }
@@ -95,15 +97,11 @@ impl HemeraStore {
     }
 
     pub fn db_file_count(&self) -> usize {
-        self.db_index.read().unwrap().len()
+        self.small.read().unwrap().rows.len()
     }
 
     pub fn fs_file_count(&self) -> usize {
         self.cas.blob_count()
-    }
-
-    fn db_content_bytes(&self) -> u64 {
-        self.db_content_bytes.load(Ordering::Relaxed)
     }
 
     /// Manifest + row-key metadata overhead.
@@ -115,7 +113,7 @@ impl HemeraStore {
             .values()
             .map(|m| m.files.len() as u64)
             .sum();
-        let rows = self.db_index.read().unwrap().len() as u64;
+        let rows = self.small.read().unwrap().rows.len() as u64;
         ((entries + rows) * 48).div_ceil(xpl_util::SCALE_FACTOR)
     }
 
@@ -137,20 +135,16 @@ impl HemeraStore {
                     }
                 }
                 Placement::Db(digest) => {
-                    let mut db_index = self.db_index.write().unwrap();
-                    let entry = db_index.get_mut(digest).ok_or_else(|| {
-                        StoreError::Corrupt(format!("db index missing for {}", record.path))
+                    let mut small = self.small.write().unwrap();
+                    let row = small.rows.get_mut(digest).ok_or_else(|| {
+                        StoreError::Corrupt(format!("db row missing for {}", record.path))
                     })?;
-                    entry.refs -= 1;
-                    if entry.refs == 0 {
-                        let (row, len) = (entry.row, entry.len);
-                        db_index.remove(digest);
-                        self.db
-                            .write()
-                            .unwrap()
-                            .delete("small_files", row)
-                            .map_err(|e| StoreError::Corrupt(e.to_string()))?;
-                        self.db_content_bytes.fetch_sub(len, Ordering::Relaxed);
+                    row.refs -= 1;
+                    if row.refs == 0 {
+                        let len = row.content.len() as u64;
+                        small.rows.remove(digest);
+                        self.env.repo.charge_db_write(1);
+                        small.content_bytes -= len;
                         freed += len;
                         units += 1;
                     }
@@ -212,33 +206,20 @@ impl ImageStore for HemeraStore {
                     .charge_fixed(SimDuration(costs::file_match().0 * hashed.len() as u64));
                 for (record, digest, content) in hashed {
                     let placement = if (record.size as u64) <= threshold {
-                        let mut db_index = self.db_index.write().unwrap();
-                        match db_index.get_mut(&digest) {
-                            Some(entry) => {
-                                entry.refs += 1;
-                                Placement::Db(digest)
-                            }
+                        let mut small = self.small.write().unwrap();
+                        match small.rows.get_mut(&digest) {
+                            Some(row) => row.refs += 1,
                             None => {
                                 let len = content.len() as u64;
-                                let row = self
-                                    .db
-                                    .write()
-                                    .unwrap()
-                                    .insert(
-                                        "small_files",
-                                        vec![
-                                            Value::Int(digest.prefix64() as i64),
-                                            Value::from(content),
-                                        ],
-                                    )
-                                    .map_err(|e| StoreError::Corrupt(e.to_string()))?;
-                                db_index.insert(digest, DbEntry { row, refs: 1, len });
-                                self.db_content_bytes.fetch_add(len, Ordering::Relaxed);
+                                let row = SmallRow { refs: 1, content };
+                                self.env.repo.charge_row_write(row.payload());
+                                small.rows.insert(digest, row);
+                                small.content_bytes += len;
                                 added_content += len;
                                 new_units += 1;
-                                Placement::Db(digest)
                             }
                         }
+                        Placement::Db(digest)
                     } else {
                         if self.cas.put_with_digest(digest, &content) {
                             added_content += content.len() as u64;
@@ -293,31 +274,19 @@ impl ImageStore for HemeraStore {
             &self.env.clock,
             "read files",
             || -> Result<(), StoreError> {
-                // Both small-file structures once per retrieve, in lock
-                // order; concurrent retrieves share them.
-                let db_index = self.db_index.read().unwrap();
-                let db = self.db.read().unwrap();
+                // The small-file table once per retrieve; concurrent
+                // retrieves share it.
+                let small = self.small.read().unwrap();
                 for (record, placement) in &manifest.files {
                     match placement {
                         Placement::Db(digest) => {
-                            // Row fetch: base row cost (charged by db.get) +
-                            // Hemera's page-walk surcharge.
+                            // Row fetch: Hemera's page-walk surcharge, then
+                            // the row itself.
                             self.env.repo.charge_fixed(costs::hemera_row_fetch_extra());
-                            let row = db_index
-                                .get(digest)
-                                .ok_or_else(|| {
-                                    StoreError::Corrupt(format!("db index for {}", record.path))
-                                })?
-                                .row;
-                            let got = db
-                                .get("small_files", row)
-                                .map_err(|e| StoreError::Corrupt(e.to_string()))?;
-                            if got.is_none() {
-                                return Err(StoreError::Corrupt(format!(
-                                    "row for {}",
-                                    record.path
-                                )));
-                            }
+                            let row = small.rows.get(digest).ok_or_else(|| {
+                                StoreError::Corrupt(format!("db row for {}", record.path))
+                            })?;
+                            self.env.repo.charge_row_read(row.payload());
                         }
                         Placement::Fs(digest) => {
                             self.cas.get(digest).map_err(|_| {
@@ -365,7 +334,8 @@ impl ImageStore for HemeraStore {
     fn repo_bytes(&self) -> u64 {
         // Manifest + row-key overhead: ≈48 nominal bytes per entry
         // (scaled); DB content counted at face value.
-        self.cas.unique_bytes() + self.db_content_bytes() + self.metadata_overhead()
+        let content = self.small.read().unwrap().content_bytes;
+        self.cas.unique_bytes() + content + self.metadata_overhead()
     }
 
     fn check_integrity(&self) -> Result<(), String> {
@@ -383,40 +353,31 @@ impl ImageStore for HemeraStore {
         self.cas
             .audit_refs(&fs_expected)
             .map_err(|e| format!("Hemera CAS: {e}"))?;
-        let db_index = self.db_index.read().unwrap();
-        if db_index.len() != db_expected.len() {
+        let small = self.small.read().unwrap();
+        if small.rows.len() != db_expected.len() {
             return Err(format!(
-                "Hemera DB index: {} rows, {} referenced digests",
-                db_index.len(),
+                "Hemera DB: {} rows, {} referenced digests",
+                small.rows.len(),
                 db_expected.len()
             ));
         }
         let mut content = 0u64;
-        let db = self.db.read().unwrap();
-        for (digest, entry) in db_index.iter() {
+        for (digest, row) in &small.rows {
             let want = *db_expected
                 .get(digest)
                 .ok_or_else(|| format!("Hemera DB: orphan row for {digest}"))?;
-            if entry.refs != want {
+            if row.refs != want {
                 return Err(format!(
                     "Hemera DB row {digest}: {} refs, expected {want}",
-                    entry.refs
+                    row.refs
                 ));
             }
-            let live = db
-                .table("small_files")
-                .map_err(|e| e.to_string())?
-                .get(entry.row)
-                .is_some();
-            if !live {
-                return Err(format!("Hemera DB row {digest}: row {} gone", entry.row.0));
-            }
-            content += entry.len;
+            content += row.content.len() as u64;
         }
-        if content != self.db_content_bytes() {
+        if content != small.content_bytes {
             return Err(format!(
                 "Hemera DB content: {content} summed vs {} accounted",
-                self.db_content_bytes()
+                small.content_bytes
             ));
         }
         Ok(())
@@ -424,6 +385,13 @@ impl ImageStore for HemeraStore {
 
     fn check_integrity_deep(&self) -> Result<(), String> {
         self.check_integrity()?;
+        for (digest, row) in &self.small.read().unwrap().rows {
+            if xpl_util::Sha256::digest(&row.content) != *digest {
+                return Err(format!(
+                    "Hemera DB row {digest}: content does not hash to its key"
+                ));
+            }
+        }
         self.cas
             .check_integrity(true)
             .map_err(|e| format!("Hemera CAS content: {e}"))
@@ -493,6 +461,28 @@ mod tests {
         let h = hemera.repo_bytes() as f64;
         let m = mirage.repo_bytes() as f64;
         assert!((h / m - 1.0).abs() < 0.15, "hemera {h} vs mirage {m}");
+    }
+
+    #[test]
+    fn deep_audit_rehashes_small_rows() {
+        let w = World::small();
+        let store = HemeraStore::new(w.env());
+        store.publish(&w.catalog, &w.build_image("redis")).unwrap();
+        store.check_integrity_deep().unwrap();
+        {
+            let mut small = store.small.write().unwrap();
+            let row = small
+                .rows
+                .values_mut()
+                .find(|r| !r.content.is_empty())
+                .unwrap();
+            row.content[0] ^= 0xff;
+        }
+        // Refcounts and the content sum still hold; only the re-hash sees
+        // the flipped byte.
+        store.check_integrity().unwrap();
+        let err = store.check_integrity_deep().unwrap_err();
+        assert!(err.contains("does not hash"), "{err}");
     }
 
     #[test]

@@ -18,10 +18,12 @@
 //! the publish returns.
 
 use crate::analyzer;
-use crate::repo::{IndexedPackage, PublishedImage, RepoCatalog, RepoState, StoredBase, StoredData};
+use crate::repo::{
+    base_row_bytes, image_row_bytes, package_row_bytes, IndexedPackage, PublishedImage,
+    RepoCatalog, RepoState, StoredBase, StoredData,
+};
 use crate::select::select_base_image;
 use xpl_guestfs::{GuestHandle, Vmi};
-use xpl_metadb::Value;
 use xpl_pkg::Catalog;
 use xpl_semgraph::MasterGraph;
 use xpl_store::{PublishReport, StoreError};
@@ -122,21 +124,14 @@ fn decompose(
                 // installed size) and store it.
                 let deb = handle.export_deb(catalog, v.pkg);
                 state.packages.put_with_digest(deb.digest, &deb.bytes);
+                cat.insert_row(package_row_bytes(&identity));
                 cat.package_index.insert(
-                    identity.clone(),
+                    identity,
                     IndexedPackage {
                         digest: deb.digest,
                         package: v.pkg,
                     },
                 );
-                cat.insert_row(
-                    "packages",
-                    vec![
-                        Value::from(identity),
-                        Value::from(deb.digest.to_hex()),
-                        Value::from(deb.bytes.len() as u64),
-                    ],
-                )?;
                 package_refs.push(deb.digest);
                 exported += 1;
             }
@@ -198,14 +193,7 @@ fn decompose(
                             * qcow_bytes.saturating_mul(xpl_util::SCALE_FACTOR),
                     ));
                     env.local.charge_copy_to(&env.repo, qcow_bytes);
-                    cat.insert_row(
-                        "bases",
-                        vec![
-                            Value::from(id.clone()),
-                            Value::from(work.base.key()),
-                            Value::from(qcow_bytes),
-                        ],
-                    )?;
+                    cat.insert_row(base_row_bytes(&id, &work.base.key()));
                     cat.semantic.bases.push(StoredBase {
                         id: id.clone(),
                         attrs: work.base.clone(),
@@ -249,26 +237,27 @@ fn decompose(
         cat.semantic.remove_base(replaced_id);
     }
 
-    let new_row = cat.insert_row(
-        "images",
-        vec![
-            Value::from(image_name.clone()),
-            Value::from(base_id),
-            Value::from((report.similarity * 1000.0) as u64),
-        ],
-    )?;
+    let row_bytes = image_row_bytes(&image_name, &base_id);
+    cat.insert_row(row_bytes);
 
     // ---- Release the replaced generation (re-publish / upgrade). -----
     // The new generation already holds its references, so content shared
-    // across generations survives the release.
+    // across generations survives the release. The image's old row goes
+    // after it; the lookup finds both rows.
     let image = PublishedImage {
         packages: package_refs,
         data,
+        row_bytes,
     };
-    if let Some(replaced) = cat.images.insert(image_name.clone(), image) {
-        state.release_image(cat, replaced)?;
+    match cat.images.insert(image_name, image) {
+        Some(replaced) => {
+            let old_row = replaced.row_bytes;
+            state.release_image(cat, replaced)?;
+            cat.find_rows(2);
+            cat.delete_row(old_row);
+        }
+        None => cat.find_rows(1),
     }
-    cat.delete_rows("images", "name", &image_name, Some(new_row))?;
 
     report.duration = env.clock.since(t0);
     let after = state.repo_bytes(cat);

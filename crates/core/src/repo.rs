@@ -2,15 +2,19 @@
 //!
 //! State layout mirrors Figure 2's "VMI database": a package store
 //! (content-addressed `.deb` blobs + identity index), a user-data store,
-//! the stored base images (one qcow2 per surviving base), the master
-//! graphs, and a metadata database.
+//! the stored base images (one qcow2 per surviving base), and the master
+//! graphs. The catalog is the metadata: its package index, stored bases
+//! and published images are the database's rows, so there is no second
+//! copy. Each row still costs what a database row costs — a row write
+//! per insert, a lookup and a row write per delete, charged to the
+//! repository device — and its payload counts toward `repo_bytes`.
 //!
 //! # Concurrency model
 //!
 //! One lock: `RepoState::catalog`, an `RwLock` over `RepoCatalog`.
 //! The catalog is everything the repository knows about its content —
-//! stored bases and master graphs, the package identity index, one
-//! `PublishedImage` entry per live image, and the metadata database.
+//! stored bases and master graphs, the package identity index, and one
+//! `PublishedImage` entry per live image.
 //!
 //! * Publish, delete and maintain take the write side once, for the
 //!   whole operation. Algorithm 1 is order-sensitive (similarity scores,
@@ -33,10 +37,9 @@
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use xpl_guestfs::{FsTree, Vmi};
-use xpl_metadb::{ColumnDef, Database, DbError, RowId, Schema, Value};
 use xpl_pkg::{BaseImageAttrs, Catalog, DpkgDb, PackageId};
 use xpl_semgraph::{MasterGraph, SemanticGraph};
-use xpl_simio::SimEnv;
+use xpl_simio::{SimDevice, SimEnv};
 use xpl_store::{
     ContentStore, DeleteReport, ImageStore, PublishReport, RetrieveReport, RetrieveRequest,
     StoreError,
@@ -82,6 +85,28 @@ pub(crate) struct PublishedImage {
     pub(crate) packages: Vec<Digest>,
     /// Its user-data manifest.
     pub(crate) data: StoredData,
+    /// Payload of its metadata row, fixed when the row was written: a
+    /// later base replacement does not rewrite it.
+    pub(crate) row_bytes: u64,
+}
+
+/// Payload of an integer column, and of a digest column in hex.
+const INT_COLUMN: u64 = 8;
+const HEX_DIGEST: u64 = 64;
+
+/// A package row: identity, blob digest, `.deb` size.
+pub(crate) fn package_row_bytes(identity: &str) -> u64 {
+    identity.len() as u64 + HEX_DIGEST + INT_COLUMN
+}
+
+/// A base row: id, attribute key, qcow2 size.
+pub(crate) fn base_row_bytes(id: &str, attrs_key: &str) -> u64 {
+    (id.len() + attrs_key.len()) as u64 + INT_COLUMN
+}
+
+/// An image row: name, base id, similarity.
+pub(crate) fn image_row_bytes(name: &str, base_id: &str) -> u64 {
+    (name.len() + base_id.len()) as u64 + INT_COLUMN
 }
 
 /// The semantic section of the repository: stored bases and their master
@@ -146,55 +171,39 @@ pub(crate) struct RepoCatalog {
     /// image name → what its latest publish stored. The integrity audit
     /// checks both CAS sections' refcounts against exactly this map.
     pub(crate) images: FxHashMap<String, PublishedImage>,
-    /// Metadata DB (charged against the repository device).
-    db: Database,
-}
-
-/// The metadb's schema is constant, so these never fire; they keep a
-/// schema edit from silently shrinking `repo_bytes`.
-fn metadb_error(e: DbError) -> StoreError {
-    StoreError::Corrupt(format!("metadb: {e}"))
+    /// Row I/O is charged here: the repository device.
+    device: Arc<SimDevice>,
+    /// Payload bytes of every metadata row written and not deleted.
+    /// Base rows are never deleted, so a replaced base's row stays.
+    meta_bytes: u64,
 }
 
 impl RepoCatalog {
     fn new(env: &SimEnv) -> Self {
-        let mut db = Database::on_device(Arc::clone(&env.repo));
-        for (table, key, columns) in [
-            ("packages", "identity", ["digest", "deb_size"]),
-            ("bases", "id", ["attrs", "qcow_bytes"]),
-            ("images", "name", ["base_id", "similarity"]),
-        ] {
-            let mut defs = vec![ColumnDef::indexed(key)];
-            defs.extend(columns.map(ColumnDef::plain));
-            db.create_table(Schema::new(table, defs)).expect("fresh db");
-        }
         RepoCatalog {
             semantic: SemanticState::default(),
             package_index: FxHashMap::default(),
             images: FxHashMap::default(),
-            db,
+            device: Arc::clone(&env.repo),
+            meta_bytes: 0,
         }
     }
 
-    pub(crate) fn insert_row(&mut self, table: &str, row: Vec<Value>) -> Result<RowId, StoreError> {
-        self.db.insert(table, row).map_err(metadb_error)
+    /// Write one metadata row of `payload` bytes.
+    pub(crate) fn insert_row(&mut self, payload: u64) {
+        self.device.charge_row_write(payload);
+        self.meta_bytes += payload;
     }
 
-    /// Delete the rows of `table` whose `column` is `value`, except `keep`.
-    pub(crate) fn delete_rows(
-        &mut self,
-        table: &str,
-        column: &str,
-        value: &str,
-        keep: Option<RowId>,
-    ) -> Result<(), StoreError> {
-        let rows = self.db.find_by(table, column, &Value::from(value));
-        for row in rows.map_err(metadb_error)? {
-            if Some(row) != keep {
-                self.db.delete(table, row).map_err(metadb_error)?;
-            }
-        }
-        Ok(())
+    /// Look up a key that matches `rows` rows: one row read each.
+    pub(crate) fn find_rows(&self, rows: u64) {
+        self.device.charge_db_read(rows);
+    }
+
+    /// Delete one metadata row of `payload` bytes.
+    pub(crate) fn delete_row(&mut self, payload: u64) {
+        self.device.charge_db_write(1);
+        self.meta_bytes -= payload;
     }
 }
 
@@ -267,7 +276,8 @@ impl RepoState {
                 keep
             });
             for identity in gone {
-                cat.delete_rows("packages", "identity", &identity, None)?;
+                cat.find_rows(1);
+                cat.delete_row(package_row_bytes(&identity));
             }
         }
         Ok(freed)
@@ -307,12 +317,12 @@ impl RepoState {
     }
 
     /// Repository footprint: package blobs + data blobs + base qcow2s +
-    /// metadata payload.
+    /// metadata row payload.
     pub(crate) fn repo_bytes(&self, cat: &RepoCatalog) -> u64 {
         self.packages.unique_bytes()
             + self.data_store.unique_bytes()
             + cat.semantic.qcow_bytes_total()
-            + cat.db.payload_bytes()
+            + cat.meta_bytes
     }
 }
 
@@ -371,8 +381,10 @@ impl ExpelliarmusRepo {
             .images
             .remove(name)
             .ok_or_else(|| StoreError::NotFound(name.to_string()))?;
+        let row_bytes = image.row_bytes;
         let units = st.release_image(cat, image)?;
-        cat.delete_rows("images", "name", name, None)?;
+        cat.find_rows(1);
+        cat.delete_row(row_bytes);
         // Stored bases and master graphs are shared substrate across all
         // published images; deletes keep them (Algorithm 1's consolidation
         // already bounds their number).

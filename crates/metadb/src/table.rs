@@ -1,15 +1,14 @@
 //! Tables, schemas and secondary indexes.
 
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Row identifier (monotonic per table, never reused).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RowId(pub u64);
 
 /// A column definition.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ColumnDef {
     pub name: String,
     /// Maintain a secondary index on this column.
@@ -33,7 +32,7 @@ impl ColumnDef {
 }
 
 /// Table schema.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Schema {
     pub name: String,
     pub columns: Vec<ColumnDef>,
@@ -62,13 +61,11 @@ pub enum TableError {
 }
 
 /// One table: rows + secondary indexes.
-#[derive(Clone, Serialize, Deserialize)]
-pub struct Table {
-    pub schema: Schema,
+pub(crate) struct Table {
+    schema: Schema,
     next_id: u64,
     rows: BTreeMap<RowId, Vec<Value>>,
     /// column index → (value → row ids).
-    #[serde(skip)]
     indexes: Vec<Option<BTreeMap<Value, Vec<RowId>>>>,
 }
 
@@ -84,21 +81,6 @@ impl Table {
             next_id: 0,
             rows: BTreeMap::new(),
             indexes,
-        }
-    }
-
-    /// Rebuild indexes after deserialization (indexes are derived state).
-    pub fn rebuild_indexes(&mut self) {
-        self.indexes = self
-            .schema
-            .columns
-            .iter()
-            .map(|c| c.indexed.then(BTreeMap::new))
-            .collect();
-        let rows: Vec<(RowId, Vec<Value>)> =
-            self.rows.iter().map(|(k, v)| (*k, v.clone())).collect();
-        for (id, row) in rows {
-            self.index_row(id, &row);
         }
     }
 
@@ -141,24 +123,6 @@ impl Table {
         self.rows.get(&id).map(Vec::as_slice)
     }
 
-    pub fn update(&mut self, id: RowId, row: Vec<Value>) -> Result<Vec<Value>, TableError> {
-        if row.len() != self.schema.columns.len() {
-            return Err(TableError::WrongArity {
-                expected: self.schema.columns.len(),
-                got: row.len(),
-            });
-        }
-        let old = self
-            .rows
-            .get(&id)
-            .cloned()
-            .ok_or(TableError::NoSuchRow(id))?;
-        self.unindex_row(id, &old);
-        self.index_row(id, &row);
-        self.rows.insert(id, row);
-        Ok(old)
-    }
-
     pub fn delete(&mut self, id: RowId) -> Result<Vec<Value>, TableError> {
         let old = self.rows.remove(&id).ok_or(TableError::NoSuchRow(id))?;
         self.unindex_row(id, &old);
@@ -177,41 +141,10 @@ impl Table {
         }
     }
 
-    /// Full scan with a predicate (no index required).
-    pub fn scan(&self, mut pred: impl FnMut(&[Value]) -> bool) -> Vec<RowId> {
-        self.rows
-            .iter()
-            .filter(|(_, row)| pred(row))
-            .map(|(id, _)| *id)
-            .collect()
-    }
-
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = (RowId, &[Value])> {
-        self.rows.iter().map(|(id, row)| (*id, row.as_slice()))
-    }
-
-    /// Total payload bytes across all rows (repository-size accounting for
-    /// Hemera's in-DB small files).
-    pub fn payload_bytes(&self) -> u64 {
-        self.rows
-            .values()
-            .map(|r| r.iter().map(Value::payload_len).sum::<u64>())
-            .sum()
-    }
-
-    /// Restore a row under a specific id (transaction rollback path).
+    /// Restore a deleted row under its id (transaction rollback path).
     pub(crate) fn restore(&mut self, id: RowId, row: Vec<Value>) {
         self.index_row(id, &row);
         self.rows.insert(id, row);
-        self.next_id = self.next_id.max(id.0 + 1);
     }
 
     /// Remove a row without returning it (rollback of an insert).
@@ -244,7 +177,6 @@ mod tests {
             .insert(vec!["abc".into(), Value::Int(3), vec![1u8, 2, 3].into()])
             .unwrap();
         assert_eq!(t.get(id).unwrap()[1], Value::Int(3));
-        assert_eq!(t.len(), 1);
     }
 
     #[test]
@@ -281,18 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn update_moves_index_entry() {
-        let mut t = files_table();
-        let id = t
-            .insert(vec!["old".into(), 1u64.into(), Value::Null])
-            .unwrap();
-        t.update(id, vec!["new".into(), 1u64.into(), Value::Null])
-            .unwrap();
-        assert!(t.find_by("digest", &"old".into()).unwrap().is_empty());
-        assert_eq!(t.find_by("digest", &"new".into()).unwrap(), vec![id]);
-    }
-
-    #[test]
     fn delete_cleans_index() {
         let mut t = files_table();
         let id = t
@@ -301,36 +221,6 @@ mod tests {
         t.delete(id).unwrap();
         assert!(t.find_by("digest", &"d".into()).unwrap().is_empty());
         assert_eq!(t.delete(id), Err(TableError::NoSuchRow(id)));
-    }
-
-    #[test]
-    fn scan_predicate() {
-        let mut t = files_table();
-        for i in 0..10i64 {
-            t.insert(vec![format!("d{i}").into(), i.into(), Value::Null])
-                .unwrap();
-        }
-        let big = t.scan(|r| r[1].as_int().unwrap() >= 7);
-        assert_eq!(big.len(), 3);
-    }
-
-    #[test]
-    fn payload_accounting() {
-        let mut t = files_table();
-        t.insert(vec!["dd".into(), 1u64.into(), vec![0u8; 100].into()])
-            .unwrap();
-        // 2 (text) + 8 (int) + 100 (blob).
-        assert_eq!(t.payload_bytes(), 110);
-    }
-
-    #[test]
-    fn rebuild_indexes_after_clearing() {
-        let mut t = files_table();
-        let id = t
-            .insert(vec!["d".into(), 1u64.into(), Value::Null])
-            .unwrap();
-        t.rebuild_indexes();
-        assert_eq!(t.find_by("digest", &"d".into()).unwrap(), vec![id]);
     }
 
     #[test]

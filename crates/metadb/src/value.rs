@@ -1,48 +1,13 @@
 //! Database cell values.
 
-use serde::{Deserialize, Serialize};
-
 /// A typed cell. Ordering across variants is total (`Null < Int < Text <
 //  Blob`) so any value can key a secondary index.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     Null,
     Int(i64),
     Text(String),
     Blob(Vec<u8>),
-}
-
-impl Value {
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_blob(&self) -> Option<&[u8]> {
-        match self {
-            Value::Blob(b) => Some(b),
-            _ => None,
-        }
-    }
-
-    /// Payload size in bytes (what the device charges for blob movement).
-    pub fn payload_len(&self) -> u64 {
-        match self {
-            Value::Null => 0,
-            Value::Int(_) => 8,
-            Value::Text(s) => s.len() as u64,
-            Value::Blob(b) => b.len() as u64,
-        }
-    }
 }
 
 impl From<i64> for Value {
@@ -80,14 +45,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accessors() {
-        assert_eq!(Value::Int(5).as_int(), Some(5));
-        assert_eq!(Value::from("x").as_text(), Some("x"));
-        assert_eq!(Value::from(vec![1u8, 2]).as_blob(), Some(&[1u8, 2][..]));
-        assert_eq!(Value::Null.as_int(), None);
-    }
-
-    #[test]
     fn cross_variant_ordering_total() {
         let mut vals = vec![
             Value::Blob(vec![0]),
@@ -105,13 +62,5 @@ mod tests {
                 Value::Blob(vec![0]),
             ]
         );
-    }
-
-    #[test]
-    fn payload_lengths() {
-        assert_eq!(Value::Null.payload_len(), 0);
-        assert_eq!(Value::Int(1).payload_len(), 8);
-        assert_eq!(Value::from("abc").payload_len(), 3);
-        assert_eq!(Value::from(vec![0u8; 10]).payload_len(), 10);
     }
 }

@@ -17,6 +17,10 @@ use std::sync::Arc;
 use crate::clock::{SimClock, SimDuration};
 use xpl_util::SCALE_FACTOR;
 
+/// Bytes a metadata-DB row carries in its header; only payload past
+/// them moves through the device as data.
+const ROW_HEADER_BYTES: u64 = 64;
+
 /// Static description of a device's performance characteristics.
 #[derive(Clone, Debug)]
 pub struct DeviceProfile {
@@ -179,6 +183,26 @@ impl SimDevice {
         d
     }
 
+    /// Write one metadata-DB row carrying `payload` bytes: one row op,
+    /// plus the payload when it does not fit the row header.
+    pub fn charge_row_write(&self, payload: u64) -> SimDuration {
+        let mut d = self.charge_db_write(1);
+        if payload > ROW_HEADER_BYTES {
+            d += self.charge_write(payload);
+        }
+        d
+    }
+
+    /// Read one metadata-DB row carrying `payload` bytes; see
+    /// [`Self::charge_row_write`].
+    pub fn charge_row_read(&self, payload: u64) -> SimDuration {
+        let mut d = self.charge_db_read(1);
+        if payload > ROW_HEADER_BYTES {
+            d += self.charge_read(payload);
+        }
+        d
+    }
+
     /// Durability barrier.
     pub fn charge_fsync(&self) -> SimDuration {
         self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
@@ -285,6 +309,27 @@ mod tests {
         assert_eq!(s.files_created, 2);
         assert_eq!(s.db_rows_written, 5);
         assert_eq!(s.fsyncs, 1);
+    }
+
+    #[test]
+    fn row_payload_moves_only_past_the_header() {
+        // At the 64-byte header limit a row is one row op; one byte past
+        // it, the whole payload also moves through the device.
+        for (payload, moved) in [(64, 0), (65, 65)] {
+            let d = dev();
+            let t0 = d.clock().now();
+            d.charge_row_write(payload);
+            d.charge_row_read(payload);
+            let s = d.stats();
+            assert_eq!((s.db_rows_written, s.db_rows_read), (1, 1));
+            assert_eq!((s.bytes_written, s.bytes_read), (moved, moved));
+            let p = test_profile();
+            let want = p.db_row_write
+                + p.db_row_read
+                + DeviceProfile::xfer_time(p.seq_write_bps, moved)
+                + DeviceProfile::xfer_time(p.seq_read_bps, moved);
+            assert_eq!(d.clock().since(t0), want, "{payload}-byte row");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! `#[serde(skip)]` — backed by a small in-tree JSON value model instead of
 //! serde's visitor architecture. The companion `serde_json` shim provides
 //! `to_vec` / `from_slice` / `to_string_pretty` over these traits, so
-//! round-trip persistence (metadb) and pretty result dumps (`repro`) work
+//! pretty result dumps (`repro`) and JSON read back (`benchmark/`) work
 //! for real. Swapping in the genuine crates later only requires flipping
 //! the path dependencies back to registry versions.
 

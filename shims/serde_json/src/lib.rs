@@ -1,9 +1,10 @@
 //! Offline stand-in for `serde_json` over the in-tree `serde` shim.
 //!
-//! Implements the three entry points the workspace uses — [`to_vec`],
-//! [`from_slice`], [`to_string_pretty`] — with a real JSON printer and a
-//! recursive-descent parser, so metadb persistence round-trips and the
-//! `repro` binary's result dumps are genuine JSON documents.
+//! Implements the entry points the workspace and `benchmark/` use —
+//! [`to_vec`], [`from_slice`], [`from_str`], [`to_string_pretty`] — with
+//! a real JSON printer and a recursive-descent parser, so the `repro`
+//! binary's result dumps are genuine JSON documents and the benchmark
+//! harness can read its spec and its runs back.
 
 use serde::{Deserialize, Json, JsonError, Serialize};
 
