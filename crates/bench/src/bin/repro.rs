@@ -35,31 +35,24 @@
 //!                     LZ4 by the trace's maintenance sweeps); the
 //!                     oracle report is codec-invariant.
 //! repro serve [--seed N] [--scale small|standard] [--tenants N]
-//!             [--requests N] [--servers N] [--queue-depth N]
-//!             [--store S] [--no-coalesce] [--threads N] [--json F]
-//!             [--codec raw|deflate|lz4|mixed]
-//!                     multi-tenant registry serving benchmark: a seeded
-//!                     Zipf-skewed schedule through the admission/
-//!                     coalescing/fair-share front end over a real store
-//!                     (default expelliarmus). Latency percentiles and
-//!                     the request-log fingerprint are virtual-time
-//!                     numbers — byte-identical at any --threads; only
-//!                     the replay ops/s is wall clock. Exits 1 on any
-//!                     differential-oracle violation.
-//!             [--net] [--net-faults R] [--net-seed N] [--conns N]
-//!                     With --net the schedule is served over the
-//!                     xpl-net wire layer instead: a threaded server
-//!                     fronts the store behind the frame codec and the
-//!                     per-tenant admission gate, and a pool of
-//!                     retrying clients (N connections per tenant)
-//!                     drives it. Clean runs use real TCP on loopback;
-//!                     --net-faults R (implies --net) switches to the
-//!                     deterministic in-memory transport with seeded
-//!                     resets, torn writes, short reads, and delays at
-//!                     rate R/256. The key->digest table assembled from
-//!                     wire responses must be byte-identical to the
-//!                     in-process table at any fault rate; exits 1
-//!                     otherwise.
+//!             [--requests N] [--queue-depth N] [--store S] [--threads N]
+//!             [--codec raw|deflate|lz4|mixed] [--net-faults R]
+//!             [--net-seed N] [--conns N] [--json F]
+//!                     multi-tenant serving benchmark over the xpl-net
+//!                     wire layer: a seeded Zipf-skewed schedule is
+//!                     served by a threaded server in front of a real
+//!                     store (default expelliarmus), behind per-tenant
+//!                     admission and request coalescing, and driven by
+//!                     a pool of retrying clients (N connections per
+//!                     tenant). Clean runs use real TCP on loopback;
+//!                     --net-faults R switches to the deterministic
+//!                     in-memory transport with seeded resets, torn
+//!                     writes, short reads, and delays at rate R/256.
+//!                     The key->digest table assembled from wire
+//!                     responses must be byte-identical to the table
+//!                     computed in process, at any fault rate; exits 1
+//!                     otherwise. --threads pins the worker pool the
+//!                     in-process setup and memo pass run on.
 //! repro profile [--images N] [--seed N] [--json F]
 //!                     span-tree profile of the dedup publish pipeline:
 //!                     each image's publish is traced through its
@@ -89,7 +82,8 @@
 //! and its snapshot (deterministic + wall sections, with fingerprints)
 //! is written to FILE as canonical JSON. Attaching the registry never
 //! changes the run's report or exit code — the det section is a pure
-//! function of the executed ops, byte-identical at any `--threads`.
+//! function of the executed ops, so churn's is byte-identical at any
+//! `--threads` (serve's store hits depend on which requests coalesce).
 //! `--no-metrics` spells the default explicitly.
 
 use std::io::Write as _;
@@ -313,7 +307,7 @@ fn run_churn_cmd(args: &[String]) -> ! {
     finish_oracle_run("churn", &report, &report.violations, json, metrics)
 }
 
-/// The shared tail of `churn`, `serve` and `serve --net`: write the
+/// The shared tail of `churn` and `serve`: write the
 /// `--json` report and the `--metrics` snapshot (both even when the
 /// oracle failed, so a red CI job still uploads them), then exit 0 on
 /// a clean oracle, or 1 after printing the first 20 violations.
@@ -401,10 +395,10 @@ fn run_audit_cmd(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// `repro serve` — the multi-tenant registry serving benchmark (see
-/// `xpl_bench::serve` for the three-phase pipeline).
+/// `repro serve` — the multi-tenant wire serving benchmark (see
+/// `xpl_bench::serve_net` for the three legs).
 fn run_serve_cmd(args: &[String]) -> ! {
-    use xpl_bench::{ServeRunConfig, StoreKind};
+    use xpl_bench::{NetServeConfig, NetTransportKind, ServeRunConfig, StoreKind};
     let seed: u64 = parse_u64_flag(args, "--seed").unwrap_or(0xC0FFEE);
     let mut cfg = match parse_scale(args) {
         "standard" => ServeRunConfig::standard(seed),
@@ -416,9 +410,6 @@ fn run_serve_cmd(args: &[String]) -> ! {
     if let Some(r) = parse_nonzero_flag(args, "--requests") {
         cfg.requests = r as usize;
     }
-    if let Some(s) = parse_nonzero_flag(args, "--servers") {
-        cfg.servers = s as usize;
-    }
     if let Some(q) = parse_nonzero_flag(args, "--queue-depth") {
         cfg.queue_depth = q as usize;
     }
@@ -429,63 +420,47 @@ fn run_serve_cmd(args: &[String]) -> ! {
             ))
         });
     }
-    if args.iter().any(|a| a == "--no-coalesce") {
-        cfg.coalesce = false;
-    }
     if let Some(tier) = parse_codec_tier(args) {
         cfg.tier = tier;
     }
+    let mut net = NetServeConfig::default();
+    if let Some(rate) = parse_u64_flag(args, "--net-faults") {
+        if rate > 256 {
+            fail(format!(
+                "--net-faults {rate} exceeds the 256/256 maximum rate"
+            ));
+        }
+        net.fault_rate = rate as u32;
+    }
+    // Fault injection needs the deterministic in-memory transport;
+    // clean runs exercise real TCP on a loopback socket.
+    net.transport = if net.fault_rate > 0 {
+        NetTransportKind::Mem
+    } else {
+        NetTransportKind::Tcp
+    };
+    if let Some(s) = parse_u64_flag(args, "--net-seed") {
+        net.net_seed = s;
+    }
+    if let Some(c) = parse_nonzero_flag(args, "--conns") {
+        net.conns_per_tenant = c as usize;
+    }
+    let threads = parse_threads(args);
     let json = flag_value(args, "--json");
     let metrics = parse_metrics(args);
     cfg.registry = metrics.as_ref().map(|m| m.registry.clone());
 
-    // `--net`: serve the schedule over the wire layer instead of the
-    // virtual-time registry simulation (see `xpl_bench::serve_net`).
-    if args.iter().any(|a| a == "--net") || flag_value(args, "--net-faults").is_some() {
-        use xpl_bench::{NetServeConfig, NetTransportKind};
-        let mut net = NetServeConfig::default();
-        if let Some(rate) = parse_u64_flag(args, "--net-faults") {
-            if rate > 256 {
-                fail(format!(
-                    "--net-faults {rate} exceeds the 256/256 maximum rate"
-                ));
-            }
-            net.fault_rate = rate as u32;
-        }
-        // Fault injection needs the deterministic in-memory transport;
-        // clean runs exercise real TCP on a loopback socket.
-        net.transport = if net.fault_rate > 0 {
-            NetTransportKind::Mem
-        } else {
-            NetTransportKind::Tcp
-        };
-        if let Some(s) = parse_u64_flag(args, "--net-seed") {
-            net.net_seed = s;
-        }
-        if let Some(c) = parse_nonzero_flag(args, "--conns") {
-            net.conns_per_tenant = c as usize;
-        }
-        eprintln!(
-            "[repro] serve --net: seed={seed:#x} scale={} tenants={} requests={} store={:?} \
-             transport={:?} faults={}/256",
-            cfg.scale_name, cfg.tenants, cfg.requests, cfg.store, net.transport, net.fault_rate
-        );
-        let report = xpl_bench::run_serve_net(&cfg, &net);
-        print!("{}", xpl_bench::serve_net::render_net(&report));
-        finish_oracle_run("net serve", &report, &report.violations, json, metrics)
-    }
-
-    let threads = parse_threads(args);
     eprintln!(
-        "[repro] serve: seed={seed:#x} scale={} tenants={} requests={} store={:?}",
-        cfg.scale_name, cfg.tenants, cfg.requests, cfg.store
+        "[repro] serve: seed={seed:#x} scale={} tenants={} requests={} store={:?} \
+         transport={:?} faults={}/256",
+        cfg.scale_name, cfg.tenants, cfg.requests, cfg.store, net.transport, net.fault_rate
     );
-    let run = || xpl_bench::run_serve(&cfg);
+    let run = || xpl_bench::run_serve_net(&cfg, &net);
     let report = match threads {
         Some(n) => rayon::with_num_threads(n, run),
         None => run(),
     };
-    print!("{}", xpl_bench::serve::render(&report));
+    print!("{}", xpl_bench::serve_net::render_net(&report));
     finish_oracle_run("serve", &report, &report.violations, json, metrics)
 }
 

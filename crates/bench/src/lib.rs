@@ -10,7 +10,6 @@ pub mod churn;
 pub mod experiments;
 pub mod profile;
 pub mod render;
-pub mod serve;
 pub mod serve_net;
 
 pub use churn::{run_churn, ChurnConfig, ChurnReport};
@@ -19,5 +18,6 @@ pub use experiments::{
     Fig3Scenario,
 };
 pub use profile::{render_profile, run_profile, ProfileConfig, ProfileReport};
-pub use serve::{run_serve, ServeReport, ServeRunConfig, StoreKind};
-pub use serve_net::{run_serve_net, NetServeConfig, NetServeReport, NetTransportKind};
+pub use serve_net::{
+    run_serve_net, NetServeConfig, NetServeReport, NetTransportKind, ServeRunConfig, StoreKind,
+};

@@ -1,14 +1,19 @@
-//! The wire serving benchmark — `repro serve --net`.
+//! The wire serving benchmark — `repro serve`.
 //!
-//! Drives the same seeded multi-tenant schedule as `repro serve`, but
-//! over the `xpl-net` wire layer: a threaded server fronts the real
-//! store behind the frame codec and per-tenant admission gate, and a
-//! pool of retrying clients (one [`xpl_net::NetClient`] per tenant
-//! connection) pushes every scheduled request through it. Three legs:
+//! Drives a seeded multi-tenant schedule
+//! ([`xpl_workloads::ServeSchedule`]: Zipf-skewed, retrieve-heavy,
+//! with byte-range reads) through the `xpl-net` wire layer: a threaded
+//! server fronts the real store behind the frame codec, the per-tenant
+//! admission gate and request coalescing, and a pool of retrying
+//! clients (one [`xpl_net::NetClient`] per tenant connection) pushes
+//! every scheduled request through it. Three legs:
 //!
-//! 1. **In-process memoization.** Execute each distinct request key
-//!    once against the store, exactly as `run_serve` phase 1 does, and
-//!    fingerprint the sorted `key -> payload digest` table.
+//! 1. **In-process memoization.** Publish the scaled world into the
+//!    chosen store, execute each distinct request key once against it,
+//!    and fingerprint the sorted `key -> payload digest` table. The
+//!    pass warms the store's temperature counters, so one maintenance
+//!    sweep then re-encodes the hot set onto the fast codec: the wire
+//!    run serves the mixed-codec state the tier policy converges to.
 //! 2. **The wire run.** Serve the whole schedule through the chosen
 //!    transport — real TCP on a loopback socket, or the deterministic
 //!    fault-injecting in-memory transport (`--net-faults`) with seeded
@@ -18,22 +23,116 @@
 //!    against the memoized digest, and the table assembled from wire
 //!    responses is fingerprinted again: `wire_key_digests_sha256` must
 //!    be byte-identical to the in-process `key_digests_sha256`. A lost
-//!    request, a duplicated or torn payload, or a client left hanging
-//!    is a violation — under any fault rate.
+//!    request, a duplicated or torn payload, a payload changed by the
+//!    recompression sweep or by coalescing, or a client left hanging is
+//!    a violation — under any fault rate.
 
-use crate::serve::{execute_key, prepare, spec_key, PreparedServe, ServeRunConfig};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use xpl_baselines::{GzipStore, HemeraStore, MirageStore, QcowStore};
+use xpl_core::ExpelliarmusRepo;
 use xpl_net::{
-    BackoffPolicy, ClientStats, FaultConfig, MemHost, NetClient, NetServer, WireConfig, WireService,
+    BackoffPolicy, ClientStats, Coalescing, FaultConfig, MemHost, NetClient, NetServer, WireConfig,
+    WireService,
 };
 use xpl_registry::RequestKey;
-use xpl_store::{ImageStore, RetrieveRequest};
+use xpl_simio::SimEnv;
+use xpl_store::{semantic_fingerprint, ImageStore, RetrieveRequest, StoreError, TierPolicy};
 use xpl_util::Sha256;
-use xpl_workloads::{ScaledWorld, ServeConfig, ServeSchedule};
+use xpl_workloads::{ScaleConfig, ScaledWorld, ServeConfig, ServeSchedule};
+
+/// Which of the five stores sits behind the wire server.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StoreKind {
+    Qcow2,
+    Gzip,
+    Mirage,
+    Hemera,
+    Expelliarmus,
+}
+
+impl StoreKind {
+    /// Parse a CLI name. Accepts the churn-report display names too.
+    pub fn parse(s: &str) -> Option<StoreKind> {
+        match s.to_ascii_lowercase().as_str() {
+            "qcow2" => Some(StoreKind::Qcow2),
+            "gzip" | "qcow2+gzip" => Some(StoreKind::Gzip),
+            "mirage" => Some(StoreKind::Mirage),
+            "hemera" => Some(StoreKind::Hemera),
+            "expelliarmus" => Some(StoreKind::Expelliarmus),
+            _ => None,
+        }
+    }
+
+    /// The store over a fresh testbed, with the codec tier policy
+    /// applied to every store that keeps compressed payloads (raw qcow2
+    /// has nothing to recompress).
+    fn make_tiered(self, tier: TierPolicy) -> Box<dyn ImageStore> {
+        match self {
+            StoreKind::Qcow2 => Box::new(QcowStore::new(SimEnv::testbed())),
+            StoreKind::Gzip => Box::new(GzipStore::new(SimEnv::testbed()).with_tier(tier)),
+            StoreKind::Mirage => Box::new(MirageStore::new(SimEnv::testbed()).with_tier(tier)),
+            StoreKind::Hemera => Box::new(HemeraStore::new(SimEnv::testbed()).with_tier(tier)),
+            StoreKind::Expelliarmus => {
+                Box::new(ExpelliarmusRepo::new(SimEnv::testbed()).with_tier(tier))
+            }
+        }
+    }
+}
+
+/// One `repro serve` run's parameters.
+#[derive(Clone)]
+pub struct ServeRunConfig {
+    pub seed: u64,
+    pub scale: ScaleConfig,
+    pub scale_name: String,
+    pub tenants: u32,
+    pub requests: usize,
+    /// Per-tenant admission bound of the wire server.
+    pub queue_depth: usize,
+    pub store: StoreKind,
+    /// Codec tier policy the backing store runs under (`--codec`).
+    pub tier: TierPolicy,
+    /// Metrics registry (`--metrics`): the store mirrors its CAS
+    /// accounting into `cas.*`, and the wire server mirrors its
+    /// connection and coalescing accounting into `net.*`.
+    pub registry: Option<Arc<xpl_obs::Registry>>,
+}
+
+impl ServeRunConfig {
+    /// Small scale (32 images): the smoke/test shape.
+    pub fn small(seed: u64) -> ServeRunConfig {
+        ServeRunConfig {
+            seed,
+            scale: ScaleConfig::small(seed),
+            scale_name: "small".into(),
+            tenants: 4,
+            requests: 400,
+            queue_depth: 64,
+            store: StoreKind::Expelliarmus,
+            tier: TierPolicy::mixed(),
+            registry: None,
+        }
+    }
+
+    /// Standard scale (120 images): the CI/benchmark shape.
+    pub fn standard(seed: u64) -> ServeRunConfig {
+        ServeRunConfig {
+            seed,
+            scale: ScaleConfig::standard(seed),
+            scale_name: "standard".into(),
+            tenants: 8,
+            requests: 2000,
+            queue_depth: 128,
+            store: StoreKind::Expelliarmus,
+            tier: TierPolicy::mixed(),
+            registry: None,
+        }
+    }
+}
 
 /// Which transport carries the schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,7 +143,7 @@ pub enum NetTransportKind {
     Mem,
 }
 
-/// `repro serve --net` parameters on top of [`ServeRunConfig`].
+/// Wire parameters on top of [`ServeRunConfig`].
 #[derive(Clone, Copy, Debug)]
 pub struct NetServeConfig {
     pub transport: NetTransportKind,
@@ -69,7 +168,7 @@ impl Default for NetServeConfig {
     }
 }
 
-/// The machine-readable `repro serve --net` report.
+/// The machine-readable `repro serve` report.
 #[derive(Clone, Debug, Serialize)]
 pub struct NetServeReport {
     pub schema_version: u32,
@@ -77,6 +176,11 @@ pub struct NetServeReport {
     pub net_seed: u64,
     pub scale: String,
     pub store: String,
+    /// Codec tier policy the store ran under (`TierPolicy::describe`).
+    pub tier: String,
+    /// Blobs the post-memoization maintenance sweep re-encoded onto the
+    /// hot codec (zero for raw stores or an all-cold policy).
+    pub maintain_promoted: usize,
     pub transport: String,
     pub fault_rate: u32,
     pub tenants: u32,
@@ -85,9 +189,7 @@ pub struct NetServeReport {
     pub queue_depth: usize,
     pub images_published: usize,
     pub distinct_keys: usize,
-    /// In-process fingerprint of the sorted `key -> digest` table
-    /// (identical to `repro serve`'s field of the same name for the
-    /// same seed/scale/store).
+    /// In-process fingerprint of the sorted `key -> digest` table.
     pub key_digests_sha256: String,
     /// The same table assembled purely from wire responses. Must be
     /// byte-identical to `key_digests_sha256`.
@@ -105,6 +207,10 @@ pub struct NetServeReport {
     pub srv_peer_closed: u64,
     pub srv_drain_rejects: u64,
     pub srv_frame_errors: u64,
+    /// Service calls that ran the store, and requests that shared a
+    /// concurrent identical call instead (see [`Coalescing`]).
+    pub coalesce_primaries: u64,
+    pub coalesce_waiters: u64,
     // Injected-fault counters (zero on clean transports).
     pub faults_resets: u64,
     pub faults_torn_writes: u64,
@@ -122,6 +228,87 @@ pub struct NetServeReport {
     /// Differential-oracle violations (must be empty at any fault
     /// rate): digest mismatches, lost requests, table divergence.
     pub violations: Vec<String>,
+}
+
+fn spec_key(spec: &xpl_workloads::ServeRequestSpec) -> RequestKey {
+    match spec.range {
+        None => RequestKey::Image {
+            image: spec.image.clone(),
+        },
+        Some((frac, len)) => RequestKey::Range {
+            image: spec.image.clone(),
+            start_frac: frac,
+            len_bytes: len,
+        },
+    }
+}
+
+/// Execute one key against the store and return its payload digest.
+/// Full retrievals fingerprint the effective guest state (the churn
+/// oracle's identity — Expelliarmus reproduces semantics, not snapshot
+/// bytes); range reads fingerprint the exact bytes.
+fn execute_key(
+    store: &dyn ImageStore,
+    world: &ScaledWorld,
+    requests: &HashMap<String, (RetrieveRequest, u64)>,
+    key: &RequestKey,
+) -> Result<String, StoreError> {
+    match key {
+        RequestKey::Image { image } => {
+            let (req, _) = &requests[image];
+            let (vmi, _) = store.retrieve(&world.catalog, req)?;
+            Ok(semantic_fingerprint(&world.catalog, &vmi).to_hex())
+        }
+        RequestKey::Range {
+            image,
+            start_frac,
+            len_bytes,
+        } => {
+            let (req, disk_size) = &requests[image];
+            let start = disk_size * (*start_frac as u64) / 256;
+            let (bytes, _) = store.retrieve_range(&world.catalog, req, start, *len_bytes as u64)?;
+            Ok(Sha256::digest(&bytes).to_hex())
+        }
+    }
+}
+
+/// The setup: scaled world, published store, and the per-image
+/// retrieve requests.
+struct PreparedServe {
+    world: ScaledWorld,
+    names: Vec<String>,
+    store: Arc<dyn ImageStore>,
+    requests: HashMap<String, (RetrieveRequest, u64)>,
+}
+
+/// Generate the scaled world, publish generation 0 of the whole
+/// catalog into the chosen store, then attach the run's registry (so
+/// the snapshot counts the served load, not the setup).
+fn prepare(cfg: &ServeRunConfig) -> PreparedServe {
+    let world = ScaledWorld::generate(&cfg.scale);
+    let names = world.image_names();
+    let store: Arc<dyn ImageStore> = Arc::from(cfg.store.make_tiered(cfg.tier));
+    let mut requests: HashMap<String, (RetrieveRequest, u64)> = HashMap::new();
+    for name in &names {
+        let vmi = world.build(name, 0);
+        store
+            .publish(&world.catalog, &vmi)
+            .unwrap_or_else(|e| panic!("serve setup: publish {name}: {e}"));
+        let size = vmi.disk.virtual_size();
+        requests.insert(
+            name.clone(),
+            (RetrieveRequest::for_image(&vmi, &world.catalog), size),
+        );
+    }
+    if let Some(reg) = &cfg.registry {
+        store.attach_obs(reg);
+    }
+    PreparedServe {
+        world,
+        names,
+        store,
+        requests,
+    }
 }
 
 /// The service the wire server runs: parse the canonical key rendering,
@@ -148,7 +335,7 @@ impl WireService for StoreService {
         if !self.requests.contains_key(image) {
             return Err(format!("unknown image {image:?}"));
         }
-        let (_, _, digest) = execute_key(&*self.store, &self.world, &self.requests, &key)
+        let digest = execute_key(&*self.store, &self.world, &self.requests, &key)
             .map_err(|e| format!("{}: {e}", key.render()))?;
         Ok(digest.into_bytes())
     }
@@ -182,8 +369,7 @@ pub fn run_serve_net(cfg: &ServeRunConfig, net: &NetServeConfig) -> NetServeRepo
 
     // Leg 1 — the schedule and the in-process digest table. Arrival
     // times are irrelevant over the wire (clients issue back to back);
-    // the key stream is what matters, and it is identical to
-    // `run_serve`'s for the same seed.
+    // the key stream is what matters.
     let mut serve_cfg = ServeConfig::new(cfg.seed);
     serve_cfg.tenants = cfg.tenants;
     serve_cfg.requests = cfg.requests;
@@ -194,21 +380,32 @@ pub fn run_serve_net(cfg: &ServeRunConfig, net: &NetServeConfig) -> NetServeRepo
         let key = spec_key(spec);
         let rendered = key.render();
         if !memo.contains_key(&rendered) {
-            let (_, _, digest) = execute_key(&*store, &world, &requests, &key)
-                .unwrap_or_else(|e| panic!("net serve memo: {rendered}: {e}"));
+            let digest = execute_key(&*store, &world, &requests, &key)
+                .unwrap_or_else(|e| panic!("serve memo: {rendered}: {e}"));
             memo.insert(rendered.clone(), digest);
         }
         keys.push((spec.tenant, rendered));
     }
     let key_digests_sha256 = sorted_table_sha256(&memo);
     let distinct_keys = memo.len();
+    // The memo pass warmed the temperature counters (every distinct key
+    // was read at least once, Zipf-popular images many times). One
+    // maintenance sweep re-encodes the hot set onto the fast codec, so
+    // the wire run serves the mixed-codec state the policy converges
+    // to, and leg 3's digest diff doubles as the proof that the sweep
+    // preserved every payload.
+    let maintain = store.maintain();
 
-    // Leg 2 — the wire run.
-    let svc: Arc<dyn WireService> = Arc::new(StoreService {
-        world: world.clone(),
-        store: store.clone(),
-        requests: requests.clone(),
-    });
+    // Leg 2 — the wire run, with concurrent identical requests
+    // coalesced onto one store hit.
+    let svc = Arc::new(Coalescing::new(
+        StoreService {
+            world: world.clone(),
+            store: store.clone(),
+            requests: requests.clone(),
+        },
+        registry,
+    ));
     let wire_cfg = WireConfig {
         queue_depth: cfg.queue_depth,
         read_deadline: Duration::from_secs(30),
@@ -236,14 +433,17 @@ pub fn run_serve_net(cfg: &ServeRunConfig, net: &NetServeConfig) -> NetServeRepo
     };
     let host = match net.transport {
         NetTransportKind::Tcp => Host::Tcp(
-            NetServer::bind_obs("127.0.0.1:0", svc, wire_cfg, registry)
+            NetServer::bind_obs("127.0.0.1:0", svc.clone(), wire_cfg, registry)
                 .unwrap_or_else(|e| panic!("net serve: bind: {e}")),
         ),
-        NetTransportKind::Mem => {
-            Host::Mem(Arc::new(MemHost::new_obs(svc, wire_cfg, faults, registry)))
-        }
+        NetTransportKind::Mem => Host::Mem(Arc::new(MemHost::new_obs(
+            svc.clone(),
+            wire_cfg,
+            faults,
+            registry,
+        ))),
     };
-    let probe_client = |tenant: u32, seed: u64| -> NetClient {
+    let connect_client = |tenant: u32, seed: u64| -> NetClient {
         match &host {
             Host::Tcp(server) => {
                 NetClient::tcp(server.local_addr(), tenant, wire_cfg, backoff, seed)
@@ -285,21 +485,7 @@ pub fn run_serve_net(cfg: &ServeRunConfig, net: &NetServeConfig) -> NetServeRepo
                     continue;
                 }
                 let client_seed = net.net_seed ^ (tenant as u64) << 16 ^ conn as u64;
-                let mut client = match &host {
-                    Host::Tcp(server) => {
-                        NetClient::tcp(server.local_addr(), tenant, wire_cfg, backoff, client_seed)
-                    }
-                    Host::Mem(host) => {
-                        let host = host.clone();
-                        NetClient::new(
-                            tenant,
-                            wire_cfg,
-                            backoff,
-                            client_seed,
-                            Box::new(move || Ok(host.connect())),
-                        )
-                    }
-                };
+                let mut client = connect_client(tenant, client_seed);
                 workers_live.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                 let (wire_table, violations, pool_stats, memo, workers_live) =
                     (&wire_table, &violations, &pool_stats, &memo, &workers_live);
@@ -346,7 +532,7 @@ pub fn run_serve_net(cfg: &ServeRunConfig, net: &NetServeConfig) -> NetServeRepo
         if registry.is_some() {
             let (violations, workers_live, probes_ok, last_probe_fp) =
                 (&violations, &workers_live, &probes_ok, &last_probe_fp);
-            let mut prober = probe_client(0, net.net_seed ^ 0x5747_5053);
+            let mut prober = connect_client(0, net.net_seed ^ 0x5747_5053);
             scope.spawn(move || {
                 while workers_live.load(std::sync::atomic::Ordering::SeqCst) > 0 {
                     match prober.stats_snapshot() {
@@ -381,7 +567,7 @@ pub fn run_serve_net(cfg: &ServeRunConfig, net: &NetServeConfig) -> NetServeRepo
     // even as it rejects ordinary requests.
     if let (Some(_), Host::Mem(mem)) = (registry, &host) {
         mem.begin_drain();
-        let mut prober = probe_client(0, net.net_seed ^ 0x4452_4149);
+        let mut prober = connect_client(0, net.net_seed ^ 0x4452_4149);
         match prober.stats_snapshot() {
             Ok(raw) => match std::str::from_utf8(&raw)
                 .ok()
@@ -480,11 +666,13 @@ pub fn run_serve_net(cfg: &ServeRunConfig, net: &NetServeConfig) -> NetServeRepo
     }
 
     NetServeReport {
-        schema_version: 2,
+        schema_version: 3,
         seed: cfg.seed,
         net_seed: net.net_seed,
         scale: cfg.scale_name.clone(),
         store: store.name().to_string(),
+        tier: cfg.tier.describe().to_string(),
+        maintain_promoted: maintain.promoted,
         transport: transport_name.to_string(),
         fault_rate: net.fault_rate,
         tenants: cfg.tenants,
@@ -506,6 +694,8 @@ pub fn run_serve_net(cfg: &ServeRunConfig, net: &NetServeConfig) -> NetServeRepo
         srv_peer_closed: srv.peer_closed,
         srv_drain_rejects: srv.drain_rejects,
         srv_frame_errors: srv.frame_errors,
+        coalesce_primaries: svc.primaries(),
+        coalesce_waiters: svc.waiters(),
         faults_resets: fault_counts[0],
         faults_torn_writes: fault_counts[1],
         faults_short_reads: fault_counts[2],
@@ -528,13 +718,18 @@ pub fn render_net(r: &NetServeReport) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "SERVE/NET: {} requests from {} tenants over {} against {} ({} scale, seed {:#x})",
+        "SERVE: {} requests from {} tenants over {} against {} ({} scale, seed {:#x})",
         r.requests, r.tenants, r.transport, r.store, r.scale, r.seed
     );
     let _ = writeln!(
         s,
         "  wire: {} conns/tenant, queue depth {}, fault rate {}/256 (net seed {:#x})",
         r.conns_per_tenant, r.queue_depth, r.fault_rate, r.net_seed
+    );
+    let _ = writeln!(
+        s,
+        "  codec tier {} ({} blobs promoted); coalescing: {} store calls, {} shared",
+        r.tier, r.maintain_promoted, r.coalesce_primaries, r.coalesce_waiters
     );
     let _ = writeln!(
         s,
@@ -607,21 +802,44 @@ mod tests {
     }
 
     #[test]
-    fn net_digest_table_equals_run_serve_digest_table() {
-        // The acceptance pin: the wire leg and the in-process pipeline
-        // fingerprint the same key -> digest table for the same
-        // seed/scale/store.
-        let cfg = tiny_cfg(0x11E8);
-        let in_process = crate::serve::run_serve(&cfg);
+    fn codec_tiers_serve_identical_payloads() {
+        // The serving-path digest-preservation pin: one schedule, one
+        // seed, two tier policies. The raw store never recompresses;
+        // the mixed store promotes its Zipf-hot blobs onto LZ4 after
+        // memoization, before the wire run. No payload may notice.
         let net = NetServeConfig {
             transport: NetTransportKind::Mem,
             fault_rate: 0,
             net_seed: 2,
             conns_per_tenant: 1,
         };
-        let wire = run_serve_net(&cfg, &net);
-        assert_eq!(wire.key_digests_sha256, in_process.key_digests_sha256);
-        assert_eq!(wire.wire_key_digests_sha256, in_process.key_digests_sha256);
+        let mut cfg = tiny_cfg(0x71E6);
+        cfg.tier = TierPolicy::raw();
+        let raw = run_serve_net(&cfg, &net);
+        cfg.tier = TierPolicy::mixed();
+        let mixed = run_serve_net(&cfg, &net);
+        for r in [&raw, &mixed] {
+            assert!(r.violations.is_empty(), "{}: {:?}", r.tier, r.violations);
+            assert_eq!(r.wire_key_digests_sha256, r.key_digests_sha256);
+        }
+        assert_eq!(raw.key_digests_sha256, mixed.key_digests_sha256);
+        assert_eq!((raw.tier.as_str(), mixed.tier.as_str()), ("raw", "mixed"));
+        assert!(mixed.maintain_promoted > 0, "Zipf-hot blobs must promote");
+        assert_eq!(raw.maintain_promoted, 0, "raw tier has nothing to promote");
+    }
+
+    #[test]
+    fn store_kind_parses_all_five() {
+        for (name, kind) in [
+            ("qcow2", StoreKind::Qcow2),
+            ("Qcow2+Gzip", StoreKind::Gzip),
+            ("mirage", StoreKind::Mirage),
+            ("HEMERA", StoreKind::Hemera),
+            ("expelliarmus", StoreKind::Expelliarmus),
+        ] {
+            assert_eq!(StoreKind::parse(name), Some(kind));
+        }
+        assert_eq!(StoreKind::parse("zfs"), None);
     }
 
     #[test]
@@ -652,6 +870,7 @@ mod tests {
         let json = registry.snapshot().render_json();
         assert!(json.contains("\"cas.get.hits\""), "{json}");
         assert!(json.contains("\"net.served\""), "{json}");
+        assert!(json.contains("\"net.coalesce.primaries\""), "{json}");
         assert!(json.contains("\"net.stats.served\""), "{json}");
         assert!(json.contains("\"net.client.served\""), "{json}");
         assert!(json.contains("\"net.faults.resets\""), "{json}");

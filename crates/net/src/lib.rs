@@ -24,17 +24,20 @@
 //!   with [`NetError::Rejected`]), flushes, then closes.
 //!
 //! The server maps per-connection tenants onto the registry's
-//! [`xpl_registry::AdmissionGate`]; `xpl-bench`'s `repro serve --net`
-//! drives the whole `ServeSchedule` through it under the same
-//! differential digest oracle as the in-process run.
+//! [`xpl_registry::AdmissionGate`], and [`Coalescing`] shares one
+//! service call among concurrent identical requests. `xpl-bench`'s
+//! `repro serve` drives the whole `ServeSchedule` through both, and
+//! diffs every reply against a digest table computed in process.
 
 mod client;
+mod coalesce;
 mod error;
 pub mod frame;
 mod server;
 mod transport;
 
 pub use client::{BackoffPolicy, ClientStats, Connector, NetClient};
+pub use coalesce::Coalescing;
 pub use error::NetError;
 pub use frame::{Frame, FrameKind, DEFAULT_MAX_FRAME, HEADER_LEN, TRAILER_LEN};
 pub use server::{

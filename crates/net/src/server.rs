@@ -379,6 +379,23 @@ fn send_reply(
     }
 }
 
+/// Track a new connection thread, first joining the ones that have
+/// finished, so a reconnect storm cannot grow the list without bound.
+fn push_reaped(conns: &Mutex<Vec<JoinHandle<()>>>, handle: JoinHandle<()>) {
+    let mut conns = conns
+        .lock()
+        .expect("a thread panicked while tracking connections");
+    let mut i = 0;
+    while i < conns.len() {
+        if conns[i].is_finished() {
+            let _ = conns.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+    conns.push(handle);
+}
+
 // ---------------------------------------------------------- TCP server
 
 /// A threaded TCP front end: accept loop + one thread per connection.
@@ -457,7 +474,7 @@ impl NetServer {
                                 );
                             })
                             .expect("spawn connection thread");
-                        conns.lock().unwrap().push(handle);
+                        push_reaped(&conns, handle);
                     }
                 })
                 .expect("spawn accept thread")
@@ -604,7 +621,7 @@ impl MemHost {
                 )
             })
             .expect("spawn mem connection thread");
-        self.conns.lock().unwrap().push(handle);
+        push_reaped(&self.conns, handle);
         client_t
     }
 
@@ -639,5 +656,30 @@ impl MemHost {
     /// Injected-fault counters (all zero when faults are disabled).
     pub fn fault_stats(&self) -> &FaultStats {
         &self.fault_stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let svc: Arc<dyn WireService> =
+            Arc::new(|_t: u32, req: &[u8]| -> Result<Vec<u8>, String> { Ok(req.to_vec()) });
+        let host = MemHost::new(svc, WireConfig::default(), FaultConfig::none(0));
+        for _ in 0..64 {
+            drop(host.connect());
+            // Wait for this connection's server thread to see the hangup,
+            // so the next connect finds it finished.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !host.conns.lock().unwrap().iter().all(|h| h.is_finished()) {
+                assert!(Instant::now() < deadline, "connection thread never exited");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert!(host.conns.lock().unwrap().len() <= 1);
+        }
+        assert_eq!(host.drain().connections, 64);
     }
 }

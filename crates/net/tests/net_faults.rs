@@ -178,6 +178,26 @@ fn overload_is_a_typed_wire_response_not_a_dropped_connection() {
     let (_, status, _) = decode_response(&f.payload).unwrap();
     assert_eq!(status, STATUS_OVERLOAD);
 
+    // Admission isolation: while tenant 7 sits at its bound and is
+    // refused, every request from tenant 8 is served.
+    let mut c = host.connect();
+    hello(&mut *c, 8);
+    for i in 0..16u64 {
+        let body = format!("light-{i}");
+        write_frame(
+            &mut *c,
+            FrameKind::Request,
+            &encode_request(i, body.as_bytes()),
+        )
+        .unwrap();
+        let f = read_frame(&mut *c, DEFAULT_MAX_FRAME)
+            .unwrap()
+            .expect("light tenant response");
+        let (id, status, reply) = decode_response(&f.payload).unwrap();
+        assert_eq!((id, status, reply), (i, STATUS_OK, body.as_bytes()));
+    }
+    assert_eq!(host.gate_in_flight(7), 1, "tenant 7 still holds its slot");
+
     // Release A; B's retry on the SAME connection now succeeds.
     {
         let (lock, cond) = &*gate_open;
@@ -206,10 +226,10 @@ fn overload_is_a_typed_wire_response_not_a_dropped_connection() {
         std::thread::sleep(Duration::from_millis(5));
     }
     assert_eq!(retried.as_deref(), Some(&b"quick"[..]));
-    drop((a, b));
+    drop((a, b, c));
     let stats = host.drain();
     assert!(stats.overloads >= 1, "{stats:?}");
-    assert!(stats.served >= 2, "{stats:?}");
+    assert!(stats.served >= 18, "{stats:?}");
 }
 
 #[test]

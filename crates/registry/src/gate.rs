@@ -1,14 +1,11 @@
-//! Live admission control: the wall-clock counterpart of the engine's
-//! per-tenant bounded queues.
+//! Live admission control for the threaded wire server.
 //!
-//! The virtual-time engine models admission as a bounded FIFO per
-//! tenant; a real threaded front end needs the same bound enforced
-//! against *in-flight* requests. [`AdmissionGate`] is that bound: each
+//! [`AdmissionGate`] bounds each tenant's *in-flight* requests: a
 //! tenant may have at most `depth` requests in service at once, and an
 //! arrival past the bound gets a typed [`Overloaded`] — the wire layer
 //! turns that into an `Overload` response, never a dropped connection.
 //! The bound is per tenant, so one tenant's flood can exhaust only its
-//! own slots (the same isolation contract the engine pins).
+//! own slots while every other tenant keeps being served.
 
 use std::collections::HashMap;
 use std::sync::Mutex;

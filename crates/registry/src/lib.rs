@@ -1,46 +1,22 @@
-//! Multi-tenant image-registry front end.
+//! The registry's request vocabulary and its live admission control.
 //!
-//! The stores below this crate answer one retrieval at a time; a
-//! registry *serves* them: thousands of clients, skewed popularity,
-//! tenants that must not starve each other. This crate is that front
-//! end, kept deliberately free of store types so it can sit in front of
-//! any of the five evaluated stores (the bench crate plugs in a
-//! [`ServiceModel`] measured against a real store):
+//! * [`RequestKey`] — what a client asks for (a full image, or a byte
+//!   range of one) and its canonical one-line rendering, which is what
+//!   the wire layer ships and what the serving oracle's digest table is
+//!   keyed by.
+//! * [`AdmissionGate`] — per-tenant bounded in-flight admission for the
+//!   threaded wire server in `xpl-net`: a request past its tenant's
+//!   bound gets a typed `Overload`, so one tenant's flood can exhaust
+//!   only its own slots.
 //!
-//! * **Admission control** — each tenant owns a bounded FIFO queue;
-//!   a request arriving at a full queue is rejected with a typed
-//!   `Overload` outcome instead of growing memory without bound. The
-//!   bound is per tenant, so one tenant's flood can fill only its own
-//!   queue.
-//! * **Coalescing** — concurrent identical retrievals share one store
-//!   hit: the first request becomes the *primary*, later arrivals for
-//!   the same key attach as waiters and are fanned the payload out at
-//!   completion for a copy cost, not a store cost.
-//! * **Fair share** — servers pick work by deficit round-robin over the
-//!   tenant queues: each visit grants a tenant a quantum of virtual
-//!   service time, and a tenant may only dispatch when its accumulated
-//!   deficit covers the head request's cost. Heavy tenants therefore
-//!   get throughput proportional to their share, never the whole box.
-//!
-//! The engine ([`run_registry`]) is a discrete-event simulation over
-//! **virtual time**: service costs come from the cost ledger the
-//! simulated stores already maintain, so latency percentiles are exact,
-//! reproducible numbers — byte-identical across runs, hosts, and thread
-//! counts — rather than wall-clock noise. Real-store execution (and the
-//! wall-clock throughput number) happens outside, by replaying the
-//! engine's store-hit schedule; see `xpl-bench`'s serve driver.
+//! The crate is kept free of store types so the same front end sits in
+//! front of any of the five evaluated stores.
 
-mod engine;
 mod gate;
 
-pub use engine::{
-    run_registry, run_registry_obs, Outcome, RegObs, RegistryConfig, RegistryOutcome,
-    RequestRecord, TenantStats,
-};
 pub use gate::{AdmissionGate, AdmissionPermit, Overloaded};
 
-/// What a client asks the registry for. Keys are the coalescing
-/// identity: two requests coalesce iff their keys are equal.
+/// What a client asks the registry for.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RequestKey {
     /// Full image retrieval.
@@ -55,7 +31,7 @@ pub enum RequestKey {
 }
 
 impl RequestKey {
-    /// Canonical one-token rendering used by request logs.
+    /// Canonical one-line rendering: the body of a wire request.
     pub fn render(&self) -> String {
         match self {
             RequestKey::Image { image } => format!("retrieve {image}"),
@@ -95,26 +71,6 @@ impl RequestKey {
             len_bytes,
         })
     }
-}
-
-/// One client request: which tenant, when (virtual ns), and what.
-/// Requests must be fed to the engine sorted by `arrival_ns` (ties
-/// break by position, which is how simultaneous arrivals stay
-/// deterministic).
-#[derive(Clone, Debug)]
-pub struct ServeRequest {
-    pub tenant: u32,
-    pub arrival_ns: u64,
-    pub key: RequestKey,
-}
-
-/// The service-cost oracle the engine charges virtual time against.
-pub trait ServiceModel {
-    /// Virtual nanoseconds one store hit for `key` takes.
-    fn service_ns(&self, key: &RequestKey) -> u64;
-    /// Virtual nanoseconds to fan a completed payload out to one
-    /// coalesced waiter (a memory copy, not a store hit).
-    fn fanout_ns(&self, key: &RequestKey) -> u64;
 }
 
 #[cfg(test)]
