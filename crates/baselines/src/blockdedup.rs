@@ -44,7 +44,7 @@ struct Recipe {
 /// Concurrency: chunks live in the digest-sharded content store; the
 /// recipe index is a `RwLock` and same-name operations serialize on a
 /// per-image stripe, so distinct images chunk and publish in parallel.
-pub struct BlockDedupStore {
+pub(crate) struct BlockDedupStore {
     env: SimEnv,
     label: &'static str,
     chunker: Chunker,
@@ -189,9 +189,10 @@ impl BlockDedupStore {
         // read as zeros and dedup to a single zero block), not a
         // serialized file format — allocation-stable offsets are what make
         // fixed-size chunking effective on VM images.
-        let raw = xpl_vdisk::RawImage::from_qcow(&vmi.disk)
+        let data = &vmi
+            .disk
+            .read_at(0, vmi.disk.virtual_size() as usize)
             .map_err(|e| StoreError::Corrupt(format!("raw read: {e}")))?;
-        let data = raw.as_bytes();
         self.env.local.charge_read(data.len() as u64);
         let spans = self.chunker.spans(data);
         let mut chunks = Vec::with_capacity(spans.len());
@@ -259,7 +260,7 @@ impl BlockDedupStore {
         // allocation map was stored, so an all-zero cluster the published
         // disk had allocated comes back unmapped: reads are identical,
         // `serialize()` and `disk_bytes()` may be smaller.
-        let disk = xpl_vdisk::QcowImage::from_raw(&recipe.snapshot.name, &reassembled);
+        let disk = xpl_vdisk::QcowImage::from_raw(&reassembled);
         let vmi = recipe.snapshot.restore_with(disk);
         report.bytes_read = self.env.repo.stats().bytes_read - reads_before;
         report.duration = self.env.clock.since(t0);

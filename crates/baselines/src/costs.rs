@@ -3,7 +3,7 @@
 use xpl_simio::SimDuration;
 
 /// Mounting an image read-only for scanning (guestmount-class).
-pub fn mount_fixed() -> SimDuration {
+pub(crate) fn mount_fixed() -> SimDuration {
     SimDuration::from_secs_f64(2.0)
 }
 
@@ -11,12 +11,12 @@ pub fn mount_fixed() -> SimDuration {
 /// through FUSE, nominal bytes/second. The paper's Mirage/Hemera publish
 /// times scale with mounted size; ~20 MiB/s reproduces the 95–135 s scan
 /// component across the 1.9–2.7 GB images.
-pub const SCAN_BPS: u64 = 20 * 1024 * 1024;
+pub(crate) const SCAN_BPS: u64 = 20 * 1024 * 1024;
 
 /// Index-match work per scanned file (hash lookup + metadata compare).
 /// 1.8 ms/file puts Elastic Stack's 103 k files at ≈187 s, making it the
 /// slowest Mirage/Hemera publish, as in Figure 4b.
-pub fn file_match() -> SimDuration {
+pub(crate) fn file_match() -> SimDuration {
     SimDuration::from_micros(1800)
 }
 
@@ -24,26 +24,26 @@ pub fn file_match() -> SimDuration {
 /// decode) on top of the device's base row cost. Total ≈1 ms/row puts
 /// Elastic Stack retrieval at ≈115 s vs. the paper's 129.8 s, and keeps
 /// Hemera well under Mirage's 4.2 ms/file penalty path.
-pub fn hemera_row_fetch_extra() -> SimDuration {
+pub(crate) fn hemera_row_fetch_extra() -> SimDuration {
     SimDuration::from_micros(780)
 }
 
 /// Files at or below this *nominal* size go into Hemera's database
 /// (256 KB — "small sized files in the database").
-pub const HEMERA_DB_THRESHOLD_NOMINAL: u64 = 256 * 1024;
+pub(crate) const HEMERA_DB_THRESHOLD_NOMINAL: u64 = 256 * 1024;
 
 /// DEFLATE compression compute, per nominal byte (multi-core effective).
-pub fn gzip_compress_per_byte() -> SimDuration {
+pub(crate) fn gzip_compress_per_byte() -> SimDuration {
     SimDuration::from_nanos(11)
 }
 
 /// DEFLATE decompression compute, per nominal byte.
-pub fn gzip_decompress_per_byte() -> SimDuration {
+pub(crate) fn gzip_decompress_per_byte() -> SimDuration {
     SimDuration::from_nanos(4)
 }
 
 /// Charge `per_byte` cost scaled to nominal for `real_bytes`.
-pub fn scaled(per_byte: SimDuration, real_bytes: u64) -> SimDuration {
+pub(crate) fn scaled(per_byte: SimDuration, real_bytes: u64) -> SimDuration {
     SimDuration(
         per_byte
             .0
@@ -52,7 +52,7 @@ pub fn scaled(per_byte: SimDuration, real_bytes: u64) -> SimDuration {
 }
 
 /// Transfer duration for `real_bytes` at a nominal-bytes/second rate.
-pub fn xfer(real_bytes: u64, nominal_bps: u64) -> SimDuration {
+pub(crate) fn xfer(real_bytes: u64, nominal_bps: u64) -> SimDuration {
     let nominal = real_bytes as u128 * xpl_util::SCALE_FACTOR as u128;
     SimDuration(((nominal * 1_000_000_000) / nominal_bps as u128) as u64)
 }

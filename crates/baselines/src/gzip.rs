@@ -80,18 +80,6 @@ impl GzipStore {
         self
     }
 
-    /// Mean compression ratio across stored images (compressed/original).
-    pub fn mean_ratio(&self) -> f64 {
-        let images = self.images.read().unwrap();
-        if images.is_empty() {
-            return 1.0;
-        }
-        let (c, r) = images.values().fold((0u64, 0u64), |(c, r), e| {
-            (c + e.compressed.len() as u64, r + e.raw_len)
-        });
-        c as f64 / r as f64
-    }
-
     #[cfg(test)]
     fn corrupt_for_test(&self, name: &str) {
         let mut images = self.images.write().unwrap();
@@ -197,7 +185,7 @@ impl ImageStore for GzipStore {
         if raw.len() as u64 != entry.raw_len {
             return Err(StoreError::Corrupt("length mismatch after gunzip".into()));
         }
-        let disk = xpl_vdisk::QcowImage::deserialize_named(&entry.snapshot.name, &raw)
+        let disk = xpl_vdisk::QcowImage::deserialize(&raw)
             .map_err(|e| StoreError::Corrupt(format!("qcow2 stream: {e}")))?;
         report.bytes_read = entry.compressed.len() as u64;
         let vmi = entry.snapshot.restore_with(disk);
@@ -382,6 +370,17 @@ impl ImageStore for GzipStore {
 mod tests {
     use super::*;
     use xpl_workloads::World;
+
+    impl GzipStore {
+        /// Mean compression ratio across stored images (compressed/original).
+        fn mean_ratio(&self) -> f64 {
+            let images = self.images.read().unwrap();
+            let (c, r) = images.values().fold((0u64, 0u64), |(c, r), e| {
+                (c + e.compressed.len() as u64, r + e.raw_len)
+            });
+            c as f64 / r as f64
+        }
+    }
 
     #[test]
     fn compression_shrinks_repo_vs_qcow() {

@@ -96,14 +96,6 @@ impl HemeraStore {
         costs::HEMERA_DB_THRESHOLD_NOMINAL / xpl_util::SCALE_FACTOR
     }
 
-    pub fn db_file_count(&self) -> usize {
-        self.small.read().unwrap().rows.len()
-    }
-
-    pub fn fs_file_count(&self) -> usize {
-        self.cas.blob_count()
-    }
-
     /// Manifest + row-key metadata overhead.
     fn metadata_overhead(&self) -> u64 {
         let entries: u64 = self
@@ -418,6 +410,16 @@ impl ImageStore for HemeraStore {
 mod tests {
     use super::*;
     use xpl_workloads::World;
+
+    impl HemeraStore {
+        fn db_file_count(&self) -> usize {
+            self.small.read().unwrap().rows.len()
+        }
+
+        fn fs_file_count(&self) -> usize {
+            self.cas.blob_count()
+        }
+    }
 
     #[test]
     fn splits_files_between_db_and_fs() {

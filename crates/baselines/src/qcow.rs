@@ -38,10 +38,6 @@ impl QcowStore {
             names: NameLocks::new(),
         }
     }
-
-    pub fn image_count(&self) -> usize {
-        self.images.read().unwrap().len()
-    }
 }
 
 impl ImageStore for QcowStore {
@@ -103,7 +99,7 @@ impl ImageStore for QcowStore {
                 .repo
                 .charge_copy_to(&self.env.local, entry.bytes.len() as u64);
             // The returned disk is the stored stream, parsed.
-            xpl_vdisk::QcowImage::deserialize_named(&entry.snapshot.name, &entry.bytes)
+            xpl_vdisk::QcowImage::deserialize(&entry.bytes)
                 .map_err(|e| StoreError::Corrupt(format!("qcow2 stream: {e}")))
         })?;
         let vmi = entry.snapshot.restore_with(disk);
@@ -163,6 +159,12 @@ impl ImageStore for QcowStore {
 mod tests {
     use super::*;
     use xpl_workloads::World;
+
+    impl QcowStore {
+        fn image_count(&self) -> usize {
+            self.images.read().unwrap().len()
+        }
+    }
 
     #[test]
     fn publish_accumulates_full_size() {

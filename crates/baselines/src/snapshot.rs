@@ -19,7 +19,7 @@ use xpl_pkg::{BaseImageAttrs, DpkgDb, PackageId};
 use xpl_vdisk::QcowImage;
 
 #[derive(Clone)]
-pub struct VmiSnapshot {
+pub(crate) struct VmiSnapshot {
     pub name: String,
     pub base: BaseImageAttrs,
     pub fs: FsTree,
@@ -28,7 +28,7 @@ pub struct VmiSnapshot {
 }
 
 impl VmiSnapshot {
-    pub fn of(vmi: &Vmi) -> VmiSnapshot {
+    pub(crate) fn of(vmi: &Vmi) -> VmiSnapshot {
         VmiSnapshot {
             name: vmi.name.clone(),
             base: vmi.base.clone(),
@@ -39,7 +39,7 @@ impl VmiSnapshot {
     }
 
     /// Rebuild a full Vmi, regenerating its disk with `mkfs`.
-    pub fn restore(&self) -> Vmi {
+    pub(crate) fn restore(&self) -> Vmi {
         Vmi::assemble(
             &self.name,
             self.base.clone(),
@@ -50,7 +50,7 @@ impl VmiSnapshot {
     }
 
     /// The Vmi around `disk`, a disk the store read back.
-    pub fn restore_with(&self, disk: QcowImage) -> Vmi {
+    pub(crate) fn restore_with(&self, disk: QcowImage) -> Vmi {
         Vmi {
             name: self.name.clone(),
             base: self.base.clone(),

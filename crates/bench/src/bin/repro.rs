@@ -78,13 +78,18 @@
 //! fig3a/fig3c/fig4a reference images only the standard world defines.
 //!
 //! `churn` and `serve` additionally take `--metrics FILE`:
-//! an xpl-obs registry is attached to every store/server in the run
-//! and its snapshot (deterministic + wall sections, with fingerprints)
-//! is written to FILE as canonical JSON. Attaching the registry never
-//! changes the run's report or exit code — the det section is a pure
-//! function of the executed ops, so churn's is byte-identical at any
-//! `--threads` (serve's store hits depend on which requests coalesce).
+//! an xpl-obs registry is attached to the run (churn: every store;
+//! serve: the wire server) and its snapshot (deterministic + wall
+//! sections, with fingerprints) is written to FILE as canonical JSON.
+//! Attaching the registry never changes the run's report or exit code.
+//! The det section is a pure function of the executed ops, so churn's
+//! is byte-identical at any `--threads`; serve exports Wall counters
+//! only, because which requests coalesce, and so how many reach the
+//! store, varies run to run.
 //! `--no-metrics` spells the default explicitly.
+//!
+//! `repro all` writes only seed-determined text to stdout; its two
+//! wall-clock tables (codec MiB/s, master-graph CPU time) go to stderr.
 
 use std::io::Write as _;
 use xpl_bench::experiments::*;
@@ -504,7 +509,7 @@ fn run_ablate_codec_cmd(args: &[String]) -> ! {
     let json = flag_value(args, "--json");
     eprintln!("[repro] codec ablation over a {mib} MiB seeded payload…");
     let rows = ablations::codec_ablation_sweep(mib * 1024 * 1024, 0.2);
-    print_codec_ablation(&rows);
+    print_codec_ablation(&mut std::io::stdout(), &rows);
     if let Some(path) = json {
         let json = serde_json::to_string_pretty(&rows).expect("serialize codec ablation");
         std::fs::File::create(&path)
@@ -515,14 +520,15 @@ fn run_ablate_codec_cmd(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-fn print_codec_ablation(rows: &[ablations::CodecAblationRow]) {
-    println!("CODEC ABLATION: storage tiers over one seeded payload");
-    println!(
+fn print_codec_ablation(out: &mut dyn std::io::Write, rows: &[ablations::CodecAblationRow]) {
+    let mut line = |s: String| writeln!(out, "{s}").expect("write codec ablation table");
+    line("CODEC ABLATION: storage tiers over one seeded payload".into());
+    line(format!(
         "{:<16} {:>12} {:>8} {:>16} {:>18} {:>14}",
         "codec", "bytes", "ratio", "compress MiB/s", "decompress MiB/s", "range MiB/s"
-    );
+    ));
     for r in rows {
-        println!(
+        line(format!(
             "{:<16} {:>12} {:>8.3} {:>16.1} {:>18.1} {:>14.1}",
             r.codec,
             r.encoded_bytes,
@@ -530,7 +536,7 @@ fn print_codec_ablation(rows: &[ablations::CodecAblationRow]) {
             r.compress_mib_per_s,
             r.decompress_mib_per_s,
             r.range_read_mib_per_s
-        );
+        ));
     }
 }
 
@@ -710,21 +716,23 @@ fn run_ablations(world: &World) {
         );
     }
     println!();
-    // The codec-tier trade-off, small shape (`repro ablate-codec` runs
-    // the full-size sweep standalone).
-    print_codec_ablation(&ablations::codec_ablation_sweep(1024 * 1024, 0.05));
-    println!();
-    println!("ABLATION: master graph vs pairwise similarity (real CPU time)");
-    println!(
+    // The two wall-clock tables go to stderr, so stdout stays a pure
+    // function of the seed. The codec-tier trade-off, small shape
+    // (`repro ablate-codec` runs the full-size sweep standalone):
+    let codec = ablations::codec_ablation_sweep(1024 * 1024, 0.05);
+    print_codec_ablation(&mut std::io::stderr(), &codec);
+    eprintln!();
+    eprintln!("ABLATION: master graph vs pairwise similarity (real CPU time)");
+    eprintln!(
         "{:<14} {:>14} {:>14} {:>10}",
         "stored", "pairwise ms", "master ms", "speedup"
     );
     for n in [5usize, 10, 19] {
         let s = ablations::master_graph_speedup(world, n);
-        println!(
+        eprintln!(
             "{:<14} {:>14.2} {:>14.2} {:>10.1}",
             s.stored_images, s.pairwise_ms, s.master_ms, s.speedup
         );
     }
-    println!();
+    eprintln!();
 }

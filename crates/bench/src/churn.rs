@@ -310,7 +310,10 @@ pub fn five_stores(env: impl Fn() -> SimEnv) -> Vec<Box<dyn ImageStore>> {
 }
 
 /// The five stores with every tiered one (all but raw Qcow2) on `tier`.
-pub fn five_stores_tiered(env: impl Fn() -> SimEnv, tier: TierPolicy) -> Vec<Box<dyn ImageStore>> {
+pub(crate) fn five_stores_tiered(
+    env: impl Fn() -> SimEnv,
+    tier: TierPolicy,
+) -> Vec<Box<dyn ImageStore>> {
     vec![
         Box::new(QcowStore::new(env())),
         Box::new(GzipStore::new(env()).with_tier(tier)),

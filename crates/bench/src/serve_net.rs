@@ -96,9 +96,11 @@ pub struct ServeRunConfig {
     pub store: StoreKind,
     /// Codec tier policy the backing store runs under (`--codec`).
     pub tier: TierPolicy,
-    /// Metrics registry (`--metrics`): the store mirrors its CAS
-    /// accounting into `cas.*`, and the wire server mirrors its
-    /// connection and coalescing accounting into `net.*`.
+    /// Metrics registry (`--metrics`): the wire server mirrors its
+    /// connection and coalescing accounting into `net.*` Wall counters.
+    /// The store is not attached: which requests coalesce decides how
+    /// many reach it, so its `cas.*` counts would vary run to run, and
+    /// `net.coalesce.primaries` already counts the store calls.
     pub registry: Option<Arc<xpl_obs::Registry>>,
 }
 
@@ -281,9 +283,8 @@ struct PreparedServe {
     requests: HashMap<String, (RetrieveRequest, u64)>,
 }
 
-/// Generate the scaled world, publish generation 0 of the whole
-/// catalog into the chosen store, then attach the run's registry (so
-/// the snapshot counts the served load, not the setup).
+/// Generate the scaled world and publish generation 0 of the whole
+/// catalog into the chosen store.
 fn prepare(cfg: &ServeRunConfig) -> PreparedServe {
     let world = ScaledWorld::generate(&cfg.scale);
     let names = world.image_names();
@@ -300,9 +301,6 @@ fn prepare(cfg: &ServeRunConfig) -> PreparedServe {
             (RetrieveRequest::for_image(&vmi, &world.catalog), size),
         );
     }
-    if let Some(reg) = &cfg.registry {
-        store.attach_obs(reg);
-    }
     PreparedServe {
         world,
         names,
@@ -316,7 +314,7 @@ fn prepare(cfg: &ServeRunConfig) -> PreparedServe {
 /// Digests — not payloads — are the oracle identity (payloads can be
 /// gigabytes of simulated disk); a hostile or unknown key is a typed
 /// service error, never a panic.
-pub struct StoreService {
+pub(crate) struct StoreService {
     world: Arc<ScaledWorld>,
     store: Arc<dyn ImageStore>,
     requests: Arc<HashMap<String, (RetrieveRequest, u64)>>,
@@ -349,9 +347,8 @@ fn sorted_table_sha256(table: &HashMap<String, String>) -> String {
 
 /// Run the wire pipeline. See the module docs for the legs.
 ///
-/// With [`ServeRunConfig::registry`] set, the store mirrors its CAS
-/// accounting, the server mirrors its connection accounting onto
-/// `net.*` counters, a prober thread issues `Stats` wire requests
+/// With [`ServeRunConfig::registry`] set, the server mirrors its
+/// connection accounting onto `net.*` counters, a prober thread issues `Stats` wire requests
 /// *while* the schedule (and any fault storm) is in flight, and one
 /// more probe lands mid-drain on the in-memory host — every snapshot
 /// must come back parseable with a well-formed deterministic-section
@@ -865,15 +862,35 @@ mod tests {
             "{}",
             r.stats_probe_fingerprint
         );
-        // The registry saw both sides: CAS work (det) and wire traffic
-        // (wall), including the client/fault fold-in.
+        // The registry saw the wire traffic (wall), including the
+        // client/fault fold-in.
         let json = registry.snapshot().render_json();
-        assert!(json.contains("\"cas.get.hits\""), "{json}");
         assert!(json.contains("\"net.served\""), "{json}");
         assert!(json.contains("\"net.coalesce.primaries\""), "{json}");
         assert!(json.contains("\"net.stats.served\""), "{json}");
         assert!(json.contains("\"net.client.served\""), "{json}");
         assert!(json.contains("\"net.faults.resets\""), "{json}");
+    }
+
+    #[test]
+    fn same_seed_gives_the_same_det_fingerprint() {
+        // Coalescing decides how many requests reach the store, and that
+        // varies run to run; nothing it decides may reach the Det section.
+        let det = || {
+            let registry = xpl_obs::Registry::new();
+            let mut cfg = tiny_cfg(0x11EC);
+            cfg.registry = Some(Arc::clone(&registry));
+            let net = NetServeConfig {
+                transport: NetTransportKind::Mem,
+                fault_rate: 0,
+                net_seed: 7,
+                conns_per_tenant: 3,
+            };
+            let r = run_serve_net(&cfg, &net);
+            assert!(r.violations.is_empty(), "{:?}", r.violations);
+            registry.snapshot().det_fingerprint()
+        };
+        assert_eq!(det(), det());
     }
 
     #[test]

@@ -65,33 +65,12 @@ impl ChunkIndex {
         }
     }
 
-    /// Ingest a whole buffer with the given chunk spans.
-    pub fn ingest(&mut self, data: &[u8], spans: &[ChunkSpan]) {
-        debug_assert!(spans_cover(spans, data.len()));
-        for s in spans {
-            self.insert(&data[s.offset..s.offset + s.len]);
-        }
-    }
-
-    pub fn unique_chunks(&self) -> usize {
-        self.chunks.len()
-    }
-
     pub fn unique_bytes(&self) -> u64 {
         self.unique_bytes
     }
 
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
-    }
-
-    /// Dedup factor: logical bytes / stored bytes (≥ 1.0).
-    pub fn dedup_factor(&self) -> f64 {
-        if self.unique_bytes == 0 {
-            1.0
-        } else {
-            self.total_bytes as f64 / self.unique_bytes as f64
-        }
     }
 
     pub fn contains(&self, d: &Digest) -> bool {
@@ -103,6 +82,20 @@ impl ChunkIndex {
 mod tests {
     use super::*;
 
+    impl ChunkIndex {
+        /// Ingest a whole buffer with the given chunk spans.
+        pub(crate) fn ingest(&mut self, data: &[u8], spans: &[ChunkSpan]) {
+            debug_assert!(spans_cover(spans, data.len()));
+            for s in spans {
+                self.insert(&data[s.offset..s.offset + s.len]);
+            }
+        }
+
+        fn unique_chunks(&self) -> usize {
+            self.chunks.len()
+        }
+    }
+
     #[test]
     fn index_counts_unique_bytes() {
         let mut ix = ChunkIndex::new();
@@ -112,7 +105,6 @@ mod tests {
         assert_eq!(ix.unique_chunks(), 2);
         assert_eq!(ix.unique_bytes(), 8);
         assert_eq!(ix.total_bytes(), 12);
-        assert!((ix.dedup_factor() - 1.5).abs() < 1e-9);
     }
 
     #[test]

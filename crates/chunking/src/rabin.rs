@@ -13,13 +13,13 @@
 use crate::ChunkSpan;
 
 /// Window width in bytes for the rolling fingerprint.
-pub const WINDOW: usize = 48;
+pub(crate) const WINDOW: usize = 48;
 
 /// Irreducible polynomial of degree 53 (same class as LBFS's choice).
 const POLY: u64 = 0x003D_A335_8B4D_C173;
 
 /// Precomputed tables for O(1) rolling.
-pub struct RabinTables {
+pub(crate) struct RabinTables {
     /// `mod_table[b]` = `(b << 53) mod POLY` — reduction of the incoming
     /// high byte.
     mod_table: [u64; 256],
@@ -71,7 +71,7 @@ fn tables() -> &'static RabinTables {
 /// The window starts zeroed, and a zero byte's leaving contribution is
 /// zero (`out_table[0] == 0`), so removal is unconditional — no warm-up
 /// counter in the per-byte path.
-pub struct RollingHash {
+pub(crate) struct RollingHash {
     window: [u8; WINDOW],
     pos: usize,
     fp: u64,
@@ -98,7 +98,7 @@ impl RollingHash {
 
     /// Push one byte; returns the fingerprint after the push.
     #[inline]
-    pub fn push(&mut self, b: u8) -> u64 {
+    pub(crate) fn push(&mut self, b: u8) -> u64 {
         let t = self.tables;
         let old = self.window[self.pos];
         self.window[self.pos] = b;
@@ -116,11 +116,7 @@ impl RollingHash {
         self.fp
     }
 
-    pub fn fingerprint(&self) -> u64 {
-        self.fp
-    }
-
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.window = [0; WINDOW];
         self.pos = 0;
         self.fp = 0;

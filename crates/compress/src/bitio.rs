@@ -6,7 +6,7 @@
 //! for extra-bits fields, [`BitWriter::write_code`] for Huffman codes).
 
 /// Bit-level writer producing a DEFLATE-conformant byte stream.
-pub struct BitWriter {
+pub(crate) struct BitWriter {
     out: Vec<u8>,
     /// Bit accumulator; bits fill from the LSB upward.
     acc: u64,
@@ -37,7 +37,7 @@ impl BitWriter {
     /// accumulated they are flushed as one little-endian word instead of
     /// byte by byte.
     #[inline]
-    pub fn write_bits(&mut self, value: u32, n: u32) {
+    pub(crate) fn write_bits(&mut self, value: u32, n: u32) {
         debug_assert!(n <= 32);
         debug_assert!(n == 32 || value < (1u32 << n));
         debug_assert!(self.nbits < 32);
@@ -53,14 +53,14 @@ impl BitWriter {
     /// Write a Huffman code of `len` bits. DEFLATE transmits Huffman codes
     /// MSB-first, so the code's bit order is reversed before packing.
     #[inline]
-    pub fn write_code(&mut self, code: u32, len: u32) {
+    pub(crate) fn write_code(&mut self, code: u32, len: u32) {
         let rev = reverse_bits(code, len);
         self.write_bits(rev, len);
     }
 
     /// Pad to a byte boundary with zero bits and drain the accumulator
     /// (stored-block alignment; `write_bytes` relies on the drain).
-    pub fn align_byte(&mut self) {
+    pub(crate) fn align_byte(&mut self) {
         let pad = (8 - (self.nbits & 7)) & 7;
         if pad > 0 {
             self.write_bits(0, pad);
@@ -75,26 +75,21 @@ impl BitWriter {
     }
 
     /// Append raw bytes; caller must be byte-aligned.
-    pub fn write_bytes(&mut self, data: &[u8]) {
+    pub(crate) fn write_bytes(&mut self, data: &[u8]) {
         debug_assert_eq!(self.nbits, 0, "write_bytes requires byte alignment");
         self.out.extend_from_slice(data);
     }
 
     /// Flush any partial byte and return the stream.
-    pub fn finish(mut self) -> Vec<u8> {
+    pub(crate) fn finish(mut self) -> Vec<u8> {
         self.align_byte();
         self.out
-    }
-
-    /// Bits written so far (for cost accounting when choosing block types).
-    pub fn bit_len(&self) -> u64 {
-        self.out.len() as u64 * 8 + self.nbits as u64
     }
 }
 
 /// Reverse the low `len` bits of `v`.
 #[inline]
-pub fn reverse_bits(v: u32, len: u32) -> u32 {
+pub(crate) fn reverse_bits(v: u32, len: u32) -> u32 {
     let mut r = 0u32;
     for i in 0..len {
         r |= ((v >> i) & 1) << (len - 1 - i);
@@ -103,7 +98,7 @@ pub fn reverse_bits(v: u32, len: u32) -> u32 {
 }
 
 /// Bit-level reader over a DEFLATE byte stream.
-pub struct BitReader<'a> {
+pub(crate) struct BitReader<'a> {
     data: &'a [u8],
     pos: usize,
     acc: u64,
@@ -112,7 +107,7 @@ pub struct BitReader<'a> {
 
 /// Errors from bit-level reading.
 #[derive(Debug, PartialEq, Eq)]
-pub enum BitError {
+pub(crate) enum BitError {
     /// Ran off the end of the input.
     UnexpectedEof,
 }
@@ -138,7 +133,7 @@ impl<'a> BitReader<'a> {
 
     /// Read `n` bits, LSB-first.
     #[inline]
-    pub fn read_bits(&mut self, n: u32) -> Result<u32, BitError> {
+    pub(crate) fn read_bits(&mut self, n: u32) -> Result<u32, BitError> {
         debug_assert!(n <= 32);
         if self.nbits < n {
             self.refill();
@@ -155,24 +150,24 @@ impl<'a> BitReader<'a> {
 
     /// Read a single bit.
     #[inline]
-    pub fn read_bit(&mut self) -> Result<u32, BitError> {
+    pub(crate) fn read_bit(&mut self) -> Result<u32, BitError> {
         self.read_bits(1)
     }
 
     /// Discard bits to the next byte boundary.
-    pub fn align_byte(&mut self) {
+    pub(crate) fn align_byte(&mut self) {
         let drop = self.nbits % 8;
         self.acc >>= drop;
         self.nbits -= drop;
     }
 
     /// Total bits consumed from the underlying slice so far.
-    pub fn bits_consumed(&self) -> usize {
+    pub(crate) fn bits_consumed(&self) -> usize {
         self.pos * 8 - self.nbits as usize
     }
 
     /// Read raw bytes (must be byte-aligned).
-    pub fn read_bytes(&mut self, n: usize) -> Result<Vec<u8>, BitError> {
+    pub(crate) fn read_bytes(&mut self, n: usize) -> Result<Vec<u8>, BitError> {
         debug_assert_eq!(self.nbits % 8, 0);
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
@@ -235,15 +230,5 @@ mod tests {
         let mut r = BitReader::new(&[0xFF]);
         assert!(r.read_bits(8).is_ok());
         assert_eq!(r.read_bits(1), Err(BitError::UnexpectedEof));
-    }
-
-    #[test]
-    fn bit_len_tracks() {
-        let mut w = BitWriter::new();
-        assert_eq!(w.bit_len(), 0);
-        w.write_bits(0, 5);
-        assert_eq!(w.bit_len(), 5);
-        w.write_bits(0, 5);
-        assert_eq!(w.bit_len(), 10);
     }
 }

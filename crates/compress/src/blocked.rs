@@ -103,7 +103,7 @@ impl InnerCodec {
 
 /// The inner codec of a container, by magic; `None` for anything else
 /// (including legacy gzip).
-pub fn inner_codec(bytes: &[u8]) -> Option<InnerCodec> {
+pub(crate) fn inner_codec(bytes: &[u8]) -> Option<InnerCodec> {
     if bytes.len() < 4 {
         return None;
     }
@@ -296,7 +296,7 @@ impl BlockIndex {
     /// Indices of the blocks a byte range touches (empty range or a
     /// start past the end touches none). Clamping mirrors slice
     /// semantics: `[start, min(start+len, total))`.
-    pub fn blocks_for_range(&self, start: u64, len: u64) -> std::ops::Range<usize> {
+    pub(crate) fn blocks_for_range(&self, start: u64, len: u64) -> std::ops::Range<usize> {
         let end = start.saturating_add(len).min(self.total_len);
         if start >= end {
             return 0..0;
@@ -304,20 +304,6 @@ impl BlockIndex {
         let first = (start / self.block_size as u64) as usize;
         let last = ((end - 1) / self.block_size as u64) as usize;
         first..last + 1
-    }
-
-    /// Compressed bytes a range read transfers: the touched blocks'
-    /// DEFLATE streams plus the header, index and footer overhead —
-    /// what an honest store charges for serving the range. An empty
-    /// range (or a start past the end) touches no blocks and charges
-    /// nothing, matching [`BlockIndex::blocks_for_range`].
-    pub fn compressed_span_bytes(&self, start: u64, len: u64) -> u64 {
-        let span = self.blocks_for_range(start, len);
-        if span.is_empty() {
-            return 0;
-        }
-        let blocks: u64 = self.entries[span].iter().map(|e| e.comp_len as u64).sum();
-        blocks + (HEADER + FOOTER) as u64 + self.entries.len() as u64 * INDEX_ENTRY as u64
     }
 }
 
@@ -382,7 +368,7 @@ pub fn blocked_compress_inner(data: &[u8], block_size: usize, codec: InnerCodec)
 
 /// Decode and CRC-check one block, dispatching on the container's
 /// inner codec.
-pub fn inflate_block(
+pub(crate) fn inflate_block(
     data: &[u8],
     index: &BlockIndex,
     block: usize,
@@ -445,7 +431,7 @@ pub fn read_range(data: &[u8], start: u64, len: u64) -> Result<Vec<u8>, BlockedE
 
 /// [`read_range`] against an already-parsed index (amortizes parsing
 /// across many reads of the same container).
-pub fn read_range_indexed(
+pub(crate) fn read_range_indexed(
     data: &[u8],
     index: &BlockIndex,
     start: u64,
@@ -647,7 +633,7 @@ pub trait BlockCodec: Send + Sync {
 }
 
 /// The blocked container codec (parallel inflate, real range reads).
-pub struct BlockedDeflate {
+pub(crate) struct BlockedDeflate {
     pub block_size: usize,
 }
 
@@ -680,7 +666,7 @@ impl BlockCodec for BlockedDeflate {
 /// The blocked container with the LZ4 inner codec — the hot tier:
 /// decode runs several times faster than inflate at a worse ratio, and
 /// range reads keep their CRC-checked per-block validation.
-pub struct BlockedLz4 {
+pub(crate) struct BlockedLz4 {
     pub block_size: usize,
 }
 
@@ -713,7 +699,7 @@ impl BlockCodec for BlockedLz4 {
 /// The legacy single-stream gzip codec. Kept readable for containers
 /// written before the blocked format existed; a range read must inflate
 /// the whole stream and slice — the cost the blocked format removes.
-pub struct LegacyGzip;
+pub(crate) struct LegacyGzip;
 
 impl BlockCodec for LegacyGzip {
     fn name(&self) -> &'static str {
@@ -754,18 +740,6 @@ pub fn codec_for(stream: &[u8]) -> Result<&'static dyn BlockCodec, CodecError> {
         Some(InnerCodec::Lz4) => Ok(&BLOCKED_LZ4),
         None if stream.len() >= 2 && stream[0] == 0x1F && stream[1] == 0x8B => Ok(&GZIP),
         None => Err(CodecError::UnknownFormat),
-    }
-}
-
-/// Look up a codec by CLI/config name. Accepts the canonical names
-/// (`blocked-deflate`, `blocked-lz4`, `gzip`) and the short tier names
-/// (`deflate`, `lz4`). `None` for anything else.
-pub fn codec_by_name(name: &str) -> Option<&'static dyn BlockCodec> {
-    match name.to_ascii_lowercase().as_str() {
-        "blocked-deflate" | "deflate" => Some(&BLOCKED),
-        "blocked-lz4" | "lz4" => Some(&BLOCKED_LZ4),
-        "gzip" => Some(&GZIP),
-        _ => None,
     }
 }
 
@@ -834,8 +808,6 @@ mod tests {
         assert!(span.len() <= 2, "{span:?}");
         let got = read_range(&c, 1_000_000, 64 * 1024).unwrap();
         assert_eq!(got, &data[1_000_000..1_000_000 + 64 * 1024]);
-        // Charged bytes are a small fraction of the container.
-        assert!(idx.compressed_span_bytes(1_000_000, 64 * 1024) < c.len() as u64 / 8);
     }
 
     #[test]
@@ -904,23 +876,6 @@ mod tests {
                 &data[12_345..12_345 + 678]
             );
         }
-    }
-
-    #[test]
-    fn empty_span_charges_zero_bytes() {
-        let data = sample(200_000);
-        let c = blocked_compress(&data);
-        let idx = BlockIndex::parse(&c).unwrap();
-        // Regression: these used to charge header + footer + the whole
-        // index even though no block is touched.
-        assert_eq!(idx.compressed_span_bytes(0, 0), 0);
-        assert_eq!(idx.compressed_span_bytes(1234, 0), 0);
-        assert_eq!(idx.compressed_span_bytes(idx.total_len, 100), 0);
-        assert_eq!(idx.compressed_span_bytes(u64::MAX, u64::MAX), 0);
-        // Non-empty spans still pay block bytes plus container overhead.
-        let one = idx.compressed_span_bytes(0, 1);
-        assert!(one > (HEADER + FOOTER) as u64);
-        assert!(one >= idx.entries[0].comp_len as u64);
     }
 
     /// A syntactically valid container whose single index entry claims
@@ -1092,20 +1047,6 @@ mod tests {
                 Err(e) => panic!("complete magic {whole:?} must dispatch, got {e:?}"),
             }
         }
-    }
-
-    #[test]
-    fn codec_by_name_resolves_tiers() {
-        assert_eq!(
-            codec_by_name("blocked-deflate").unwrap().name(),
-            "blocked-deflate"
-        );
-        assert_eq!(codec_by_name("deflate").unwrap().name(), "blocked-deflate");
-        assert_eq!(codec_by_name("LZ4").unwrap().name(), "blocked-lz4");
-        assert_eq!(codec_by_name("blocked-lz4").unwrap().name(), "blocked-lz4");
-        assert_eq!(codec_by_name("gzip").unwrap().name(), "gzip");
-        assert!(codec_by_name("zstd").is_none());
-        assert!(codec_by_name("").is_none());
     }
 
     #[test]

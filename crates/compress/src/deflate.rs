@@ -468,7 +468,7 @@ pub fn inflate(data: &[u8]) -> Result<Vec<u8>, InflateError> {
 }
 
 /// Decompress from an existing bit reader (gzip layer shares the reader).
-pub fn inflate_from(r: &mut BitReader<'_>) -> Result<Vec<u8>, InflateError> {
+pub(crate) fn inflate_from(r: &mut BitReader<'_>) -> Result<Vec<u8>, InflateError> {
     let mut out: Vec<u8> = Vec::new();
     loop {
         let bfinal = r.read_bit()?;

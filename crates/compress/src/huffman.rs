@@ -17,7 +17,7 @@ use crate::bitio::{BitError, BitReader};
 /// must have nonzero frequency. If only one symbol is present it gets
 /// length 1 (DEFLATE requires complete-enough codes; a 1-bit code for a
 /// single symbol is the conventional choice).
-pub fn build_lengths(freqs: &[u32], max_len: u32) -> Vec<u32> {
+pub(crate) fn build_lengths(freqs: &[u32], max_len: u32) -> Vec<u32> {
     assert!(!freqs.is_empty());
     let mut f: Vec<u64> = freqs.iter().map(|&x| x as u64).collect();
     loop {
@@ -111,7 +111,7 @@ fn huffman_lengths_once(freqs: &[u64]) -> Vec<u32> {
 
 /// Assign canonical (RFC 1951 §3.2.2) code values for the given lengths.
 /// Returns `(code, length)` pairs; absent symbols have length 0.
-pub fn canonical_codes(lengths: &[u32]) -> Vec<(u32, u32)> {
+pub(crate) fn canonical_codes(lengths: &[u32]) -> Vec<(u32, u32)> {
     let max_len = lengths.iter().copied().max().unwrap_or(0);
     let mut bl_count = vec![0u32; (max_len + 1) as usize];
     for &l in lengths {
@@ -141,7 +141,7 @@ pub fn canonical_codes(lengths: &[u32]) -> Vec<(u32, u32)> {
 
 /// Verify the Kraft inequality holds with equality margin (i.e. the code is
 /// not oversubscribed). Used by the decoder to reject corrupt tables.
-pub fn kraft_ok(lengths: &[u32]) -> bool {
+pub(crate) fn kraft_ok(lengths: &[u32]) -> bool {
     let mut sum = 0u64;
     const ONE: u64 = 1 << 32;
     for &l in lengths {
@@ -159,7 +159,7 @@ pub fn kraft_ok(lengths: &[u32]) -> bool {
 }
 
 /// Canonical Huffman decoder (counts/offsets method).
-pub struct HuffmanDecoder {
+pub(crate) struct HuffmanDecoder {
     /// count[len] = number of codes with that length.
     count: Vec<u32>,
     /// Symbols sorted by (length, symbol order).
@@ -169,7 +169,7 @@ pub struct HuffmanDecoder {
 
 /// Decoder construction / decode errors.
 #[derive(Debug, PartialEq, Eq)]
-pub enum HuffError {
+pub(crate) enum HuffError {
     /// Code table oversubscribed or empty.
     InvalidTable,
     /// Bit pattern doesn't map to any symbol.
@@ -217,7 +217,7 @@ impl HuffmanDecoder {
     }
 
     /// Decode one symbol from the reader.
-    pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u32, HuffError> {
+    pub(crate) fn decode(&self, r: &mut BitReader<'_>) -> Result<u32, HuffError> {
         let mut code: u32 = 0;
         let mut first: u32 = 0;
         let mut index: u32 = 0;

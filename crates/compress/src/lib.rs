@@ -30,10 +30,9 @@ pub mod lz77;
 
 pub use blocked::{
     blocked_compress, blocked_compress_inner, blocked_compress_lz4, blocked_compress_with,
-    blocked_decompress, blocked_decompress_parallel, codec_by_name, codec_for, decompress_auto,
-    inner_codec, is_blocked, read_range, verify_blocks, BlockCodec, BlockIndex, BlockedDeflate,
-    BlockedError, BlockedLz4, BlockedReader, CodecError, CodecObs, InnerCodec, LegacyGzip,
-    DEFAULT_BLOCK_SIZE,
+    blocked_decompress, blocked_decompress_parallel, codec_for, decompress_auto, is_blocked,
+    read_range, verify_blocks, BlockCodec, BlockIndex, BlockedError, BlockedReader, CodecError,
+    CodecObs, InnerCodec, DEFAULT_BLOCK_SIZE,
 };
 pub use deflate::{deflate, inflate, InflateError};
 pub use gzip::{gzip_compress, gzip_decompress, GzipError};

@@ -29,7 +29,7 @@
 
 /// Matches shorter than this are not worth a 3-byte sequence overhead;
 /// the low token nibble encodes `match_len - MIN_MATCH`.
-pub const MIN_MATCH: usize = 4;
+pub(crate) const MIN_MATCH: usize = 4;
 
 /// Match offsets are `u16`, so the sliding window is 64 KiB - 1.
 const MAX_OFFSET: usize = u16::MAX as usize;
@@ -49,7 +49,7 @@ const HASH_BITS: u32 = 14;
 /// offset amortizing away) emits at most ~19 + 255·k match bytes, so
 /// the ratio approaches 255 from below. An index entry claiming more
 /// than this per compressed byte is corrupt by construction.
-pub const MAX_LZ4_EXPANSION: u64 = 256;
+pub(crate) const MAX_LZ4_EXPANSION: u64 = 256;
 
 /// Decode failures. Every malformed input is a value of this type.
 #[derive(Debug, PartialEq, Eq)]

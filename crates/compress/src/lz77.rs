@@ -4,9 +4,9 @@
 //! Produces the token stream consumed by the DEFLATE block encoder:
 //! literals, and `(length 3–258, distance 1–32768)` back-references.
 
-pub const MIN_MATCH: usize = 3;
-pub const MAX_MATCH: usize = 258;
-pub const WINDOW_SIZE: usize = 32 * 1024;
+pub(crate) const MIN_MATCH: usize = 3;
+pub(crate) const MAX_MATCH: usize = 258;
+pub(crate) const WINDOW_SIZE: usize = 32 * 1024;
 
 const HASH_BITS: u32 = 15;
 const HASH_SIZE: usize = 1 << HASH_BITS;
@@ -17,7 +17,7 @@ const GOOD_MATCH: usize = 64;
 
 /// One LZ77 token.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Token {
+pub(crate) enum Token {
     Literal(u8),
     /// Back-reference: copy `len` bytes from `dist` bytes back.
     Match {
@@ -72,7 +72,7 @@ thread_local! {
 }
 
 /// Tokenize `data` into literals and matches.
-pub fn tokenize(data: &[u8]) -> Vec<Token> {
+pub(crate) fn tokenize(data: &[u8]) -> Vec<Token> {
     SCRATCH.with(|s| {
         let (head, prev) = &mut *s.borrow_mut();
         // `head` must start empty; `prev` needs no clearing — chains only
@@ -201,21 +201,6 @@ fn tokenize_with(data: &[u8], head: &mut [u32], prev: &mut [u32]) -> Vec<Token> 
     tokens
 }
 
-/// Expand a token stream back into bytes (reference decoder for tests and
-/// the inflate fallback).
-pub fn detokenize(tokens: &[Token]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for t in tokens {
-        match *t {
-            Token::Literal(b) => out.push(b),
-            Token::Match { len, dist } => {
-                copy_back_reference(&mut out, dist as usize, len as usize);
-            }
-        }
-    }
-    out
-}
-
 /// Append `len` bytes copied from `dist` bytes back, in bulk. Overlapping
 /// references (dist < len) double the copied span each round, preserving
 /// the byte-at-a-time semantics RFC 1951 requires.
@@ -237,6 +222,21 @@ pub(crate) fn copy_back_reference(out: &mut Vec<u8>, dist: usize, len: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Expand a token stream back into bytes: the reference decoder the
+    /// tokenizer tests compare against.
+    fn detokenize(tokens: &[Token]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for t in tokens {
+            match *t {
+                Token::Literal(b) => out.push(b),
+                Token::Match { len, dist } => {
+                    copy_back_reference(&mut out, dist as usize, len as usize);
+                }
+            }
+        }
+        out
+    }
 
     #[test]
     fn roundtrip_simple() {

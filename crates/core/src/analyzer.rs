@@ -19,8 +19,6 @@ pub struct Analysis {
     /// Best similarity against a same-quadruple master (0 if none exists —
     /// Table II row 1 reports 0 for Mini on the empty repository).
     pub similarity: f64,
-    /// Base id of the most similar master.
-    pub best_master: Option<String>,
 }
 
 /// Analyze `vmi` through `handle`, consulting the current masters. The
@@ -55,7 +53,7 @@ pub fn analyze(
 
     // Similarity against each master with the same attribute quadruple.
     let key = vmi.base.key();
-    let mut best: Option<(String, f64)> = None;
+    let mut best: Option<f64> = None;
     for base in semantic.bases_with_attrs(&key) {
         if let Some(master) = semantic.masters.get(&base.id) {
             let compared =
@@ -63,19 +61,14 @@ pub fn analyze(
             env.local
                 .charge_fixed(SimDuration(env.costs.sim_per_vertex.0 * compared as u64));
             let s = master.similarity_to(&graph);
-            if best.as_ref().is_none_or(|(_, b)| s > *b) {
-                best = Some((base.id.clone(), s));
+            if best.is_none_or(|b| s > b) {
+                best = Some(s);
             }
         }
     }
-    let (best_master, similarity) = match best {
-        Some((id, s)) => (Some(id), s),
-        None => (None, 0.0),
-    };
     Analysis {
         graph,
-        similarity,
-        best_master,
+        similarity: best.unwrap_or(0.0),
     }
 }
 
@@ -97,7 +90,6 @@ mod tests {
         let cat = repo.state.read();
         let a = analyze(&env, &cat.semantic, &w.catalog, &handle, &vmi_copy);
         assert_eq!(a.similarity, 0.0);
-        assert!(a.best_master.is_none());
         assert!(a.graph.package_count() > 3);
     }
 
@@ -119,7 +111,6 @@ mod tests {
             "redis vs mini-master similarity {}",
             a.similarity
         );
-        assert!(a.best_master.is_some());
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub enum PublishMode {
 /// Run Algorithm 1 for `vmi`, durably: both CAS sections are committed
 /// once before the catalog is released, also when the algorithm bailed
 /// out early — memory has applied whatever it logged by then.
-pub fn publish(
+pub(crate) fn publish(
     state: &RepoState,
     catalog: &Catalog,
     vmi: &Vmi,
@@ -77,7 +77,7 @@ fn decompose(
         fs: vmi.fs.clone(),
         pkgdb: vmi.pkgdb.clone(),
         primary: vmi.primary.clone(),
-        disk: xpl_vdisk::QcowImage::create(&vmi.name, 0),
+        disk: xpl_vdisk::QcowImage::create(0),
     };
     let mut handle = report.breakdown.measure(&env.clock, "handle", || {
         GuestHandle::launch(&env, &mut work)

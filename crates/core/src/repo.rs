@@ -65,14 +65,14 @@ pub struct StoredBase {
 
 /// An exported package in the index.
 #[derive(Clone)]
-pub struct IndexedPackage {
+pub(crate) struct IndexedPackage {
     pub digest: Digest,
     pub package: PackageId,
 }
 
 /// Stored user data of one image.
 #[derive(Clone, Default)]
-pub struct StoredData {
+pub(crate) struct StoredData {
     pub files: Vec<xpl_guestfs::FileRecord>,
     pub digests: Vec<Digest>,
 }
@@ -120,17 +120,17 @@ pub struct SemanticState {
 }
 
 impl SemanticState {
-    pub fn bases_with_attrs(&self, key: &str) -> Vec<&StoredBase> {
+    pub(crate) fn bases_with_attrs(&self, key: &str) -> Vec<&StoredBase> {
         self.bases.iter().filter(|b| b.attrs.key() == key).collect()
     }
 
-    pub fn remove_base(&mut self, id: &str) -> Option<StoredBase> {
+    pub(crate) fn remove_base(&mut self, id: &str) -> Option<StoredBase> {
         let pos = self.bases.iter().position(|b| b.id == id)?;
         self.masters.remove(id);
         Some(self.bases.remove(pos))
     }
 
-    pub fn qcow_bytes_total(&self) -> u64 {
+    pub(crate) fn qcow_bytes_total(&self) -> u64 {
         self.bases.iter().map(|b| b.qcow_bytes).sum()
     }
 
@@ -208,7 +208,7 @@ impl RepoCatalog {
 }
 
 /// Internal repository state shared by the algorithm modules.
-pub struct RepoState {
+pub(crate) struct RepoState {
     pub env: SimEnv,
     pub mode: PublishMode,
     /// `.deb` blobs (digest-sharded, internally synchronized).

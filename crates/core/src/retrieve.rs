@@ -34,7 +34,7 @@ pub const PHASES: [&str; 4] = [
 /// neighbour's charges; with retrievals serialized they are exact. The
 /// churn oracle therefore treats them as nonzero-ness witnesses, and
 /// the figure pipelines (5a/5b) measure with one retrieval in flight.
-pub fn retrieve(
+pub(crate) fn retrieve(
     state: &RepoState,
     catalog: &Catalog,
     request: &RetrieveRequest,
@@ -149,7 +149,7 @@ fn retrieve_impl(
         fs: base.fs.clone(),
         pkgdb: base.pkgdb.clone(),
         primary: roots.clone(),
-        disk: xpl_vdisk::QcowImage::create(&request.name, 0),
+        disk: xpl_vdisk::QcowImage::create(0),
     };
 
     // ---- Phase 2: guestfs handle. --------------------------------------
@@ -243,7 +243,7 @@ fn retrieve_impl(
 /// disk, and `bytes_read` reflects only the content above.
 ///
 /// [`ContentStore::get_range`]: xpl_store::ContentStore::get_range
-pub fn retrieve_range(
+pub(crate) fn retrieve_range(
     state: &RepoState,
     catalog: &Catalog,
     request: &RetrieveRequest,
@@ -374,7 +374,7 @@ mod tests {
                         fs: base.fs.clone(),
                         pkgdb: base.pkgdb.clone(),
                         primary: Vec::new(),
-                        disk: xpl_vdisk::QcowImage::create("reset", 0),
+                        disk: xpl_vdisk::QcowImage::create(0),
                     };
                     let mut handle = GuestHandle::launch(&env, &mut vmi);
                     let t0 = env.clock.now();

@@ -78,11 +78,6 @@ impl BaseTemplate {
             base_layer: crate::fstree::layer_from(records),
         })
     }
-
-    /// Total bytes of the base layer.
-    pub fn base_bytes(&self) -> u64 {
-        self.base_layer.iter().map(|r| r.size as u64).sum()
-    }
 }
 
 /// A group of "junk" files: package caches, logs, tmp — content that
@@ -200,7 +195,7 @@ impl<'a> ImageBuilder<'a> {
             fs: FsTree::new(),
             pkgdb: DpkgDb::new(),
             primary: primary_ids.clone(),
-            disk: xpl_vdisk::QcowImage::create(&recipe.name, 0),
+            disk: xpl_vdisk::QcowImage::create(0),
         };
         std::mem::swap(&mut vmi.fs, &mut fs);
         std::mem::swap(&mut vmi.pkgdb, &mut pkgdb);
@@ -356,7 +351,8 @@ mod tests {
         // coreutils + libc6 files + boot blob.
         assert_eq!(t.base_layer.len(), 4);
         assert_eq!(t.base_packages.len(), 2);
-        assert_eq!(t.base_bytes(), 1800 + 120 + 50 + 900);
+        let bytes: u64 = t.base_layer.iter().map(|r| r.size as u64).sum();
+        assert_eq!(bytes, 1800 + 120 + 50 + 900);
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //! and junk prefix visit only the layer positions the index names. The
 //! effective view itself — overlay over layer, minus tombstones — is
 //! still never built: [`FsTree::iter`] merges the two path-sorted sides
-//! as it goes, for callers that want every record ([`FsTree::remove_where`]
-//! with an arbitrary predicate is one).
+//! as it goes, for callers that want every record.
 
 use std::collections::{btree_map, BTreeMap};
 use std::iter::Peekable;
@@ -59,11 +58,6 @@ impl FileRecord {
     pub fn content(&self) -> Vec<u8> {
         xpl_pkg::content::generate(self.seed, self.size as usize)
     }
-
-    /// Content digest without materializing.
-    pub fn content_digest(&self) -> xpl_util::Digest {
-        xpl_pkg::content::content_digest(self.seed, self.size as usize)
-    }
 }
 
 /// What a set of records adds up to: how many, their content bytes, and
@@ -82,7 +76,7 @@ impl Sums {
         self.span += file_span(rec);
     }
 
-    pub fn sub(&mut self, rec: &FileRecord) {
+    pub(crate) fn sub(&mut self, rec: &FileRecord) {
         self.files -= 1;
         self.bytes -= rec.size as u64;
         self.span -= file_span(rec);
@@ -155,11 +149,11 @@ impl Layer {
 }
 
 /// A base layer: immutable, indexed, shared between images.
-pub type FsLayer = Arc<Layer>;
+pub(crate) type FsLayer = Arc<Layer>;
 
 /// Build a layer from records and index it (sorts by path string; panics
 /// on duplicate paths — base layers are authored, not accumulated).
-pub fn layer_from(records: Vec<FileRecord>) -> FsLayer {
+pub(crate) fn layer_from(records: Vec<FileRecord>) -> FsLayer {
     let mut keyed: Vec<(&'static str, FileRecord)> =
         records.into_iter().map(|r| (r.path.as_str(), r)).collect();
     keyed.sort_unstable_by_key(|&(path, _)| path);
@@ -241,25 +235,12 @@ impl FsTree {
         FsTree::default()
     }
 
-    pub fn with_base(layer: FsLayer) -> Self {
+    pub(crate) fn with_base(layer: FsLayer) -> Self {
         FsTree {
             layer,
             overlay: BTreeMap::new(),
             tombstones: FxHashSet::default(),
         }
-    }
-
-    /// Stack `layer` over the tree's layer, its records winning. A tree
-    /// keeps one indexed layer, so stacking onto a non-empty one builds
-    /// and indexes their union; images share a base through
-    /// [`FsTree::with_base`], not through this.
-    pub fn push_layer(&mut self, layer: FsLayer) {
-        if self.layer.is_empty() {
-            self.layer = layer;
-            return;
-        }
-        let older = (self.layer.iter()).filter(|r| layer.position(r.path).is_none());
-        self.layer = layer_from(older.chain(layer.iter()).copied().collect());
     }
 
     pub(crate) fn layer(&self) -> &Layer {
@@ -291,37 +272,11 @@ impl FsTree {
         self.overlay.insert(rec.path.as_str(), rec);
     }
 
-    /// Remove a path (tombstoning base-layer files).
-    pub fn remove_path(&mut self, path: IStr) -> bool {
-        let from_overlay = self.overlay.remove(path.as_str()).is_some();
-        let from_layer = self.layer.position(path).is_some() && self.tombstones.insert(path);
-        from_overlay || from_layer
-    }
-
-    /// Remove every effective file `doomed` accepts, in one walk of the
-    /// whole tree; returns the bytes removed. `doomed` sees each
-    /// effective record exactly once, in path order, so a caller can keep
-    /// its own tally per match. The removals the layer is indexed for
-    /// (package, user data, junk) do not come through here.
-    pub fn remove_where(&mut self, mut doomed: impl FnMut(&FileRecord) -> bool) -> u64 {
-        let hits: Vec<Merged> = self.merge().filter(|m| doomed(&m.rec)).collect();
-        let mut removed = 0u64;
-        for hit in hits {
-            removed += hit.rec.size as u64;
-            if hit.from_overlay {
-                self.overlay.remove(hit.rec.path.as_str());
-            }
-            if hit.in_layer {
-                self.tombstones.insert(hit.rec.path);
-            }
-        }
-        removed
-    }
-
-    /// [`FsTree::remove_where`] for a predicate the layer is indexed
-    /// for: `positions` are the layer positions of every record `doomed`
-    /// could accept, so only they and the overlay are looked at. `doomed`
-    /// sees each effective record among them exactly once.
+    /// Remove every effective file `doomed` accepts, for a predicate the
+    /// layer is indexed for; returns the bytes removed. `positions` are
+    /// the layer positions of every record `doomed` could accept, so only
+    /// they and the overlay are looked at. `doomed` sees each effective
+    /// record among them exactly once.
     fn remove_indexed(
         &mut self,
         positions: impl IntoIterator<Item = u32>,
@@ -354,7 +309,7 @@ impl FsTree {
     /// Path prefixes counted as junk (caches, logs, tmp) — content that
     /// semantic publishing cleans up ("cleaning up the cached repository
     /// files", §V-3) but that file-level stores faithfully keep.
-    pub const JUNK_PREFIXES: [&'static str; 3] = ["/var/cache/", "/var/log/", "/tmp/"];
+    pub(crate) const JUNK_PREFIXES: [&'static str; 3] = ["/var/cache/", "/var/log/", "/tmp/"];
 
     /// Is this path junk?
     pub fn is_junk_path(path: IStr) -> bool {
@@ -414,7 +369,7 @@ impl FsTree {
     }
 
     /// The effective user-data records, in path order.
-    pub fn user_data(&self) -> Vec<FileRecord> {
+    pub(crate) fn user_data(&self) -> Vec<FileRecord> {
         let from_layer = (self.layer.user_data.iter())
             .filter(|&&pos| !self.hides(pos))
             .map(|&pos| (self.layer.path_at(pos), self.layer[pos as usize]));
@@ -441,10 +396,6 @@ impl FsTree {
 
     /// Iterate effective files in deterministic (path) order.
     pub fn iter(&self) -> impl Iterator<Item = FileRecord> + '_ {
-        self.merge().map(|m| m.rec)
-    }
-
-    fn merge(&self) -> Merge<'_> {
         Merge {
             layer: &self.layer,
             at: 0,
@@ -473,23 +424,6 @@ impl FsTree {
     pub fn total_bytes(&self) -> u64 {
         self.sums().bytes
     }
-
-    /// Files owned by a specific package.
-    pub fn files_of(&self, pkg: PackageId) -> Vec<FileRecord> {
-        self.iter()
-            .filter(|r| r.owner == FileOwner::Package(pkg))
-            .collect()
-    }
-}
-
-/// One effective record and where the tree holds its path — what a
-/// removal needs to hide it without looking it up again.
-struct Merged {
-    rec: FileRecord,
-    /// The record is the overlay's.
-    from_overlay: bool,
-    /// The layer holds the path (the record itself, or one it shadows).
-    in_layer: bool,
 }
 
 /// The merge behind every whole-tree walk: the layer and the overlay are
@@ -505,9 +439,9 @@ struct Merge<'a> {
 }
 
 impl Iterator for Merge<'_> {
-    type Item = Merged;
+    type Item = FileRecord;
 
-    fn next(&mut self) -> Option<Merged> {
+    fn next(&mut self) -> Option<FileRecord> {
         loop {
             let low = self.layer.paths.get(self.at).copied();
             let from_overlay = match (self.overlay.peek(), low) {
@@ -518,22 +452,14 @@ impl Iterator for Merge<'_> {
             };
             if from_overlay {
                 let (&path, &rec) = self.overlay.next()?;
-                let in_layer = low == Some(path);
-                self.at += in_layer as usize;
-                return Some(Merged {
-                    rec,
-                    from_overlay,
-                    in_layer,
-                });
+                // An overlay record shadows the layer's record at its path.
+                self.at += (low == Some(path)) as usize;
+                return Some(rec);
             }
             let rec = self.layer[self.at];
             self.at += 1;
             if !self.tombstones.contains(&rec.path) {
-                return Some(Merged {
-                    rec,
-                    from_overlay,
-                    in_layer: true,
-                });
+                return Some(rec);
             }
         }
     }
@@ -542,6 +468,27 @@ impl Iterator for Merge<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FsTree {
+        /// Stack `layer` over the tree's layer, its records winning. A
+        /// tree keeps one indexed layer, so this builds and indexes their
+        /// union; images share a base through [`FsTree::with_base`].
+        fn push_layer(&mut self, layer: FsLayer) {
+            if self.layer.is_empty() {
+                self.layer = layer;
+                return;
+            }
+            let older = (self.layer.iter()).filter(|r| layer.position(r.path).is_none());
+            self.layer = layer_from(older.chain(layer.iter()).copied().collect());
+        }
+
+        /// Remove a path (tombstoning base-layer files).
+        pub(crate) fn remove_path(&mut self, path: IStr) -> bool {
+            let from_overlay = self.overlay.remove(path.as_str()).is_some();
+            let from_layer = self.layer.position(path).is_some() && self.tombstones.insert(path);
+            from_overlay || from_layer
+        }
+    }
 
     fn rec(path: &str, size: u32, owner: FileOwner) -> FileRecord {
         FileRecord {
@@ -585,18 +532,6 @@ mod tests {
         // Re-adding resurrects.
         fs.add_file(rec("/bin/bash", 999, FileOwner::System));
         assert_eq!(fs.get(IStr::new("/bin/bash")).unwrap().size, 999);
-    }
-
-    #[test]
-    fn remove_owned_by_package() {
-        let mut fs = FsTree::with_base(base_layer());
-        fs.add_file(rec("/opt/tool/bin", 500, FileOwner::Package(PackageId(9))));
-        fs.add_file(rec("/opt/tool/conf", 50, FileOwner::Package(PackageId(9))));
-        let removed = fs.remove_where(|r| r.owner == FileOwner::Package(PackageId(9)));
-        assert_eq!(removed, 550);
-        assert_eq!(fs.file_count(), 3);
-        // Base-layer files of another package untouched.
-        assert!(fs.get(IStr::new("/usr/lib/libc.so")).is_some());
     }
 
     #[test]
@@ -781,14 +716,7 @@ mod tests {
                     5 | 6 => {
                         proptest::prop_assert_eq!(fs.remove_path(path), model.remove_path(path));
                     }
-                    7 => {
-                        let owner = owner_of(k);
-                        proptest::prop_assert_eq!(
-                            fs.remove_where(|r| r.owner == owner),
-                            model.remove_where(|r| r.owner == owner)
-                        );
-                    }
-                    8 => {
+                    7 | 8 => {
                         proptest::prop_assert_eq!(
                             fs.remove_user_data_and_junk(),
                             model.remove_where(|r| {
@@ -808,7 +736,7 @@ mod tests {
                             model.remove_where(|r| FsTree::is_junk_path(r.path))
                         );
                     }
-                    11 | 12 => {
+                    _ => {
                         // `owner_of` hands out packages 2 and 3; 7 owns nothing.
                         let packages: Vec<PackageId> = [[2, 7], [3, 2], [7, 3], [2, 3]]
                             [k as usize % 4][..1 + at % 2]
@@ -820,12 +748,6 @@ mod tests {
                             .map(|&pkg| model.remove_where(|r| r.owner == FileOwner::Package(pkg)))
                             .collect();
                         proptest::prop_assert_eq!(fs.remove_packages(&packages), want);
-                    }
-                    _ => {
-                        proptest::prop_assert_eq!(
-                            fs.remove_where(|r| r.size % 2 == 0),
-                            model.remove_where(|r| r.size % 2 == 0)
-                        );
                     }
                 }
                 let want = model.effective();
@@ -846,13 +768,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn files_of_package() {
-        let fs = FsTree::with_base(base_layer());
-        let files = fs.files_of(PackageId(1));
-        assert_eq!(files.len(), 1);
-        assert_eq!(files[0].path.as_str(), "/usr/lib/libc.so");
     }
 }

@@ -74,12 +74,12 @@ pub struct Extent {
 
 impl Extent {
     /// Disk offset of the file's first content byte.
-    pub fn content_offset(&self) -> u64 {
+    pub(crate) fn content_offset(&self) -> u64 {
         self.offset + INODE_BYTES
     }
 
     /// Disk offset one past the file's last content byte.
-    pub fn end(&self) -> u64 {
+    pub(crate) fn end(&self) -> u64 {
         self.offset + INODE_BYTES + self.rec.size as u64
     }
 
@@ -274,14 +274,14 @@ pub fn extents(fs: &FsTree) -> Vec<Extent> {
     extents
 }
 
-/// Write the tree into a fresh qcow image named `name`.
+/// Write the tree into a fresh qcow image.
 ///
 /// Files packed back to back (a block group, the spill region) are
 /// generated into one buffer and written with one `write_at`.
-pub fn mkfs(name: &str, fs: &FsTree) -> QcowImage {
+pub fn mkfs(fs: &FsTree) -> QcowImage {
     let layout = Layout::of(fs);
     let spill = layout.spill();
-    let mut img = QcowImage::create(name, layout.disk_size(&spill));
+    let mut img = QcowImage::create(layout.disk_size(&spill));
     img.write_at(0, &layout.superblock())
         .expect("superblock fits");
     // The run being generated, the offset it starts at, and its flush.
@@ -312,7 +312,7 @@ pub fn mkfs(name: &str, fs: &FsTree) -> QcowImage {
 /// `[off, off+len)` of `rec`'s content; a semantics-aware store backs it
 /// with a CAS range read so only the overlapping slice of each touched
 /// file moves. The result is byte-identical to
-/// `mkfs(_, fs).read_at(start, ..)` (zeros where nothing is placed,
+/// `mkfs(fs).read_at(start, ..)` (zeros where nothing is placed,
 /// superblock and inode markers overlaid); the range clamps to the disk
 /// size like a slice.
 pub fn materialize_range<F>(
@@ -414,9 +414,9 @@ mod tests {
     #[test]
     fn deterministic_layout() {
         let fs = tree();
-        let a = mkfs("img", &fs).serialize();
-        let b = mkfs("other-name", &fs).serialize();
-        assert_eq!(a, b, "same content, name-independent");
+        let a = mkfs(&fs).serialize();
+        let b = mkfs(&fs).serialize();
+        assert_eq!(a, b, "same content, same bytes");
     }
 
     #[test]
@@ -429,7 +429,7 @@ mod tests {
             seed: 3,
             owner: FileOwner::System,
         });
-        assert_ne!(mkfs("img", &fs1).serialize(), mkfs("img", &fs2).serialize());
+        assert_ne!(mkfs(&fs1).serialize(), mkfs(&fs2).serialize());
     }
 
     #[test]
@@ -444,8 +444,8 @@ mod tests {
             seed: 99,
             owner: FileOwner::System,
         });
-        let a = mkfs("a", &base);
-        let b = mkfs("b", &extended);
+        let a = mkfs(&base);
+        let b = mkfs(&extended);
         // Compare cluster-by-cluster over the common span.
         let cs = a.cluster_size();
         let clusters = a.virtual_size().min(b.virtual_size()) / cs;
@@ -467,7 +467,7 @@ mod tests {
     #[test]
     fn allocated_bytes_track_content() {
         let fs = big_tree(500);
-        let img = mkfs("img", &fs);
+        let img = mkfs(&fs);
         let alloc = img.allocated_bytes();
         let content = fs.total_bytes();
         assert!(alloc >= content, "alloc {alloc} < content {content}");
@@ -489,21 +489,21 @@ mod tests {
                 owner: FileOwner::UserData,
             });
         }
-        let size = |fs: &FsTree| mkfs("img", fs).virtual_size();
+        let size = |fs: &FsTree| mkfs(fs).virtual_size();
         assert!(size(&big) > size(&small) + 90_000);
     }
 
     #[test]
     fn empty_tree_still_valid() {
         let fs = FsTree::new();
-        let img = mkfs("empty", &fs);
+        let img = mkfs(&fs);
         assert!(img.allocated_bytes() > 0, "superblock allocated");
     }
 
     #[test]
     fn extents_describe_the_materialized_disk() {
         let fs = big_tree(400);
-        let img = mkfs("img", &fs);
+        let img = mkfs(&fs);
         let ex = extents(&fs);
         assert_eq!(ex.len(), fs.file_count());
         let mut prev_end = 0u64;
@@ -523,7 +523,7 @@ mod tests {
     #[test]
     fn materialize_range_matches_mkfs_disk() {
         let fs = big_tree(600);
-        let img = mkfs("img", &fs);
+        let img = mkfs(&fs);
         let size = img.virtual_size();
         let fetch = |rec: &FileRecord, off: u64, len: u64| {
             let c = rec.content();
@@ -639,7 +639,7 @@ mod tests {
                 all.iter().map(|e| (e.rec, e.offset)).collect::<Vec<_>>(),
                 walked
             );
-            let disk = mkfs("mix", &fs);
+            let disk = mkfs(&fs);
             let size = disk.virtual_size();
             let spill_start = SUPERBLOCK_BYTES + NGROUPS as u64 * cap;
             if oversized || n > 1000 {
@@ -704,7 +704,7 @@ mod tests {
             seed: 1,
             owner: FileOwner::System,
         });
-        let img = mkfs("img", &fs);
+        let img = mkfs(&fs);
         // Must still hold all content.
         assert!(img.allocated_bytes() >= fs.total_bytes());
     }

@@ -39,7 +39,7 @@ impl Vmi {
         pkgdb: DpkgDb,
         primary: Vec<PackageId>,
     ) -> Vmi {
-        let disk = mkfs::mkfs(name, &fs);
+        let disk = mkfs::mkfs(&fs);
         Vmi {
             name: name.to_string(),
             base,
@@ -52,7 +52,7 @@ impl Vmi {
 
     /// Re-materialize the disk from the current tree.
     pub fn rebuild_disk(&mut self) {
-        self.disk = mkfs::mkfs(&self.name, &self.fs);
+        self.disk = mkfs::mkfs(&self.fs);
     }
 
     /// Mounted filesystem size (Table II's "Mounted size" column),
@@ -108,7 +108,12 @@ impl Vmi {
 
     /// Install a package's files + DB record (no cost charging — the
     /// charged path is [`crate::GuestHandle::install_package`]).
-    pub fn install_package_raw(&mut self, catalog: &Catalog, id: PackageId, reason: InstallReason) {
+    pub(crate) fn install_package_raw(
+        &mut self,
+        catalog: &Catalog,
+        id: PackageId,
+        reason: InstallReason,
+    ) {
         let meta = catalog.get(id);
         for f in &meta.manifest.files {
             self.fs.add_file(FileRecord {
@@ -124,7 +129,7 @@ impl Vmi {
     /// Remove the named packages' DB records, then all their files;
     /// returns each package's removed bytes in `names` order (0 for a
     /// name that is not installed).
-    pub fn remove_packages_raw(&mut self, names: &[IStr]) -> Vec<u64> {
+    pub(crate) fn remove_packages_raw(&mut self, names: &[IStr]) -> Vec<u64> {
         let (slots, ids): (Vec<usize>, Vec<PackageId>) = names
             .iter()
             .enumerate()

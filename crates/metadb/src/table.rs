@@ -46,7 +46,7 @@ impl Schema {
         }
     }
 
-    pub fn column_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn column_index(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c.name == name)
     }
 }
@@ -105,7 +105,7 @@ impl Table {
         }
     }
 
-    pub fn insert(&mut self, row: Vec<Value>) -> Result<RowId, TableError> {
+    pub(crate) fn insert(&mut self, row: Vec<Value>) -> Result<RowId, TableError> {
         if row.len() != self.schema.columns.len() {
             return Err(TableError::WrongArity {
                 expected: self.schema.columns.len(),
@@ -123,14 +123,14 @@ impl Table {
         self.rows.get(&id).map(Vec::as_slice)
     }
 
-    pub fn delete(&mut self, id: RowId) -> Result<Vec<Value>, TableError> {
+    pub(crate) fn delete(&mut self, id: RowId) -> Result<Vec<Value>, TableError> {
         let old = self.rows.remove(&id).ok_or(TableError::NoSuchRow(id))?;
         self.unindex_row(id, &old);
         Ok(old)
     }
 
     /// Exact-match lookup through a secondary index.
-    pub fn find_by(&self, column: &str, value: &Value) -> Result<Vec<RowId>, TableError> {
+    pub(crate) fn find_by(&self, column: &str, value: &Value) -> Result<Vec<RowId>, TableError> {
         let col = self
             .schema
             .column_index(column)

@@ -54,7 +54,7 @@ impl BackoffPolicy {
     }
 
     /// Delay for attempt `n`, drawing jitter from `rng`.
-    pub fn delay_ns(&self, attempt: u32, rng: &mut SplitMix64) -> u64 {
+    pub(crate) fn delay_ns(&self, attempt: u32, rng: &mut SplitMix64) -> u64 {
         let floor = self.floor_ns(attempt);
         floor + rng.next_below(floor / 2 + 1)
     }
@@ -87,7 +87,7 @@ pub struct ClientStats {
 
 /// Dials a fresh transport; called on first use and after any
 /// transport-level failure.
-pub type Connector = Box<dyn FnMut() -> Result<Box<dyn Transport>, NetError> + Send>;
+pub(crate) type Connector = Box<dyn FnMut() -> Result<Box<dyn Transport>, NetError> + Send>;
 
 /// A retrying request/response client bound to one tenant.
 pub struct NetClient {

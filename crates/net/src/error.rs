@@ -101,7 +101,7 @@ impl NetError {
     /// Map an OS error to the typed taxonomy. `BrokenPipe` (EPIPE) and
     /// the reset family become [`NetError::PeerClosed`] /
     /// [`NetError::Reset`]; timeouts become [`NetError::Timeout`].
-    pub fn from_io(e: std::io::Error) -> NetError {
+    pub(crate) fn from_io(e: std::io::Error) -> NetError {
         use std::io::ErrorKind::*;
         match e.kind() {
             BrokenPipe => NetError::PeerClosed,
@@ -110,20 +110,5 @@ impl NetError {
             WouldBlock | TimedOut => NetError::Timeout,
             _ => NetError::Io(e.to_string()),
         }
-    }
-
-    /// Transport-level failures a client may retry on a fresh
-    /// connection (as opposed to protocol-level rejections, which are
-    /// final).
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            NetError::PeerClosed
-                | NetError::Reset
-                | NetError::Timeout
-                | NetError::Truncated { .. }
-                | NetError::BadHeaderCrc { .. }
-                | NetError::BadPayloadCrc { .. }
-        )
     }
 }

@@ -19,7 +19,7 @@ use crate::{NetError, Transport};
 use xpl_util::Crc32;
 
 /// Frame magic: "XPLN".
-pub const MAGIC: [u8; 4] = *b"XPLN";
+pub(crate) const MAGIC: [u8; 4] = *b"XPLN";
 
 /// Fixed header size: magic + kind + len + header CRC.
 pub const HEADER_LEN: usize = 4 + 1 + 4 + 4;
@@ -203,9 +203,9 @@ pub const STATUS_OK: u8 = 0;
 /// backoff.
 pub const STATUS_OVERLOAD: u8 = 1;
 /// Response status byte: the server is draining; do not retry here.
-pub const STATUS_DRAINING: u8 = 2;
+pub(crate) const STATUS_DRAINING: u8 = 2;
 /// Response status byte: the service failed; the body is the message.
-pub const STATUS_ERROR: u8 = 3;
+pub(crate) const STATUS_ERROR: u8 = 3;
 
 /// `Request` payload: `[id u64 LE][body]`.
 pub fn encode_request(id: u64, body: &[u8]) -> Vec<u8> {
@@ -216,7 +216,7 @@ pub fn encode_request(id: u64, body: &[u8]) -> Vec<u8> {
 }
 
 /// Parse a `Request` payload.
-pub fn decode_request(payload: &[u8]) -> Result<(u64, &[u8]), NetError> {
+pub(crate) fn decode_request(payload: &[u8]) -> Result<(u64, &[u8]), NetError> {
     if payload.len() < 8 {
         return Err(NetError::Malformed(format!(
             "request payload of {} bytes is shorter than its 8-byte id",
@@ -228,7 +228,7 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, &[u8]), NetError> {
 }
 
 /// `Response` payload: `[id u64 LE][status u8][body]`.
-pub fn encode_response(id: u64, status: u8, body: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_response(id: u64, status: u8, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(9 + body.len());
     out.extend_from_slice(&id.to_le_bytes());
     out.push(status);

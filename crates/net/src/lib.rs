@@ -36,13 +36,9 @@ pub mod frame;
 mod server;
 mod transport;
 
-pub use client::{BackoffPolicy, ClientStats, Connector, NetClient};
+pub use client::{BackoffPolicy, ClientStats, NetClient};
 pub use coalesce::Coalescing;
 pub use error::NetError;
 pub use frame::{Frame, FrameKind, DEFAULT_MAX_FRAME, HEADER_LEN, TRAILER_LEN};
-pub use server::{
-    serve_connection, MemHost, NetServer, ServerStats, ServerStatsSnapshot, WireConfig, WireService,
-};
-pub use transport::{
-    mem_pair, FaultConfig, FaultStats, FaultTransport, MemTransport, TcpTransport, Transport,
-};
+pub use server::{MemHost, NetServer, ServerStatsSnapshot, WireConfig, WireService};
+pub use transport::{mem_pair, FaultConfig, FaultStats, MemTransport, TcpTransport, Transport};

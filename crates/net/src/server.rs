@@ -76,7 +76,7 @@ impl Default for WireConfig {
 /// `service_errors`, `evictions` (deadline), `peer_closed` (client
 /// vanished), `frame_errors` (protocol garbage).
 #[derive(Debug, Default)]
-pub struct ServerStats {
+pub(crate) struct ServerStats {
     pub connections: AtomicU64,
     pub served: AtomicU64,
     pub overloads: AtomicU64,
@@ -119,7 +119,7 @@ enum Event {
 /// lifetimes, deadline evictions and fault-triggered retries depend on
 /// real scheduling, so these counts are honest but not thread-count
 /// deterministic.
-pub struct ServerObs {
+pub(crate) struct ServerObs {
     registry: Arc<Registry>,
     connections: Arc<Counter>,
     served: Arc<Counter>,
@@ -152,11 +152,6 @@ impl ServerObs {
             stats_served: c("net.stats.served"),
             registry: Arc::clone(reg),
         })
-    }
-
-    /// The registry whose snapshot answers `Stats` wire requests.
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
     }
 
     fn counter(&self, ev: Event) -> &Counter {
@@ -214,7 +209,7 @@ impl ServerStats {
 /// drain finishes it. Every exit path is typed and counted; nothing in
 /// here panics on peer misbehavior (a mid-response vanishing client
 /// surfaces as [`NetError::PeerClosed`] on the write and is counted).
-pub fn serve_connection(
+pub(crate) fn serve_connection(
     mut t: Box<dyn Transport>,
     svc: &dyn WireService,
     gate: &AdmissionGate,

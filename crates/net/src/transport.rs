@@ -281,7 +281,7 @@ impl FaultConfig {
         }
     }
 
-    pub fn is_none(&self) -> bool {
+    pub(crate) fn is_none(&self) -> bool {
         self.reset_per_256 == 0
             && self.torn_write_per_256 == 0
             && self.short_read_per_256 == 0
@@ -308,7 +308,7 @@ impl FaultStats {
 /// connection draws its own SplitMix64 stream (derived from the config
 /// seed and a connection label), so a given connection's fault schedule
 /// is deterministic regardless of what other connections do.
-pub struct FaultTransport {
+pub(crate) struct FaultTransport {
     inner: Box<dyn Transport>,
     cfg: FaultConfig,
     rng: SplitMix64,

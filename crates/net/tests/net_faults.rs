@@ -472,6 +472,81 @@ fn fault_storm_converges_with_nothing_lost() {
     host.drain();
 }
 
+#[test]
+fn depth_two_gate_overloads_under_the_ci_storm_rate() {
+    // The overload the CI storm run sees only a handful of times, made
+    // certain: at 48/256, two tenant-0 calls park in the service and hold
+    // both admission slots, so a third tenant-0 call must be refused with
+    // a typed overload. Then the latch opens and every call, retried
+    // through the storm, returns its echo.
+    let latch = Arc::new((Mutex::new(false), std::sync::Condvar::new()));
+    let svc: Arc<dyn WireService> = {
+        let latch = latch.clone();
+        Arc::new(move |tenant: u32, req: &[u8]| -> Result<Vec<u8>, String> {
+            if req.starts_with(b"hold") {
+                let (lock, cond) = &*latch;
+                let mut open = lock.lock().unwrap();
+                while !*open {
+                    open = cond.wait(open).unwrap();
+                }
+            }
+            Ok(expected_echo(tenant, req))
+        })
+    };
+    let cfg = WireConfig {
+        queue_depth: 2,
+        read_deadline: Duration::from_secs(10),
+        write_deadline: Duration::from_secs(10),
+        ..WireConfig::default()
+    };
+    let host = Arc::new(MemHost::new(svc, cfg, FaultConfig::storm(0x5707, 48)));
+    let call = |body: &'static [u8], seed: u64| {
+        let conn_host = host.clone();
+        std::thread::spawn(move || {
+            let mut client = NetClient::new(
+                0,
+                cfg,
+                BackoffPolicy {
+                    base_ns: 200_000,
+                    max_ns: 20_000_000,
+                    max_attempts: 400,
+                },
+                seed,
+                Box::new(move || Ok(conn_host.connect())),
+            );
+            let reply = client.call(body);
+            client.close();
+            (body, reply)
+        })
+    };
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+
+    let mut calls = vec![call(b"hold-1", 1), call(b"hold-2", 2)];
+    wait_for("both slots held", &|| host.gate_in_flight(0) == 2);
+    calls.push(call(b"third", 3));
+    wait_for("an overload", &|| host.stats().overloads >= 1);
+    {
+        let (lock, cond) = &*latch;
+        *lock.lock().unwrap() = true;
+        cond.notify_all();
+    }
+    for h in calls {
+        let (body, reply) = h.join().unwrap();
+        assert_eq!(
+            reply.as_deref().ok(),
+            Some(expected_echo(0, body).as_slice()),
+            "{reply:?}"
+        );
+    }
+    assert!(host.drain().overloads >= 1);
+}
+
 // ---------------------------------------------------------- stats frames
 
 #[test]

@@ -5,29 +5,27 @@
 //! layer, and the codec tiers. Three design rules keep observability
 //! from weakening the differential oracles the repo is built on:
 //!
-//! 1. **Integers only.** Counters, gauges, and histograms hold `u64`s;
+//! 1. **Integers only.** Counters and histograms hold `u64`s;
 //!    histograms bucket by `log2`, so a snapshot never contains a
 //!    float and renders byte-identically on every host.
 //! 2. **A deterministic / wall split.** Every metric is registered
 //!    under a [`Section`]: `Det` metrics are derived purely from
 //!    operation counts and must be byte-identical at any thread count
 //!    (the 1-vs-4-thread CI diff pins them); `Wall` metrics (timings,
-//!    gauges, anything transport-scheduling dependent) are excluded
-//!    from the deterministic fingerprint.
+//!    anything transport-scheduling dependent) are excluded from the
+//!    deterministic fingerprint.
 //! 3. **Pay only when attached.** Instrumented structs hold a
 //!    `OnceLock` handle; an unattached hot path costs one load and a
 //!    branch, and a run without a registry is byte-identical to a run
 //!    with one — observability is zero-interference by construction.
 //!
-//! Snapshots render three ways: canonical sorted JSON (with an
-//! embedded SHA-256 `det_fingerprint` over the deterministic section),
-//! a Prometheus-style text exposition, and — for traces — an
-//! aggregated span tree ([`render_tree`]) keyed by name with per-phase
-//! totals, which is what `repro profile` prints.
+//! Snapshots render as canonical sorted JSON (with an embedded SHA-256
+//! `det_fingerprint` over the deterministic section); traces render as
+//! an aggregated span tree ([`render_tree`]) keyed by name with
+//! per-phase totals, which is what `repro profile` prints.
 //!
-//! The [`Clock`] seam decouples span timing from the host:
-//! [`WallClock`] for real runs, [`ManualClock`] for the virtual-time
-//! DES and tests.
+//! The [`Clock`] seam decouples span timing from the host: real runs
+//! use [`WallClock`], the span tests a hand-advanced clock.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,7 +39,7 @@ use xpl_util::Sha256;
 pub enum Section {
     /// Operation-count-derived: byte-identical at any thread count.
     Det,
-    /// Timings, gauges, transport-dependent counts: excluded from the
+    /// Timings, transport-dependent counts: excluded from the
     /// deterministic fingerprint.
     Wall,
 }
@@ -78,45 +76,14 @@ impl Counter {
     }
 }
 
-/// A settable level (queue depths, open connections). Gauges are
-/// inherently racy snapshots of a moving level, so they live in the
-/// `Wall` section by convention.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    v: AtomicU64,
-}
-
-impl Gauge {
-    pub fn set(&self, n: u64) {
-        self.v.store(n, Ordering::Relaxed);
-    }
-
-    /// Raise to `n` if it exceeds the current value (high-water mark).
-    pub fn set_max(&self, n: u64) {
-        self.v.fetch_max(n, Ordering::Relaxed);
-    }
-
-    pub fn add(&self, n: u64) {
-        self.v.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn sub(&self, n: u64) {
-        self.v.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> u64 {
-        self.v.load(Ordering::Relaxed)
-    }
-}
-
 /// Number of log2 buckets: bucket 0 holds the value 0, bucket `k`
 /// (1 ≤ k ≤ 64) holds values in `[2^(k-1), 2^k - 1]`; `u64::MAX`
 /// lands in bucket 64.
-pub const HIST_BUCKETS: usize = 65;
+pub(crate) const HIST_BUCKETS: usize = 65;
 
 /// Bucket index of a value. No floats, no branches beyond the zero
 /// case: `65 - leading_zeros` shifted down by one.
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     if v == 0 {
         0
     } else {
@@ -124,19 +91,8 @@ pub fn bucket_index(v: u64) -> usize {
     }
 }
 
-/// Inclusive upper bound of a bucket (the Prometheus `le` label).
-pub fn bucket_upper_bound(idx: usize) -> u64 {
-    if idx >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << idx) - 1
-    }
-}
-
 /// A log2-bucketed integer histogram. Per-bucket counts plus a
-/// saturating sum; snapshots are exact integers and merge by
-/// element-wise addition (associative and commutative — pinned by a
-/// property test).
+/// saturating sum; snapshots are exact integers.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; HIST_BUCKETS],
@@ -183,7 +139,7 @@ impl Histogram {
     }
 }
 
-/// A plain-number copy of a [`Histogram`], mergeable and comparable.
+/// A plain-number copy of a [`Histogram`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     pub buckets: [u64; HIST_BUCKETS],
@@ -200,18 +156,8 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.buckets.iter().sum()
-    }
-
-    /// Element-wise merge (bucket counts add, sums saturate).
-    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut out = *self;
-        for (o, b) in out.buckets.iter_mut().zip(&other.buckets) {
-            *o = o.wrapping_add(*b);
-        }
-        out.sum = out.sum.saturating_add(other.sum);
-        out
     }
 }
 
@@ -232,7 +178,6 @@ fn check_name(name: &str) {
 #[derive(Default)]
 struct RegistryInner {
     counters: BTreeMap<String, (Section, Arc<Counter>)>,
-    gauges: BTreeMap<String, (Section, Arc<Gauge>)>,
     histograms: BTreeMap<String, (Section, Arc<Histogram>)>,
 }
 
@@ -264,18 +209,6 @@ impl Registry {
         c
     }
 
-    pub fn gauge(&self, name: &str, section: Section) -> Arc<Gauge> {
-        check_name(name);
-        let mut inner = self.inner.lock().unwrap();
-        let (s, g) = inner
-            .gauges
-            .entry(name.to_string())
-            .or_insert_with(|| (section, Arc::new(Gauge::default())))
-            .clone();
-        assert_eq!(s, section, "metric {name} re-registered in another section");
-        g
-    }
-
     pub fn histogram(&self, name: &str, section: Section) -> Arc<Histogram> {
         check_name(name);
         let mut inner = self.inner.lock().unwrap();
@@ -297,11 +230,6 @@ impl Registry {
                 .iter()
                 .map(|(n, (s, c))| (n.clone(), *s, c.get()))
                 .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|(n, (s, g))| (n.clone(), *s, g.get()))
-                .collect(),
             histograms: inner
                 .histograms
                 .iter()
@@ -319,7 +247,6 @@ impl Registry {
 pub struct Snapshot {
     /// `(name, section, value)`, name-sorted.
     pub counters: Vec<(String, Section, u64)>,
-    pub gauges: Vec<(String, Section, u64)>,
     pub histograms: Vec<(String, Section, HistogramSnapshot)>,
 }
 
@@ -341,7 +268,7 @@ fn render_hist_json(out: &mut String, h: &HistogramSnapshot) {
 
 impl Snapshot {
     /// Render one section as a canonical JSON object:
-    /// `{"counters":{...},"gauges":{...},"histograms":{...}}` with
+    /// `{"counters":{...},"histograms":{...}}` with
     /// name-sorted keys and integer values only. Byte-stable by
     /// construction — the fingerprints hash exactly this rendering.
     pub fn render_section_json(&self, section: Section) -> String {
@@ -349,18 +276,6 @@ impl Snapshot {
         out.push_str("{\"counters\":{");
         let mut first = true;
         for (name, s, v) in &self.counters {
-            if *s != section {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\"{name}\":{v}"));
-        }
-        out.push_str("},\"gauges\":{");
-        let mut first = true;
-        for (name, s, v) in &self.gauges {
             if *s != section {
                 continue;
             }
@@ -415,54 +330,6 @@ impl Snapshot {
             self.render_section_json(Section::Wall)
         )
     }
-
-    /// Prometheus-style text exposition: dots become underscores, an
-    /// `xpl_` prefix, a `section` label, histograms as cumulative `le`
-    /// buckets.
-    pub fn render_text(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        for (name, s, v) in &self.counters {
-            let flat = name.replace(['.', '-'], "_");
-            out.push_str(&format!("# TYPE xpl_{flat} counter\n"));
-            out.push_str(&format!("xpl_{flat}{{section=\"{}\"}} {v}\n", s.name()));
-        }
-        for (name, s, v) in &self.gauges {
-            let flat = name.replace(['.', '-'], "_");
-            out.push_str(&format!("# TYPE xpl_{flat} gauge\n"));
-            out.push_str(&format!("xpl_{flat}{{section=\"{}\"}} {v}\n", s.name()));
-        }
-        for (name, s, h) in &self.histograms {
-            let flat = name.replace(['.', '-'], "_");
-            out.push_str(&format!("# TYPE xpl_{flat} histogram\n"));
-            let mut cum = 0u64;
-            for (i, &c) in h.buckets.iter().enumerate() {
-                if c == 0 {
-                    continue;
-                }
-                cum += c;
-                out.push_str(&format!(
-                    "xpl_{flat}_bucket{{section=\"{}\",le=\"{}\"}} {cum}\n",
-                    s.name(),
-                    bucket_upper_bound(i)
-                ));
-            }
-            out.push_str(&format!(
-                "xpl_{flat}_bucket{{section=\"{}\",le=\"+Inf\"}} {cum}\n",
-                s.name()
-            ));
-            out.push_str(&format!(
-                "xpl_{flat}_sum{{section=\"{}\"}} {}\n",
-                s.name(),
-                h.sum
-            ));
-            out.push_str(&format!(
-                "xpl_{flat}_count{{section=\"{}\"}} {}\n",
-                s.name(),
-                h.count()
-            ));
-        }
-        out
-    }
 }
 
 /// Extract the embedded `det_fingerprint` from a rendered snapshot
@@ -477,7 +344,7 @@ pub fn parse_det_fingerprint(json: &str) -> Option<&str> {
 // ---------------------------------------------------------------- clock
 
 /// The time seam: spans ask a clock, never `Instant::now` directly, so
-/// the same trace machinery serves wall runs and the virtual-time DES.
+/// the same trace machinery serves wall runs and deterministic tests.
 pub trait Clock: Send + Sync {
     fn now_ns(&self) -> u64;
 }
@@ -502,32 +369,6 @@ impl Clock for WallClock {
     }
 }
 
-/// A hand-advanced clock for deterministic traces (DES, tests).
-#[derive(Default)]
-pub struct ManualClock {
-    now: AtomicU64,
-}
-
-impl ManualClock {
-    pub fn new() -> ManualClock {
-        ManualClock::default()
-    }
-
-    pub fn set(&self, ns: u64) {
-        self.now.store(ns, Ordering::Relaxed);
-    }
-
-    pub fn advance(&self, ns: u64) {
-        self.now.fetch_add(ns, Ordering::Relaxed);
-    }
-}
-
-impl Clock for ManualClock {
-    fn now_ns(&self) -> u64 {
-        self.now.load(Ordering::Relaxed)
-    }
-}
-
 // ---------------------------------------------------------------- trace
 
 /// One finished span.
@@ -541,7 +382,7 @@ pub struct SpanRecord {
 }
 
 impl SpanRecord {
-    pub fn duration_ns(&self) -> u64 {
+    pub(crate) fn duration_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
     }
 }
@@ -581,7 +422,7 @@ impl TraceRing {
         })
     }
 
-    pub fn begin(&self, name: &str, parent: Option<u64>) -> u64 {
+    pub(crate) fn begin(&self, name: &str, parent: Option<u64>) -> u64 {
         let now = self.clock.now_ns();
         let mut inner = self.inner.lock().unwrap();
         let id = inner.next_id;
@@ -597,7 +438,7 @@ impl TraceRing {
         id
     }
 
-    pub fn end(&self, id: u64) {
+    pub(crate) fn end(&self, id: u64) {
         let now = self.clock.now_ns();
         let mut inner = self.inner.lock().unwrap();
         let Some(open) = inner.open.remove(&id) else {
@@ -754,6 +595,33 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Inclusive upper bound of a bucket: the oracle for `bucket_index`.
+    fn bucket_upper_bound(idx: usize) -> u64 {
+        if idx >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << idx) - 1
+        }
+    }
+
+    /// A hand-advanced clock for deterministic span tests.
+    #[derive(Default)]
+    struct ManualClock {
+        now: AtomicU64,
+    }
+
+    impl ManualClock {
+        fn advance(&self, ns: u64) {
+            self.now.fetch_add(ns, Ordering::Relaxed);
+        }
+    }
+
+    impl Clock for ManualClock {
+        fn now_ns(&self) -> u64 {
+            self.now.load(Ordering::Relaxed)
+        }
+    }
+
     #[test]
     fn bucket_boundaries() {
         assert_eq!(bucket_index(0), 0);
@@ -779,18 +647,18 @@ mod tests {
         // Register out of order; rendering must sort.
         reg.counter("z.last", Section::Det).add(3);
         reg.counter("a.first", Section::Det).inc();
-        reg.gauge("m.depth", Section::Wall).set(7);
+        reg.counter("m.depth", Section::Wall).add(7);
         reg.histogram("h.bytes", Section::Det).record(300);
         let s1 = reg.snapshot();
         let json = s1.render_section_json(Section::Det);
         assert!(json.find("a.first").unwrap() < json.find("z.last").unwrap());
-        assert!(!json.contains("m.depth"), "wall gauge leaked into det");
+        assert!(!json.contains("m.depth"), "wall metric leaked into det");
         // Same ops on a fresh registry, different registration order:
         // identical det rendering and fingerprint.
         let reg2 = Registry::new();
         reg2.histogram("h.bytes", Section::Det).record(300);
         reg2.counter("a.first", Section::Det).inc();
-        reg2.gauge("m.depth", Section::Wall).set(7);
+        reg2.counter("m.depth", Section::Wall).add(7);
         reg2.counter("z.last", Section::Det).add(3);
         let s2 = reg2.snapshot();
         assert_eq!(s1.det_fingerprint(), s2.det_fingerprint());
@@ -808,30 +676,12 @@ mod tests {
         reg.counter("ops", Section::Det).add(10);
         let before = reg.snapshot().det_fingerprint();
         reg.counter("net.frames", Section::Wall).add(999);
-        reg.gauge("depth", Section::Wall).set(5);
         let after = reg.snapshot();
         assert_eq!(before, after.det_fingerprint());
         assert_ne!(
             after.render_section_json(Section::Wall),
             after.render_section_json(Section::Det)
         );
-    }
-
-    #[test]
-    fn text_exposition_is_cumulative() {
-        let reg = Registry::new();
-        let h = reg.histogram("lat", Section::Wall);
-        h.record(0);
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        let text = reg.snapshot().render_text();
-        assert!(text.contains("xpl_lat_bucket{section=\"wall\",le=\"0\"} 1"));
-        assert!(text.contains("xpl_lat_bucket{section=\"wall\",le=\"1\"} 2"));
-        assert!(text.contains("xpl_lat_bucket{section=\"wall\",le=\"3\"} 4"));
-        assert!(text.contains("xpl_lat_bucket{section=\"wall\",le=\"+Inf\"} 4"));
-        assert!(text.contains("xpl_lat_count{section=\"wall\"} 4"));
-        assert!(text.contains("xpl_lat_sum{section=\"wall\"} 6"));
     }
 
     #[test]
@@ -842,7 +692,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_aggregate() {
-        let clock = Arc::new(ManualClock::new());
+        let clock = Arc::new(ManualClock::default());
         let ring = TraceRing::new(1024, clock.clone() as Arc<dyn Clock>);
         for _ in 0..3 {
             let publish = ring.span("publish", None);
@@ -878,7 +728,7 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest_and_promotes_orphans() {
-        let clock = Arc::new(ManualClock::new());
+        let clock = Arc::new(ManualClock::default());
         let ring = TraceRing::new(2, clock.clone() as Arc<dyn Clock>);
         let root = ring.begin("root", None);
         let a = ring.begin("a", Some(root));
@@ -903,32 +753,6 @@ mod tests {
             if idx > 0 {
                 prop_assert!(v > bucket_upper_bound(idx - 1));
             }
-        }
-
-        #[test]
-        fn histogram_merge_is_associative_and_commutative(
-            a in proptest::collection::vec(any::<u64>(), 0..20),
-            b in proptest::collection::vec(any::<u64>(), 0..20),
-            c in proptest::collection::vec(any::<u64>(), 0..20),
-        ) {
-            let snap = |vals: &[u64]| {
-                let h = Histogram::default();
-                for &v in vals {
-                    h.record(v);
-                }
-                h.snapshot()
-            };
-            let (ha, hb, hc) = (snap(&a), snap(&b), snap(&c));
-            prop_assert_eq!(ha.merge(&hb), hb.merge(&ha));
-            prop_assert_eq!(
-                ha.merge(&hb).merge(&hc),
-                ha.merge(&hb.merge(&hc))
-            );
-            // Merging equals recording the concatenation.
-            let mut all = a.clone();
-            all.extend_from_slice(&b);
-            prop_assert_eq!(ha.merge(&hb), snap(&all));
-            prop_assert_eq!(ha.count(), a.len() as u64);
         }
     }
 }

@@ -65,27 +65,25 @@ pub mod vfs;
 pub mod wal;
 
 pub use error::PersistError;
-pub use store::{
-    cas_state_fingerprint, DurableConfig, DurableContentStore, PersistObs, RecoveryReport,
-};
+pub use store::{cas_state_fingerprint, DurableConfig, DurableContentStore, RecoveryReport};
 pub use vfs::{MemFs, StdFs, Vfs};
 
 /// Little-endian codec helpers shared by the WAL, segment and manifest
 /// formats.
 pub(crate) mod codec {
-    pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
         out.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
         out.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn read_u32(buf: &[u8], at: usize) -> Option<u32> {
+    pub(crate) fn read_u32(buf: &[u8], at: usize) -> Option<u32> {
         Some(u32::from_le_bytes(buf.get(at..at + 4)?.try_into().ok()?))
     }
 
-    pub fn read_u64(buf: &[u8], at: usize) -> Option<u64> {
+    pub(crate) fn read_u64(buf: &[u8], at: usize) -> Option<u64> {
         Some(u64::from_le_bytes(buf.get(at..at + 8)?.try_into().ok()?))
     }
 }

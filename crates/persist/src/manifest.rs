@@ -32,13 +32,13 @@ const VERSION: u32 = 1;
 const ENTRY_LEN: usize = 32 + 4 + 8 + 8 + 4;
 
 /// File name of the manifest under `prefix`.
-pub fn file_name(prefix: &str) -> String {
+pub(crate) fn file_name(prefix: &str) -> String {
     format!("{prefix}.manifest")
 }
 
 /// One indexed blob.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ManifestEntry {
+pub(crate) struct ManifestEntry {
     pub digest: Digest,
     pub segment: u32,
     pub offset: u64,
@@ -48,7 +48,7 @@ pub struct ManifestEntry {
 
 /// A decoded manifest.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Manifest {
+pub(crate) struct Manifest {
     /// WAL generation this manifest covers (recovery replays only
     /// `prefix.wal-{wal_epoch}`).
     pub wal_epoch: u64,
@@ -58,7 +58,7 @@ pub struct Manifest {
 
 impl Manifest {
     /// Canonical byte encoding (entries sorted by digest).
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut entries = self.entries.clone();
         entries.sort_by_key(|e| e.digest.0);
         let mut out = Vec::with_capacity(32 + entries.len() * ENTRY_LEN + 4);
@@ -79,7 +79,7 @@ impl Manifest {
         out
     }
 
-    pub fn decode(buf: &[u8]) -> Result<Manifest, PersistError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<Manifest, PersistError> {
         let bad = |what: String| PersistError::CorruptManifest(what);
         if buf.len() < 32 + 4 {
             return Err(bad(format!("too short: {} bytes", buf.len())));

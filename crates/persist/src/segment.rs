@@ -21,24 +21,24 @@ use crate::codec::{put_u32, put_u64, read_u32, read_u64};
 use crate::vfs::Vfs;
 use crate::PersistError;
 
-pub const MAGIC: u32 = 0x5853_4547; // "XSEG" (LE bytes: G E S X)
+pub(crate) const MAGIC: u32 = 0x5853_4547; // "XSEG" (LE bytes: G E S X)
 
 /// Fixed bytes before the payload.
-pub const RECORD_HEADER: u64 = 4 + 8 + 4 + 32;
+pub(crate) const RECORD_HEADER: u64 = 4 + 8 + 4 + 32;
 
 /// File name of segment `id` under `prefix` (flat, sortable).
-pub fn file_name(prefix: &str, id: u32) -> String {
+pub(crate) fn file_name(prefix: &str, id: u32) -> String {
     format!("{prefix}.seg-{id:06}")
 }
 
 /// Parse a segment file name back to its id.
-pub fn parse_file_name(prefix: &str, name: &str) -> Option<u32> {
+pub(crate) fn parse_file_name(prefix: &str, name: &str) -> Option<u32> {
     let rest = name.strip_prefix(prefix)?.strip_prefix(".seg-")?;
     rest.parse().ok()
 }
 
 /// Encode one record.
-pub fn encode_record(digest: &Digest, payload: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_record(digest: &Digest, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(RECORD_HEADER as usize + payload.len());
     put_u32(&mut out, MAGIC);
     put_u64(&mut out, payload.len() as u64);
@@ -49,14 +49,14 @@ pub fn encode_record(digest: &Digest, payload: &[u8]) -> Vec<u8> {
 }
 
 /// Total on-disk length of a record holding `payload_len` bytes.
-pub fn record_len(payload_len: u64) -> u64 {
+pub(crate) fn record_len(payload_len: u64) -> u64 {
     RECORD_HEADER + payload_len
 }
 
 /// Read and validate the record for `digest` at `offset` of segment
 /// `id`; `payload_len` is the length the index recorded. Returns the
 /// payload bytes.
-pub fn read_record(
+pub(crate) fn read_record(
     vfs: &dyn Vfs,
     prefix: &str,
     id: u32,
@@ -105,7 +105,7 @@ pub fn read_record(
 /// here; for unblocked payloads use [`read_record`] when end-to-end
 /// integrity matters more than the partial read.
 #[allow(clippy::too_many_arguments)]
-pub fn read_record_range(
+pub(crate) fn read_record_range(
     vfs: &dyn Vfs,
     prefix: &str,
     id: u32,

@@ -60,7 +60,7 @@ use crate::wal::{self, WalOp};
 use crate::PersistError;
 
 /// Same shard fan-out as the in-memory CAS.
-pub const SHARD_COUNT: usize = 16;
+pub(crate) const SHARD_COUNT: usize = 16;
 
 fn shard_of(digest: &Digest) -> usize {
     (digest.0[0] as usize) & (SHARD_COUNT - 1)
@@ -153,7 +153,7 @@ pub struct RecoveryReport {
 /// writers the number of syncs depends on scheduling — it lives in the
 /// wall section. `deep_verify` — an audit — reads through uncounted
 /// helpers and bumps nothing.
-pub struct PersistObs {
+pub(crate) struct PersistObs {
     wal_appends: Arc<Counter>,
     fsyncs: Arc<Counter>,
     segment_appends: Arc<Counter>,
@@ -428,10 +428,6 @@ impl DurableContentStore {
     /// Name of the WAL file of the *current* generation.
     pub fn wal_file(&self) -> String {
         wal_name(&self.cfg.prefix, self.log.lock().unwrap().epoch)
-    }
-
-    pub fn prefix(&self) -> &str {
-        &self.cfg.prefix
     }
 
     /// Queue `op`'s frame for the next commit. Caller holds the log

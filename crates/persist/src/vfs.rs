@@ -187,12 +187,6 @@ impl MemFs {
         self.state.lock().unwrap().mutations
     }
 
-    /// Whether an armed crash has fired and the medium awaits
-    /// [`MemFs::power_cut`].
-    pub fn is_crashed(&self) -> bool {
-        self.state.lock().unwrap().crashed
-    }
-
     /// Bump the mutation counter; returns true if this operation is the
     /// crashing one (caller applies its partial effect, then fails).
     fn account_mutation(st: &mut MemState) -> Result<bool, PersistError> {
@@ -528,7 +522,6 @@ mod tests {
         fs.sync("wal").unwrap();
         fs.set_crash_at(1);
         assert_eq!(fs.append("wal", b"ABCDEFGH"), Err(PersistError::Crashed));
-        assert!(fs.is_crashed());
         // Poisoned until reboot.
         assert_eq!(fs.read("wal"), Err(PersistError::Crashed));
         assert_eq!(fs.append("wal", b"more"), Err(PersistError::Crashed));

@@ -29,7 +29,7 @@ const FRAME_HEADER: usize = 8;
 
 /// One logical index operation.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WalOp {
+pub(crate) enum WalOp {
     /// A new blob was appended to `segment` at `offset` (record start)
     /// with `len` payload bytes; its refcount starts at 1.
     Put {
@@ -45,7 +45,7 @@ pub enum WalOp {
 }
 
 impl WalOp {
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
         match self {
             WalOp::Put {
@@ -103,7 +103,7 @@ impl WalOp {
     }
 
     /// Frame the op for appending to the log.
-    pub fn frame(&self) -> Vec<u8> {
+    pub(crate) fn frame(&self) -> Vec<u8> {
         let payload = self.encode();
         let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
         put_u32(&mut out, payload.len() as u32);
@@ -115,7 +115,7 @@ impl WalOp {
 
 /// Outcome of a replay.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WalReplay {
+pub(crate) struct WalReplay {
     pub ops: Vec<WalOp>,
     /// Byte offset of the first unparseable frame (== file length when
     /// the log ends cleanly).
@@ -127,7 +127,7 @@ pub struct WalReplay {
 /// Replay a WAL image. Never fails on tail damage — a frame is either
 /// intact (length plausible, payload complete, CRC matches, payload
 /// decodes) or it and everything after it is dropped.
-pub fn replay(buf: &[u8]) -> WalReplay {
+pub(crate) fn replay(buf: &[u8]) -> WalReplay {
     let mut ops = Vec::new();
     let mut at = 0usize;
     while let Some(len) = read_u32(buf, at) {

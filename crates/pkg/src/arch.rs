@@ -36,7 +36,7 @@ impl Arch {
 
     /// Can a package of architecture `self` be installed on a base image
     /// of architecture `host`?
-    pub fn installable_on(self, host: Arch) -> bool {
+    pub(crate) fn installable_on(self, host: Arch) -> bool {
         self == Arch::All || self == host
     }
 

@@ -184,20 +184,6 @@ impl Catalog {
         }
         Ok(order)
     }
-
-    /// The set of *dependency* packages of a closure: closure minus roots.
-    pub fn dependency_set(
-        &self,
-        roots: &[PackageId],
-        host: Arch,
-    ) -> Result<Vec<PackageId>, ResolveError> {
-        let root_set: FxHashSet<PackageId> = roots.iter().copied().collect();
-        Ok(self
-            .install_closure(roots, host)?
-            .into_iter()
-            .filter(|id| !root_set.contains(id))
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -295,15 +281,6 @@ mod tests {
                 .unwrap(),
             id
         );
-    }
-
-    #[test]
-    fn dependency_set_excludes_roots() {
-        let mut c = Catalog::new();
-        let libc = c.add(spec("libc6", "2.31", &[]));
-        let redis = c.add(spec("redis", "6.0", &[Dependency::any("libc6")]));
-        let deps = c.dependency_set(&[redis], Arch::Amd64).unwrap();
-        assert_eq!(deps, vec![libc]);
     }
 
     #[test]

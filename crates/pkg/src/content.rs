@@ -107,7 +107,7 @@ fn fill_text(rng: &mut SplitMix64, out: &mut Vec<u8>, run: usize) {
 /// `(seed, size)`. Two files have identical bytes iff `(seed, size)` match,
 /// so stores may use this as a fast path; [`generate`] remains the ground
 /// truth and tests verify agreement.
-pub fn content_digest(seed: u64, size: usize) -> xpl_util::Digest {
+pub(crate) fn content_digest(seed: u64, size: usize) -> xpl_util::Digest {
     // NOTE: this must stay consistent with `generate`: identical bytes are
     // produced exactly for identical (seed, size) pairs, and different
     // pairs produce different bytes with overwhelming probability (the

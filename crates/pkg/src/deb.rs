@@ -94,7 +94,7 @@ pub fn build_deb(catalog: &Catalog, id: PackageId) -> DebPackage {
 mod tests {
     use super::*;
     use crate::catalog::PackageSpec;
-    use crate::meta::{Dependency, FileManifest, PkgFile, Section};
+    use crate::meta::{Dependency, FileManifest, PkgFile, Section, VersionReq};
     use crate::{Arch, Version};
     use xpl_util::IStr;
 
@@ -119,7 +119,10 @@ mod tests {
             essential: false,
             deb_size: 800,
             installed_size: 2600,
-            depends: vec![Dependency::at_least("libc6", "2.27")],
+            depends: vec![Dependency {
+                name: IStr::new("libc6"),
+                req: VersionReq::AtLeast(Version::parse("2.27")),
+            }],
             manifest: FileManifest {
                 files: vec![
                     PkgFile {

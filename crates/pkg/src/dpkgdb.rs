@@ -52,10 +52,6 @@ impl DpkgDb {
         self.installed.contains_key(&name)
     }
 
-    pub fn installed_version_of(&self, name: IStr) -> Option<PackageId> {
-        self.installed.get(&name).map(|(id, _)| *id)
-    }
-
     pub fn reason_of(&self, name: IStr) -> Option<InstallReason> {
         self.installed.get(&name).map(|(_, r)| *r)
     }
@@ -233,9 +229,9 @@ mod tests {
         let v2 = c.add(spec("tool", "2.0", &[]));
         let mut db = DpkgDb::new();
         db.install(&c, v1, InstallReason::Manual);
-        assert_eq!(db.installed_version_of(IStr::new("tool")), Some(v1));
+        assert_eq!(db.installed_ids(), vec![v1]);
         db.install(&c, v2, InstallReason::Manual);
-        assert_eq!(db.installed_version_of(IStr::new("tool")), Some(v2));
+        assert_eq!(db.installed_ids(), vec![v2]);
         assert_eq!(db.len(), 1);
     }
 

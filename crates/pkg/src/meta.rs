@@ -61,7 +61,7 @@ pub enum VersionReq {
 }
 
 impl VersionReq {
-    pub fn matches(&self, v: &Version) -> bool {
+    pub(crate) fn matches(&self, v: &Version) -> bool {
         match self {
             VersionReq::Any => true,
             VersionReq::Exact(x) => v == x,
@@ -92,13 +92,6 @@ impl Dependency {
         Dependency {
             name: IStr::new(name),
             req: VersionReq::Any,
-        }
-    }
-
-    pub fn at_least(name: &str, v: &str) -> Dependency {
-        Dependency {
-            name: IStr::new(name),
-            req: VersionReq::AtLeast(Version::parse(v)),
         }
     }
 }
@@ -192,8 +185,11 @@ mod tests {
     }
 
     #[test]
-    fn dependency_constructors() {
-        let d = Dependency::at_least("libc6", "2.27");
+    fn at_least_requirement_matches_and_renders() {
+        let d = Dependency {
+            name: IStr::new("libc6"),
+            req: VersionReq::AtLeast(Version::parse("2.27")),
+        };
         assert_eq!(d.name.as_str(), "libc6");
         assert!(d.req.matches(&Version::parse("2.31")));
         assert!(!d.req.matches(&Version::parse("2.19")));

@@ -28,7 +28,7 @@ pub struct PkgVertex {
 }
 
 impl PkgVertex {
-    pub fn from_catalog(catalog: &Catalog, id: PackageId, role: PkgRole) -> Self {
+    pub(crate) fn from_catalog(catalog: &Catalog, id: PackageId, role: PkgRole) -> Self {
         let m = catalog.get(id);
         PkgVertex {
             pkg: id,
@@ -140,7 +140,7 @@ impl SemanticGraph {
         }
     }
 
-    pub fn vertex_by_name(&self, name: IStr) -> Option<&PkgVertex> {
+    pub(crate) fn vertex_by_name(&self, name: IStr) -> Option<&PkgVertex> {
         self.by_name.get(&name).map(|&i| &self.vertices[i as usize])
     }
 
@@ -170,7 +170,7 @@ impl SemanticGraph {
     }
 
     /// Keep only vertices satisfying `keep`, remapping edges.
-    pub fn filtered(&self, name: &str, keep: impl Fn(&PkgVertex) -> bool) -> SemanticGraph {
+    pub(crate) fn filtered(&self, name: &str, keep: impl Fn(&PkgVertex) -> bool) -> SemanticGraph {
         let mut map = vec![u32::MAX; self.vertices.len()];
         let mut vertices = Vec::new();
         for (i, v) in self.vertices.iter().enumerate() {
@@ -188,27 +188,6 @@ impl SemanticGraph {
             })
             .collect();
         SemanticGraph::from_parts(name, self.base.clone(), vertices, edges)
-    }
-
-    /// Extract the subgraph of one package and its reachable dependencies
-    /// (Algorithm 1 line 25 / Algorithm 2 line 9 `extractSubGraph(G, P)`).
-    pub fn package_closure_subgraph(&self, root: IStr) -> Option<SemanticGraph> {
-        let start = *self.by_name.get(&root)?;
-        let mut reach: FxHashSet<u32> = FxHashSet::default();
-        let mut stack = vec![start];
-        while let Some(i) = stack.pop() {
-            if !reach.insert(i) {
-                continue;
-            }
-            for &(a, b) in &self.edges {
-                if a == i && !reach.contains(&b) {
-                    stack.push(b);
-                }
-            }
-        }
-        Some(self.filtered(&format!("{}[{}]", self.image, root), |v| {
-            self.by_name.get(&v.name).is_some_and(|i| reach.contains(i))
-        }))
     }
 
     /// Does the graph contain a dependency cycle? (Fig. 1 shows cycles are
@@ -369,19 +348,6 @@ mod tests {
             assert!((a as usize) < prim.vertices.len());
             assert!((b as usize) < prim.vertices.len());
         }
-    }
-
-    #[test]
-    fn package_closure_subgraph_follows_edges() {
-        let (_c, g) = figure1();
-        let tomcat = g.package_closure_subgraph(IStr::new("tomcat8")).unwrap();
-        let names: Vec<&str> = tomcat.vertices.iter().map(|v| v.name.as_str()).collect();
-        assert!(names.contains(&"tomcat8"));
-        assert!(names.contains(&"openjdk"));
-        assert!(names.contains(&"ucf"));
-        assert!(names.contains(&"coreutils"), "transitive dep via ucf");
-        assert!(!names.contains(&"mariadb"));
-        assert!(g.package_closure_subgraph(IStr::new("ghost")).is_none());
     }
 
     #[test]

@@ -22,5 +22,5 @@ pub mod master;
 pub mod similarity;
 
 pub use graph::{PkgRole, PkgVertex, SemanticGraph};
-pub use master::{MasterGraph, MasterKey};
-pub use similarity::{compatibility, sim_g, sim_p, sim_size};
+pub use master::MasterGraph;
+pub use similarity::{compatibility, sim_g};

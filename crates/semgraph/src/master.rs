@@ -8,12 +8,12 @@
 //! quadruple instead of every stored image.
 
 use crate::graph::{PkgVertex, SemanticGraph};
-use crate::similarity::{compatibility, sim_g};
+use crate::similarity::sim_g;
 use xpl_pkg::BaseImageAttrs;
 use xpl_util::{FxHashMap, IStr};
 
 /// The `(T, D, V, A)` key, rendered canonically.
-pub type MasterKey = String;
+pub(crate) type MasterKey = String;
 
 /// A master graph.
 #[derive(Clone)]
@@ -128,18 +128,6 @@ impl MasterGraph {
         sim_g(graph, &self.as_graph())
     }
 
-    /// Is an image's primary subgraph semantically compatible with this
-    /// master's base (§III-H requires compatibility = 1 for membership)?
-    pub fn compatible_with(&self, graph: &SemanticGraph) -> bool {
-        let base_graph = SemanticGraph::from_parts(
-            &format!("{}[BI]", self.key),
-            self.base.clone(),
-            self.base_vertices.clone(),
-            vec![],
-        );
-        compatibility(&base_graph, &graph.primary_subgraph()) == 1.0
-    }
-
     pub fn package_count(&self) -> usize {
         self.packages.len()
     }
@@ -238,29 +226,6 @@ mod tests {
             s_master >= s_pair - 1e-9,
             "master {s_master} vs pairwise {s_pair}"
         );
-    }
-
-    #[test]
-    fn compatible_with_checks_base_conflicts() {
-        let g = image("redis", &[("redis", "6.0", 400)]);
-        let m = MasterGraph::create(&g);
-        // Compatible: primary set doesn't pin anything the base provides.
-        assert!(m.compatible_with(&image("ok", &[("nginx", "1.18", 350)])));
-        // Incompatible: pins a different version of a base package.
-        let mut bad_vs = vec![
-            vx("libc6", "2.23", 1800, PkgRole::BaseMember),
-            vx("bash", "4.4", 120, PkgRole::BaseMember),
-            vx("libc6-new", "9.9", 10, PkgRole::Primary),
-        ];
-        bad_vs[2].name = IStr::new("libc6"); // primary pinning libc6 9.9
-        bad_vs[2].version = Version::parse("9.9");
-        let bad = SemanticGraph::from_parts(
-            "bad",
-            BaseImageAttrs::ubuntu("16.04", Arch::Amd64),
-            bad_vs,
-            vec![],
-        );
-        assert!(!m.compatible_with(&bad));
     }
 
     #[test]

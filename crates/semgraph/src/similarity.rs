@@ -7,7 +7,7 @@ use xpl_util::FxHashMap;
 /// Different names → 0 (unmatched). Same name: version similarity ×
 /// architecture similarity. The paper requires `simP = 1` for semantic
 /// compatibility, i.e. identical version and compatible architecture.
-pub fn sim_p(a: &PkgVertex, b: &PkgVertex) -> f64 {
+pub(crate) fn sim_p(a: &PkgVertex, b: &PkgVertex) -> f64 {
     if a.name != b.name {
         return 0.0;
     }
@@ -38,7 +38,7 @@ fn version_similarity(a: &xpl_pkg::Version, b: &xpl_pkg::Version) -> f64 {
 
 /// Size similarity of a matched pair (§III-F): the larger of the two
 /// sizes, normalized by the largest package across both graphs.
-pub fn sim_size(a: &PkgVertex, b: &PkgVertex, max_size: u64) -> f64 {
+pub(crate) fn sim_size(a: &PkgVertex, b: &PkgVertex, max_size: u64) -> f64 {
     if max_size == 0 {
         return 0.0;
     }
@@ -107,18 +107,6 @@ pub fn compatibility(base_sub: &SemanticGraph, primary_sub: &SemanticGraph) -> f
         }
     }
     c
-}
-
-/// Pick the most similar graph among `candidates` (rayon-parallel: this
-/// is the hot sweep the master-graph design accelerates, and with masters
-/// it is still worth parallelizing across the handful of keys).
-pub fn most_similar(target: &SemanticGraph, candidates: &[SemanticGraph]) -> Option<(usize, f64)> {
-    use rayon::prelude::*;
-    candidates
-        .par_iter()
-        .enumerate()
-        .map(|(i, g)| (i, sim_g(target, g)))
-        .max_by(|a, b| a.1.total_cmp(&b.1))
 }
 
 #[cfg(test)]
@@ -269,19 +257,5 @@ mod tests {
         let prim_bad = graph("p2", vec![vx("libssl", "1.1.0", 300, PkgRole::Dependency)]);
         assert_eq!(compatibility(&base, &prim_ok), 1.0);
         assert!(compatibility(&base, &prim_bad) < 1.0);
-    }
-
-    #[test]
-    fn most_similar_finds_best() {
-        let target = graph("t", vec![vx("redis", "6.0", 400, PkgRole::Primary)]);
-        let candidates = vec![
-            graph("c0", vec![vx("nginx", "1.18", 300, PkgRole::Primary)]),
-            graph("c1", vec![vx("redis", "6.0", 400, PkgRole::Primary)]),
-            graph("c2", vec![vx("redis", "7.0", 400, PkgRole::Primary)]),
-        ];
-        let (idx, s) = most_similar(&target, &candidates).unwrap();
-        assert_eq!(idx, 1);
-        assert!((s - 1.0).abs() < 1e-9);
-        assert!(most_similar(&target, &[]).is_none());
     }
 }

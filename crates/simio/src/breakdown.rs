@@ -54,13 +54,6 @@ impl Breakdown {
     pub fn segments(&self) -> &[(String, SimDuration)] {
         &self.segments
     }
-
-    /// Merge another breakdown into this one (label-wise accumulation).
-    pub fn absorb(&mut self, other: &Breakdown) {
-        for (l, d) in &other.segments {
-            self.record(l, *d);
-        }
-    }
 }
 
 impl std::fmt::Display for Breakdown {
@@ -107,18 +100,6 @@ mod tests {
         }
         assert_eq!(b.get("import"), SimDuration::from_millis(6));
         assert_eq!(b.segments().len(), 1);
-    }
-
-    #[test]
-    fn absorb_merges() {
-        let mut a = Breakdown::new();
-        a.record("x", SimDuration::from_millis(1));
-        let mut b = Breakdown::new();
-        b.record("x", SimDuration::from_millis(2));
-        b.record("y", SimDuration::from_millis(5));
-        a.absorb(&b);
-        assert_eq!(a.get("x"), SimDuration::from_millis(3));
-        assert_eq!(a.get("y"), SimDuration::from_millis(5));
     }
 
     #[test]

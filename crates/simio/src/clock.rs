@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct SimInstant(pub u64);
 
 impl SimInstant {
-    pub fn duration_since(self, earlier: SimInstant) -> SimDuration {
+    pub(crate) fn duration_since(self, earlier: SimInstant) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 }
@@ -35,7 +35,7 @@ impl SimDuration {
         SimDuration(us * 1_000)
     }
 
-    pub fn from_millis(ms: u64) -> Self {
+    pub(crate) fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1_000_000)
     }
 
@@ -49,10 +49,6 @@ impl SimDuration {
 
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 }
 
@@ -107,18 +103,13 @@ impl SimClock {
     }
 
     /// Advance the clock by a charge. Returns the new time.
-    pub fn advance(&self, d: SimDuration) -> SimInstant {
+    pub(crate) fn advance(&self, d: SimDuration) -> SimInstant {
         SimInstant(self.nanos.fetch_add(d.0, Ordering::Relaxed) + d.0)
     }
 
     /// Elapsed time since `start`.
     pub fn since(&self, start: SimInstant) -> SimDuration {
         self.now().duration_since(start)
-    }
-
-    /// Reset to zero (test convenience; never used mid-experiment).
-    pub fn reset(&self) {
-        self.nanos.store(0, Ordering::Relaxed);
     }
 }
 

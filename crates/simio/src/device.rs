@@ -43,8 +43,6 @@ pub struct DeviceProfile {
     pub db_row_read: SimDuration,
     /// Cost of a metadata-database row write.
     pub db_row_write: SimDuration,
-    /// Fixed cost of a durability barrier.
-    pub fsync: SimDuration,
 }
 
 impl DeviceProfile {
@@ -59,14 +57,13 @@ impl DeviceProfile {
 
 /// Monotonic operation counters (relaxed atomics — totals only).
 #[derive(Debug, Default)]
-pub struct DeviceStats {
+pub(crate) struct DeviceStats {
     pub bytes_read: AtomicU64,
     pub bytes_written: AtomicU64,
     pub files_opened: AtomicU64,
     pub files_created: AtomicU64,
     pub db_rows_read: AtomicU64,
     pub db_rows_written: AtomicU64,
-    pub fsyncs: AtomicU64,
 }
 
 /// Snapshot of [`DeviceStats`] for reporting.
@@ -78,7 +75,6 @@ pub struct StatsSnapshot {
     pub files_created: u64,
     pub db_rows_read: u64,
     pub db_rows_written: u64,
-    pub fsyncs: u64,
 }
 
 /// A charged device bound to the shared clock.
@@ -95,14 +91,6 @@ impl SimDevice {
             clock,
             stats: DeviceStats::default(),
         }
-    }
-
-    pub fn profile(&self) -> &DeviceProfile {
-        &self.profile
-    }
-
-    pub fn clock(&self) -> &Arc<SimClock> {
-        &self.clock
     }
 
     /// Sequentially read `real_bytes` (charged at nominal volume).
@@ -203,13 +191,6 @@ impl SimDevice {
         d
     }
 
-    /// Durability barrier.
-    pub fn charge_fsync(&self) -> SimDuration {
-        self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-        self.clock.advance(self.profile.fsync);
-        self.profile.fsync
-    }
-
     /// Charge an arbitrary fixed compute/IO cost on this device's clock.
     pub fn charge_fixed(&self, d: SimDuration) -> SimDuration {
         self.clock.advance(d);
@@ -224,7 +205,6 @@ impl SimDevice {
             files_created: self.stats.files_created.load(Ordering::Relaxed),
             db_rows_read: self.stats.db_rows_read.load(Ordering::Relaxed),
             db_rows_written: self.stats.db_rows_written.load(Ordering::Relaxed),
-            fsyncs: self.stats.fsyncs.load(Ordering::Relaxed),
         }
     }
 }
@@ -244,7 +224,6 @@ mod tests {
             small_file_extra: SimDuration::from_millis(2),
             db_row_read: SimDuration::from_micros(170),
             db_row_write: SimDuration::from_micros(300),
-            fsync: SimDuration::from_millis(5),
         }
     }
 
@@ -283,7 +262,7 @@ mod tests {
         let small = d.charge_open(4096);
         let large = d.charge_open(10 * 1024 * 1024);
         assert!(small > large);
-        assert_eq!(small.saturating_sub(large), SimDuration::from_millis(2));
+        assert_eq!(small.as_nanos() - large.as_nanos(), 2_000_000);
         assert_eq!(d.stats().files_opened, 2);
     }
 
@@ -304,11 +283,9 @@ mod tests {
         d.charge_create(10);
         d.charge_create(10);
         d.charge_db_write(5);
-        d.charge_fsync();
         let s = d.stats();
         assert_eq!(s.files_created, 2);
         assert_eq!(s.db_rows_written, 5);
-        assert_eq!(s.fsyncs, 1);
     }
 
     #[test]
@@ -317,7 +294,7 @@ mod tests {
         // it, the whole payload also moves through the device.
         for (payload, moved) in [(64, 0), (65, 65)] {
             let d = dev();
-            let t0 = d.clock().now();
+            let t0 = d.clock.now();
             d.charge_row_write(payload);
             d.charge_row_read(payload);
             let s = d.stats();
@@ -328,7 +305,7 @@ mod tests {
                 + p.db_row_read
                 + DeviceProfile::xfer_time(p.seq_write_bps, moved)
                 + DeviceProfile::xfer_time(p.seq_read_bps, moved);
-            assert_eq!(d.clock().since(t0), want, "{payload}-byte row");
+            assert_eq!(d.clock.since(t0), want, "{payload}-byte row");
         }
     }
 

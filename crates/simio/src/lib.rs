@@ -23,5 +23,5 @@ pub mod profiles;
 
 pub use breakdown::Breakdown;
 pub use clock::{SimClock, SimDuration, SimInstant};
-pub use device::{DeviceProfile, DeviceStats, SimDevice};
+pub use device::{DeviceProfile, SimDevice};
 pub use profiles::{CostParams, SimEnv};

@@ -14,7 +14,7 @@ use crate::device::{DeviceProfile, SimDevice};
 const MIB: u64 = 1024 * 1024;
 
 /// Profile of the 1 TB external repository SSD from the paper's setup.
-pub fn repository_ssd() -> DeviceProfile {
+pub(crate) fn repository_ssd() -> DeviceProfile {
     DeviceProfile {
         name: "repository-ssd",
         // External SATA/USB SSD class: the paper's base-image copy phase
@@ -32,12 +32,11 @@ pub fn repository_ssd() -> DeviceProfile {
         // Hemera stores small files as DB rows; SQLite-class row access.
         db_row_read: SimDuration::from_micros(170),
         db_row_write: SimDuration::from_micros(260),
-        fsync: SimDuration::from_millis(4),
     }
 }
 
 /// Profile of the local scratch disk where images are built/assembled.
-pub fn local_ssd() -> DeviceProfile {
+pub(crate) fn local_ssd() -> DeviceProfile {
     DeviceProfile {
         name: "local-ssd",
         // Internal NVMe-class disk, faster than the external repository.
@@ -49,7 +48,6 @@ pub fn local_ssd() -> DeviceProfile {
         small_file_extra: SimDuration::from_micros(800),
         db_row_read: SimDuration::from_micros(120),
         db_row_write: SimDuration::from_micros(200),
-        fsync: SimDuration::from_millis(2),
     }
 }
 
@@ -173,7 +171,6 @@ impl SimEnv {
             small_file_extra: SimDuration::ZERO,
             db_row_read: SimDuration::ZERO,
             db_row_write: SimDuration::ZERO,
-            fsync: SimDuration::ZERO,
         };
         SimEnv {
             repo: Arc::new(SimDevice::new(zero.clone(), Arc::clone(&clock))),

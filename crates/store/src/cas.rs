@@ -77,7 +77,7 @@ use crate::api::StoreError;
 
 /// Number of digest-addressed segments. A power of two so the shard of a
 /// digest is a mask of its first byte.
-pub const SHARD_COUNT: usize = 16;
+pub(crate) const SHARD_COUNT: usize = 16;
 
 /// How a blob is represented in memory. `Raw` stores the bytes as-is;
 /// the other two wrap them in the seekable blocked container with the
@@ -207,7 +207,7 @@ pub struct TierSweep {
 /// relaxed adds commute to the same totals at any parallelism. Audits
 /// (`verify`, `check_integrity`) bump nothing, mirroring the
 /// read-temperature rule.
-pub struct CasObs {
+pub(crate) struct CasObs {
     put_new: Arc<Counter>,
     put_dedup: Arc<Counter>,
     put_logical_bytes: Arc<Counter>,
@@ -218,7 +218,6 @@ pub struct CasObs {
     range_bytes: Arc<Counter>,
     frees: Arc<Counter>,
     freed_bytes: Arc<Counter>,
-    recompress_ops: Arc<Counter>,
     maintain_scanned: Arc<Counter>,
     maintain_promoted: Arc<Counter>,
     maintain_demoted: Arc<Counter>,
@@ -241,7 +240,6 @@ impl CasObs {
             range_bytes: reg.counter("cas.range.bytes", Section::Det),
             frees: reg.counter("cas.release.frees", Section::Det),
             freed_bytes: reg.counter("cas.release.freed_bytes", Section::Det),
-            recompress_ops: reg.counter("cas.recompress.ops", Section::Det),
             maintain_scanned: reg.counter("cas.maintain.scanned", Section::Det),
             maintain_promoted: reg.counter("cas.maintain.promoted", Section::Det),
             maintain_demoted: reg.counter("cas.maintain.demoted", Section::Det),
@@ -334,16 +332,6 @@ impl ContentStore {
         debug_assert_eq!(self.blob_count(), 0, "set the tier before storing blobs");
         self.tier = tier;
         self
-    }
-
-    /// The active codec tier policy.
-    pub fn tier(&self) -> TierPolicy {
-        self.tier
-    }
-
-    /// The attached durable backend, if any.
-    pub fn durable(&self) -> Option<&Arc<DurableContentStore>> {
-        self.durable.as_ref()
     }
 
     /// Canonical fingerprint of the logical state (blobs, refcounts,
@@ -510,45 +498,6 @@ impl ContentStore {
         }
     }
 
-    /// Full integrity check of one blob: recompute the SHA-256 and compare
-    /// to the key (charges nothing — an audit, not a simulated read).
-    pub fn verify(&self, digest: &Digest) -> Result<(), CasError> {
-        let shard = self.shard(digest).read().unwrap();
-        let b = shard.get(digest).ok_or(CasError::NotFound(*digest))?;
-        let raw = Self::decode_blob(digest, b)?;
-        if Sha256::digest(&raw) != *digest {
-            return Err(CasError::DigestMismatch(*digest));
-        }
-        Ok(())
-    }
-
-    /// Logical size of a stored blob without reading it.
-    pub fn size_of(&self, digest: &Digest) -> Option<u64> {
-        self.shard(digest)
-            .read()
-            .unwrap()
-            .get(digest)
-            .map(|b| b.stored_len)
-    }
-
-    /// Current in-memory codec of a blob.
-    pub fn codec_of(&self, digest: &Digest) -> Option<BlobCodec> {
-        self.shard(digest)
-            .read()
-            .unwrap()
-            .get(digest)
-            .map(|b| b.codec)
-    }
-
-    /// Reads since the last maintenance sweep (introspection).
-    pub fn reads_of(&self, digest: &Digest) -> Option<u64> {
-        self.shard(digest)
-            .read()
-            .unwrap()
-            .get(digest)
-            .map(|b| b.reads.load(Ordering::Relaxed))
-    }
-
     /// Drop one reference; frees the blob at zero. Returns freed bytes.
     pub fn release(&self, digest: &Digest) -> Result<u64, CasError> {
         let mut shard = self.shard(digest).write().unwrap();
@@ -582,7 +531,7 @@ impl ContentStore {
 
     /// Make every mutation logged so far durable (see the module's
     /// durability notes); a no-op without a durable backend.
-    pub fn commit(&self) -> Result<(), StoreError> {
+    pub(crate) fn commit(&self) -> Result<(), StoreError> {
         match &self.durable {
             Some(d) => Ok(d.commit()?),
             None => Ok(()),
@@ -608,7 +557,7 @@ impl ContentStore {
 
     /// Physical bytes held across all encoded representations (equals
     /// `unique_bytes` for a raw-tier store).
-    pub fn encoded_bytes(&self) -> u64 {
+    pub(crate) fn encoded_bytes(&self) -> u64 {
         self.encoded_bytes.load(Ordering::Relaxed)
     }
 
@@ -708,18 +657,6 @@ impl ContentStore {
     /// and only then re-encoded. Returns `(old, new)` encoded lengths.
     /// Refcounts, `unique_bytes`, and the durable backend (which always
     /// holds raw bytes) are untouched.
-    pub fn recompress(&self, digest: &Digest, codec: BlobCodec) -> Result<(u64, u64), CasError> {
-        let mut shard = self.shard(digest).write().unwrap();
-        let b = shard.get_mut(digest).ok_or(CasError::NotFound(*digest))?;
-        self.device.charge_db_write(1);
-        if let Some(o) = self.obs.get() {
-            o.recompress_ops.inc();
-        }
-        self.recompress_blob(digest, b, codec)
-    }
-
-    /// The locked inner half of [`ContentStore::recompress`]; shared
-    /// with the maintenance sweep.
     fn recompress_blob(
         &self,
         digest: &Digest,
@@ -829,6 +766,20 @@ mod tests {
     use super::*;
     use xpl_simio::SimEnv;
 
+    impl ContentStore {
+        /// Current in-memory codec of a blob.
+        fn codec_of(&self, digest: &Digest) -> Option<BlobCodec> {
+            let shard = self.shard(digest).read().unwrap();
+            shard.get(digest).map(|b| b.codec)
+        }
+
+        /// Reads since the last maintenance sweep.
+        fn reads_of(&self, digest: &Digest) -> Option<u64> {
+            let shard = self.shard(digest).read().unwrap();
+            shard.get(digest).map(|b| b.reads.load(Ordering::Relaxed))
+        }
+    }
+
     fn store() -> (SimEnv, ContentStore) {
         let env = SimEnv::testbed();
         let cas = ContentStore::new(Arc::clone(&env.repo));
@@ -889,7 +840,6 @@ mod tests {
         assert!(cas.get(&d).is_ok());
         assert!(cas.check_integrity(false).is_ok());
         // …the full digest recompute does not.
-        assert_eq!(cas.verify(&d), Err(CasError::DigestMismatch(d)));
         assert!(cas.check_integrity(true).is_err());
     }
 
@@ -915,13 +865,6 @@ mod tests {
     }
 
     #[test]
-    fn verify_missing_blob_is_not_found() {
-        let (_e, cas) = store();
-        let missing = Sha256::digest(b"nope");
-        assert_eq!(cas.verify(&missing), Err(CasError::NotFound(missing)));
-    }
-
-    #[test]
     fn add_ref_requires_existing() {
         let (_e, cas) = store();
         let missing = Sha256::digest(b"nope");
@@ -940,15 +883,6 @@ mod tests {
         let t1 = env.clock.now();
         cas.get(&d).unwrap();
         assert!(env.clock.since(t1).as_nanos() > 0);
-    }
-
-    #[test]
-    fn size_of_reports_without_charges() {
-        let (env, cas) = store();
-        let (d, _) = cas.put(b"sized");
-        let reads_before = env.repo.stats().bytes_read;
-        assert_eq!(cas.size_of(&d), Some(5));
-        assert_eq!(env.repo.stats().bytes_read, reads_before);
     }
 
     #[test]
@@ -1031,10 +965,8 @@ mod tests {
                 &data[data.len() - 5..]
             );
             assert_eq!(cas.get_range(&d, u64::MAX - 3, 100).unwrap(), b"");
-            assert_eq!(cas.size_of(&d), Some(data.len() as u64));
             assert_eq!(cas.codec_of(&d), Some(policy.base));
             assert!(cas.check_integrity(true).is_ok());
-            cas.verify(&d).unwrap();
         }
     }
 
@@ -1071,29 +1003,6 @@ mod tests {
     }
 
     #[test]
-    fn recompress_pins_the_digest_and_updates_the_physical_ledger() {
-        let data = payload(3, 120_000);
-        let (_e, cas) = tiered(TierPolicy::dense());
-        let (d, _) = cas.put(&data);
-        let enc_before = cas.encoded_bytes();
-        let (old, new) = cas.recompress(&d, BlobCodec::Lz4).unwrap();
-        assert_eq!(old, enc_before);
-        assert_eq!(cas.encoded_bytes(), new);
-        assert_eq!(cas.codec_of(&d), Some(BlobCodec::Lz4));
-        // Logical state untouched: same digest, same bytes, same ledger.
-        assert_eq!(cas.get(&d).unwrap().as_slice(), data.as_slice());
-        assert_eq!(cas.unique_bytes(), data.len() as u64);
-        assert!(cas.check_integrity(true).is_ok());
-        // Idempotent on a same-codec call.
-        assert_eq!(cas.recompress(&d, BlobCodec::Lz4).unwrap(), (new, new));
-        let missing = Sha256::digest(b"nope");
-        assert_eq!(
-            cas.recompress(&missing, BlobCodec::Lz4),
-            Err(CasError::NotFound(missing))
-        );
-    }
-
-    #[test]
     fn maintain_promotes_hot_and_demotes_cold() {
         let (_e, cas) = tiered(TierPolicy::mixed());
         let hot = payload(4, 60_000);
@@ -1103,7 +1012,6 @@ mod tests {
         cas.get(&dh).unwrap();
         cas.get(&dh).unwrap();
         // Audits must not heat blobs up.
-        cas.verify(&dc).unwrap();
         cas.check_integrity(true).unwrap();
         assert_eq!(cas.reads_of(&dc), Some(0));
 

@@ -22,6 +22,6 @@ pub use api::{
     DeleteReport, ImageStore, MaintainReport, PublishReport, RetrieveReport, RetrieveRequest,
     StoreError,
 };
-pub use cas::{BlobCodec, CasObs, ContentStore, TierPolicy, TierSweep};
+pub use cas::{BlobCodec, ContentStore, TierPolicy, TierSweep};
 pub use oracle::{full_fingerprint, semantic_fingerprint};
 pub use stripe::NameLocks;

@@ -15,7 +15,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 /// Number of stripes; a power of two so selection is a mask.
-pub const STRIPE_COUNT: usize = 32;
+pub(crate) const STRIPE_COUNT: usize = 32;
 
 /// Striped mutexes keyed by image name.
 pub struct NameLocks {

@@ -60,7 +60,7 @@ impl From<&str> for IStr {
 /// `HashMap<&'static str, u32>` at 25 bytes a bucket, which at 57 k
 /// strings doubled from 1.6 to 3.3 MiB while still holding the old
 /// table.
-pub struct Interner {
+pub(crate) struct Interner {
     /// String → id, sharded by the top bits of the string's hash.
     /// RwLock: reads (lookups of already-interned strings) vastly
     /// dominate. Lock order: shard → `rev` (read); the insert path
@@ -147,7 +147,7 @@ impl Interner {
         }
     }
 
-    pub fn intern(&self, s: &str) -> IStr {
+    pub(crate) fn intern(&self, s: &str) -> IStr {
         let mut hasher = FxHasher::default();
         hasher.write(s.as_bytes());
         let hash = hasher.finish();
@@ -181,16 +181,8 @@ impl Interner {
         IStr(id)
     }
 
-    pub fn resolve(&self, i: IStr) -> &'static str {
+    pub(crate) fn resolve(&self, i: IStr) -> &'static str {
         self.rev.read().unwrap()[i.0 as usize]
-    }
-
-    pub fn len(&self) -> usize {
-        self.rev.read().unwrap().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -202,6 +194,12 @@ fn global() -> &'static Interner {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Interner {
+        fn len(&self) -> usize {
+            self.rev.read().unwrap().len()
+        }
+    }
 
     #[test]
     fn same_string_same_id() {

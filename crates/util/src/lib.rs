@@ -25,6 +25,6 @@ pub mod sha256;
 pub use bytesize::{format_bytes, format_nominal, SCALE_FACTOR};
 pub use crc32::Crc32;
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
-pub use intern::{IStr, Interner};
+pub use intern::IStr;
 pub use rng::SplitMix64;
 pub use sha256::{Digest, Sha256};

@@ -36,11 +36,6 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform in `[0, bound)`. `bound` must be non-zero.
     #[inline]
     pub fn next_below(&mut self, bound: u64) -> u64 {
@@ -79,11 +74,6 @@ impl SplitMix64 {
             let w = self.next_u64().to_le_bytes();
             rem.copy_from_slice(&w[..rem.len()]);
         }
-    }
-
-    /// Pick a random element of a slice.
-    pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.next_below(items.len() as u64) as usize]
     }
 }
 

@@ -15,11 +15,6 @@
 pub struct Digest(pub [u8; 32]);
 
 impl Digest {
-    /// Digest of the empty byte string (a common sentinel).
-    pub fn empty() -> Self {
-        Sha256::digest(&[])
-    }
-
     /// Lowercase hex rendering of the full digest.
     pub fn to_hex(&self) -> String {
         crate::hex::encode(&self.0)
@@ -95,16 +90,6 @@ impl Sha256 {
     pub fn digest(data: &[u8]) -> Digest {
         let mut h = Sha256::new();
         h.update(data);
-        h.finalize()
-    }
-
-    /// Digest of several concatenated fragments without materializing the
-    /// concatenation.
-    pub fn digest_parts(parts: &[&[u8]]) -> Digest {
-        let mut h = Sha256::new();
-        for p in parts {
-            h.update(p);
-        }
         h.finalize()
     }
 
@@ -254,16 +239,6 @@ mod tests {
             h.update(&data[split..]);
             assert_eq!(h.finalize(), expect, "split at {split}");
         }
-    }
-
-    #[test]
-    fn digest_parts_matches_concat() {
-        let a = b"hello ".as_slice();
-        let b = b"world".as_slice();
-        assert_eq!(
-            Sha256::digest_parts(&[a, b]),
-            Sha256::digest(b"hello world")
-        );
     }
 
     #[test]

@@ -6,15 +6,12 @@
 //! This crate reproduces the format's essential mechanics:
 //!
 //! * cluster-granular allocation with a two-level (L1 → L2) mapping table,
-//! * copy-on-write against a backing image (snapshot chains),
-//! * refcount tracking of physical clusters,
-//! * deterministic serialization / deserialization of the whole image.
+//! * deterministic serialization / deserialization of the whole image,
+//! * byte-range reads straight from a serialized stream.
 //!
 //! Sizes are materialized bytes (×1024 = nominal). The default cluster is
 //! 256 materialized bytes = 256 KiB nominal.
 
 pub mod qcow;
-pub mod raw;
 
-pub use qcow::{read_serialized_range, QcowError, QcowImage, DEFAULT_CLUSTER_BITS, STREAM_HEADER};
-pub use raw::RawImage;
+pub use qcow::{read_serialized_range, QcowError, QcowImage};

@@ -19,7 +19,7 @@ use xpl_pkg::{Arch, Catalog, Version};
 use xpl_util::{IStr, SplitMix64};
 
 /// Nominal MB → materialized bytes (1 MB nominal = 1 KiB real).
-pub fn mb(nominal_mb: u64) -> u64 {
+pub(crate) fn mb(nominal_mb: u64) -> u64 {
     nominal_mb * 1024
 }
 
@@ -28,7 +28,7 @@ pub fn mb(nominal_mb: u64) -> u64 {
 /// files (a rebuilt version changes most, but not all, of its payload —
 /// that partial stability is what block/file dedup exploits across
 /// successive builds).
-pub fn gen_manifest(name: &str, version: &str, total: u64, n: usize) -> FileManifest {
+pub(crate) fn gen_manifest(name: &str, version: &str, total: u64, n: usize) -> FileManifest {
     if n == 0 || total == 0 {
         return FileManifest::default();
     }
@@ -88,7 +88,7 @@ pub fn gen_manifest(name: &str, version: &str, total: u64, n: usize) -> FileMani
 /// Register one package. `inst_mb` is nominal; `deb` defaults to
 /// installed/3.2 (the packed-vs-installed ratio the paper leans on).
 #[allow(clippy::too_many_arguments)]
-pub fn add_pkg(
+pub(crate) fn add_pkg(
     c: &mut Catalog,
     name: &str,
     version: &str,
@@ -117,12 +117,9 @@ pub fn add_pkg(
     c.add(spec)
 }
 
-/// Names of the named essential-core packages (base-image roots).
-pub const CORE_ROOTS: &[&str] = &["ubuntu-minimal"];
-
 /// Build the full standard catalog. `ide_builds` adds that many bumped
 /// versions of the IDE rebuild set (Figure 3c workload).
-pub fn standard_catalog(ide_builds: u32) -> Catalog {
+pub(crate) fn standard_catalog(ide_builds: u32) -> Catalog {
     let mut c = Catalog::new();
 
     // ---- Named essential core (with the Figure 1 cycle). -------------
@@ -892,7 +889,7 @@ pub fn standard_catalog(ide_builds: u32) -> Catalog {
 /// The extra unpackaged system files of the base install (boot, initrd,
 /// ld cache, locale archives): `(path, nominal KB)` pairs expanded to the
 /// builder's `(String, u32)` input.
-pub fn base_system_files() -> Vec<(String, u32)> {
+pub(crate) fn base_system_files() -> Vec<(String, u32)> {
     let mut rng = SplitMix64::new(0x5157EB);
     let mut out = Vec::with_capacity(4200);
     out.push(("/boot/vmlinuz-4.4.0-142-generic".to_string(), mb(7) as u32));
@@ -917,7 +914,7 @@ pub fn base_system_files() -> Vec<(String, u32)> {
 }
 
 /// Tiny catalog + names for fast tests and doctests.
-pub fn small_catalog() -> Catalog {
+pub(crate) fn small_catalog() -> Catalog {
     let mut c = Catalog::new();
     add_pkg(
         &mut c,

@@ -37,7 +37,7 @@ pub mod serve;
 pub mod trace;
 pub mod world;
 
-pub use recipes::{ide_build_recipe, table2_recipes, Table2Row, TABLE2_PAPER};
+pub use recipes::{Table2Row, TABLE2_PAPER};
 pub use scaled::{ScaleConfig, ScaledWorld};
 pub use serve::{ServeConfig, ServeRequestSpec, ServeSchedule};
 pub use trace::{Trace, TraceConfig, TraceOp};

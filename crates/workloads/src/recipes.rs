@@ -197,7 +197,7 @@ fn recipe(
 }
 
 /// The 19 Table II recipes, in the paper's upload order.
-pub fn table2_recipes() -> Vec<ImageRecipe> {
+pub(crate) fn table2_recipes() -> Vec<ImageRecipe> {
     let desktop_primaries: Vec<String> = {
         let mut p = vec![
             "xorg".to_string(),
@@ -326,7 +326,7 @@ pub fn table2_recipes() -> Vec<ImageRecipe> {
 /// versions (~66 MB nominal of fresh installed content, ~70 % changed
 /// files) and refreshes ~45 MB of build-time junk; the remaining junk is
 /// stable across builds and dedups at file level.
-pub fn ide_build_recipe(k: u32) -> ImageRecipe {
+pub(crate) fn ide_build_recipe(k: u32) -> ImageRecipe {
     let mut p = vec![
         "eclipse-platform".to_string(),
         "build-essential".to_string(),

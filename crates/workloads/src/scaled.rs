@@ -67,7 +67,7 @@ impl ScaleConfig {
 
 /// One generated image recipe.
 #[derive(Clone, Debug)]
-pub struct ScaledRecipe {
+pub(crate) struct ScaledRecipe {
     pub name: String,
     /// The image's dedicated application package (the upgrade target).
     pub app: String,
@@ -181,7 +181,7 @@ impl ScaledWorld {
         self.recipes.iter().map(|r| r.name.clone()).collect()
     }
 
-    pub fn recipe(&self, name: &str) -> Option<&ScaledRecipe> {
+    pub(crate) fn recipe(&self, name: &str) -> Option<&ScaledRecipe> {
         self.recipes.iter().find(|r| r.name == name)
     }
 

@@ -15,7 +15,7 @@
 //! registry types); `xpl-bench`'s serve driver turns it into registry
 //! requests against a real store.
 
-use xpl_util::{Sha256, SplitMix64};
+use xpl_util::SplitMix64;
 
 /// Serving-schedule generator parameters.
 #[derive(Clone, Copy, Debug)]
@@ -65,8 +65,7 @@ pub struct ServeRequestSpec {
 }
 
 impl ServeRequestSpec {
-    /// Canonical one-line form (what [`ServeSchedule::digest_hex`]
-    /// hashes).
+    /// Canonical one-line form.
     pub fn render(&self) -> String {
         match self.range {
             None => format!(
@@ -159,42 +158,43 @@ impl ServeSchedule {
             requests,
         }
     }
-
-    /// Canonical textual form, one request per line.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for r in &self.requests {
-            out.push_str(&r.render());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// SHA-256 of [`ServeSchedule::render`] — the reproducibility
-    /// fingerprint.
-    pub fn digest_hex(&self) -> String {
-        Sha256::digest(self.render().as_bytes()).to_hex()
-    }
-
-    /// Requests per tenant, indexed by tenant id.
-    pub fn per_tenant(&self, tenants: u32) -> Vec<usize> {
-        let mut counts = vec![0usize; tenants as usize];
-        for r in &self.requests {
-            counts[r.tenant as usize] += 1;
-        }
-        counts
-    }
-
-    /// Count of range-read requests.
-    pub fn range_reads(&self) -> usize {
-        self.requests.iter().filter(|r| r.range.is_some()).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashMap;
+
+    impl ServeSchedule {
+        /// Requests per tenant, indexed by tenant id.
+        fn per_tenant(&self, tenants: u32) -> Vec<usize> {
+            let mut counts = vec![0usize; tenants as usize];
+            for r in &self.requests {
+                counts[r.tenant as usize] += 1;
+            }
+            counts
+        }
+
+        /// Count of range-read requests.
+        fn range_reads(&self) -> usize {
+            self.requests.iter().filter(|r| r.range.is_some()).count()
+        }
+
+        /// Canonical textual form, one request per line.
+        fn render(&self) -> String {
+            let mut out = String::new();
+            for r in &self.requests {
+                out.push_str(&r.render());
+                out.push('\n');
+            }
+            out
+        }
+
+        /// SHA-256 of the rendering: the reproducibility fingerprint.
+        fn digest_hex(&self) -> String {
+            xpl_util::Sha256::digest(self.render().as_bytes()).to_hex()
+        }
+    }
 
     fn names(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("img-{i:03}")).collect()

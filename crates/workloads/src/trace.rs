@@ -189,8 +189,7 @@ impl Trace {
     }
 
     /// Count ops of each kind: (publish, retrieve, upgrade, delete,
-    /// burst). Range retrievals count as retrieves here; see
-    /// [`Trace::range_retrieves`] for their own tally.
+    /// burst). Range retrievals count as retrieves here.
     pub fn mix(&self) -> (usize, usize, usize, usize, usize) {
         let mut m = (0, 0, 0, 0, 0);
         for op in &self.ops {
@@ -215,14 +214,6 @@ impl Trace {
             .count()
     }
 
-    /// Count of range-retrieval ops.
-    pub fn range_retrieves(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|op| matches!(op, TraceOp::RetrieveRange { .. }))
-            .count()
-    }
-
     /// Count of injected crash-recovery pairs.
     pub fn crashes(&self) -> usize {
         self.ops
@@ -235,6 +226,16 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Trace {
+        /// Count of range-retrieval ops.
+        fn range_retrieves(&self) -> usize {
+            self.ops
+                .iter()
+                .filter(|op| matches!(op, TraceOp::RetrieveRange { .. }))
+                .count()
+        }
+    }
 
     fn names(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("img-{i:03}")).collect()

@@ -70,7 +70,7 @@ impl World {
         self.recipes.iter().map(|r| r.name.as_str()).collect()
     }
 
-    pub fn recipe(&self, name: &str) -> Option<&ImageRecipe> {
+    pub(crate) fn recipe(&self, name: &str) -> Option<&ImageRecipe> {
         self.recipes.iter().find(|r| r.name == name)
     }
 

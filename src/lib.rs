@@ -38,18 +38,22 @@
 //! // smaller than the sum of the two disks.
 //! assert!(repo.repo_bytes() < mini.disk_bytes() + redis.disk_bytes());
 //! ```
+//!
+//! ## What the facade promises
+//!
+//! The [`prelude`], and the crates the examples, the integration tests and
+//! this doctest reach through it. The wire layer, the admission gate, the
+//! durable backend and the baseline stores' modules are not re-exported:
+//! use `xpl-net`, `xpl-registry`, `xpl-persist` and `xpl-baselines`
+//! directly.
 
-pub use xpl_baselines as baselines;
 pub use xpl_bench as bench;
 pub use xpl_chunking as chunking;
 pub use xpl_compress as compress;
 pub use xpl_core as core;
 pub use xpl_guestfs as guestfs;
 pub use xpl_metadb as metadb;
-pub use xpl_net as net;
-pub use xpl_persist as persist;
 pub use xpl_pkg as pkg;
-pub use xpl_registry as registry;
 pub use xpl_semgraph as semgraph;
 pub use xpl_simio as simio;
 pub use xpl_store as store;

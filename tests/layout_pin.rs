@@ -55,9 +55,7 @@ const NGROUPS: u64 = 512;
 
 /// Group capacity as the superblock records it (bytes 20..28).
 fn group_capacity(fs: &FsTree) -> u64 {
-    let sb = mkfs("sb", fs)
-        .read_at(0, SUPERBLOCK_BYTES as usize)
-        .unwrap();
+    let sb = mkfs(fs).read_at(0, SUPERBLOCK_BYTES as usize).unwrap();
     u64::from_le_bytes(sb[20..28].try_into().unwrap())
 }
 
@@ -87,7 +85,7 @@ fn synthetic_tree() -> FsTree {
 }
 
 fn digests(fs: &FsTree) -> (String, String) {
-    let disk = Sha256::digest(&mkfs("pin", fs).serialize()).to_hex();
+    let disk = Sha256::digest(&mkfs(fs).serialize()).to_hex();
     let mut table = Sha256::new();
     for e in extents(fs) {
         table.update(&e.offset.to_le_bytes());
@@ -131,7 +129,7 @@ fn mkfs_bytes_and_extent_tables_are_pinned() {
         let vmi = standard.build_image(name);
         assert!(vmi.file_count() > 70_000, "{name} is paper scale");
         // The disk a build carries is the one mkfs lays out.
-        assert_eq!(vmi.disk.serialize(), mkfs("other", &vmi.fs).serialize());
+        assert_eq!(vmi.disk.serialize(), mkfs(&vmi.fs).serialize());
         got.push((format!("standard/{name}"), digests(&vmi.fs)));
     }
     got.push(("synthetic/overflow+spill".to_string(), digests(&synthetic)));
@@ -164,7 +162,7 @@ fn materialize_range_equals_disk_reads_at_paper_scale() {
         owner: FileOwner::UserData,
     });
     assert!(fs.file_count() > 80_000, "{} records", fs.file_count());
-    let disk = mkfs("sweep", &fs);
+    let disk = mkfs(&fs);
     let size = disk.virtual_size();
     let cap = group_capacity(&fs);
     let spill_start = groups_end(&fs);

@@ -172,7 +172,7 @@ proptest! {
         ),
     ) {
         use expelliarmus::vdisk::QcowImage;
-        let mut img = QcowImage::create("prop", 50_000);
+        let mut img = QcowImage::create(50_000);
         let mut shadow = vec![0u8; 50_000];
         for (offset, data) in &writes {
             img.write_at(*offset, data).unwrap();

@@ -1,6 +1,6 @@
 //! Hostile-input sweep over the qcow stream parsers: every truncation and
 //! every single-bit flip of one small serialized image, fed to both
-//! `QcowImage::deserialize_named` and `read_serialized_range`. Each call
+//! `QcowImage::deserialize` and `read_serialized_range`. Each call
 //! must return a value or a typed error — never panic, never abort on an
 //! allocation sized from a forged field. Where the full parse accepts a
 //! stream, the range reader must agree with it byte for byte.
@@ -10,7 +10,7 @@ use expelliarmus::vdisk::{read_serialized_range, QcowError, QcowImage};
 /// Three mapped clusters (one straddled by a write), unmapped gaps, and a
 /// short last cluster.
 fn small_stream() -> (QcowImage, Vec<u8>) {
-    let mut img = QcowImage::create("sweep", 3_000);
+    let mut img = QcowImage::create(3_000);
     let cs = img.cluster_size();
     img.write_at(5, b"superblock").unwrap();
     img.write_at(3 * cs - 4, b"straddles").unwrap();
@@ -35,7 +35,7 @@ fn range(stream: &[u8], start: u64, len: u64) -> Result<Vec<u8>, QcowError> {
 
 /// Feed one candidate stream to both parsers.
 fn probe(stream: &[u8]) {
-    let parsed = QcowImage::deserialize_named("probe", stream);
+    let parsed = QcowImage::deserialize(stream);
     for (start, len) in WINDOWS {
         let ranged = range(stream, start, len);
         if let Ok(img) = &parsed {
@@ -54,12 +54,7 @@ fn probe(stream: &[u8]) {
 fn every_truncation_is_a_typed_error() {
     let (img, stream) = small_stream();
     // The whole stream is the image, both ways; every prefix is not.
-    assert!(
-        QcowImage::deserialize_named("sweep", &stream)
-            .unwrap()
-            .serialize()
-            == stream
-    );
+    assert!(QcowImage::deserialize(&stream).unwrap().serialize() == stream);
     for (start, len) in WINDOWS {
         let end = (start + len).min(img.virtual_size());
         let want = img.read_at(start.min(end), (end - start.min(end)) as usize);
@@ -68,7 +63,7 @@ fn every_truncation_is_a_typed_error() {
     for cut in 0..stream.len() {
         let short = &stream[..cut];
         assert!(
-            QcowImage::deserialize_named("probe", short).is_err(),
+            QcowImage::deserialize(short).is_err(),
             "truncated at {cut} still parsed"
         );
         probe(short);
