@@ -33,12 +33,12 @@ pub(crate) fn hemera_row_fetch_extra() -> SimDuration {
 pub(crate) const HEMERA_DB_THRESHOLD_NOMINAL: u64 = 256 * 1024;
 
 /// DEFLATE compression compute, per nominal byte (multi-core effective).
-pub(crate) fn gzip_compress_per_byte() -> SimDuration {
+pub(crate) fn deflate_per_byte() -> SimDuration {
     SimDuration::from_nanos(11)
 }
 
 /// DEFLATE decompression compute, per nominal byte.
-pub(crate) fn gzip_decompress_per_byte() -> SimDuration {
+pub(crate) fn inflate_per_byte() -> SimDuration {
     SimDuration::from_nanos(4)
 }
 

@@ -3,14 +3,12 @@
 //! Compression is *real* (our DEFLATE over the actual image stream), so
 //! Figure 3's Gzip ratios come out of the compressor, not a constant.
 //!
-//! New publishes store the *blocked* container (`xpl_compress::blocked`):
-//! independently-deflated 64 KiB blocks plus a CRC-checked index, which
+//! Each member is a *blocked* container (`xpl_compress::blocked`):
+//! independently-compressed 64 KiB blocks plus a CRC-checked index, which
 //! makes decompression parallel and lets [`ImageStore::retrieve_range`]
 //! serve a disk byte range by inflating only the blocks the range's
-//! clusters live in. Entries written by older versions as single-stream
-//! gzip stay readable — the retrieve path dispatches on the container
-//! magic ([`xpl_compress::decompress_auto`]), and legacy entries fall
-//! back to full-inflate slicing for range reads.
+//! clusters live in. The name keeps the paper's "Qcow2 + Gzip" label;
+//! the blocks are raw DEFLATE (or LZ4 on the hot tier), not gzip framing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
@@ -30,8 +28,8 @@ use xpl_util::FxHashMap;
 struct Entry {
     compressed: Vec<u8>,
     raw_len: u64,
-    /// Inner codec of the blocked member (stale for entries rewritten by
-    /// the legacy test hook; harmless — maintenance just re-encodes).
+    /// Inner codec of the blocked member; maintenance re-encodes it
+    /// when the entry's tier changes.
     codec: InnerCodec,
     /// Retrievals since the last maintenance sweep.
     reads: AtomicU64,
@@ -79,24 +77,6 @@ impl GzipStore {
         self.tier = tier;
         self
     }
-
-    #[cfg(test)]
-    fn corrupt_for_test(&self, name: &str) {
-        let mut images = self.images.write().unwrap();
-        let entry = images.get_mut(name).unwrap();
-        let mid = entry.compressed.len() / 2;
-        entry.compressed[mid] ^= 0x40;
-    }
-
-    /// Test hook: rewrite an entry as the legacy single-stream gzip
-    /// format older repositories hold, to pin backward compatibility.
-    #[cfg(test)]
-    fn downgrade_to_legacy_for_test(&self, name: &str) {
-        let mut images = self.images.write().unwrap();
-        let entry = images.get_mut(name).unwrap();
-        let raw = xpl_compress::decompress_auto(&entry.compressed).unwrap();
-        entry.compressed = xpl_compress::gzip_compress_parallel(&raw);
-    }
 }
 
 impl ImageStore for GzipStore {
@@ -121,10 +101,9 @@ impl ImageStore for GzipStore {
         let codec = inner_of(self.tier.base);
         let compressed = report.breakdown.measure(&self.env.clock, "compress", || {
             self.env.local.charge_read(raw.len() as u64);
-            self.env.local.charge_fixed(costs::scaled(
-                costs::gzip_compress_per_byte(),
-                raw.len() as u64,
-            ));
+            self.env
+                .local
+                .charge_fixed(costs::scaled(costs::deflate_per_byte(), raw.len() as u64));
             xpl_compress::blocked_compress_inner(&raw, xpl_compress::DEFAULT_BLOCK_SIZE, codec)
         });
         report.breakdown.measure(&self.env.clock, "upload", || {
@@ -173,12 +152,11 @@ impl ImageStore for GzipStore {
                 self.env
                     .repo
                     .charge_copy_to(&self.env.local, entry.compressed.len() as u64);
-                self.env.local.charge_fixed(costs::scaled(
-                    costs::gzip_decompress_per_byte(),
-                    entry.raw_len,
-                ));
-                xpl_compress::decompress_auto(&entry.compressed)
-                    .map_err(|e| StoreError::Corrupt(format!("codec: {e}")))
+                self.env
+                    .local
+                    .charge_fixed(costs::scaled(costs::inflate_per_byte(), entry.raw_len));
+                xpl_compress::blocked_decompress_parallel(&entry.compressed)
+                    .map_err(|e| StoreError::Corrupt(format!("blocked: {e}")))
             })?;
         // Verify the decompressed stream is the image we stored; the
         // returned disk is that stream, parsed.
@@ -196,7 +174,7 @@ impl ImageStore for GzipStore {
 
     fn retrieve_range(
         &self,
-        catalog: &Catalog,
+        _catalog: &Catalog,
         request: &RetrieveRequest,
         start: u64,
         len: u64,
@@ -206,20 +184,6 @@ impl ImageStore for GzipStore {
         let entry = images
             .get(&request.name)
             .ok_or_else(|| StoreError::NotFound(request.name.clone()))?;
-        if !xpl_compress::is_blocked(&entry.compressed) {
-            // Legacy single-stream member: no seekability. Pay the full
-            // retrieval (decompress everything) and slice the disk.
-            drop(images);
-            let (vmi, report) = self.retrieve(catalog, request)?;
-            let size = vmi.disk.virtual_size();
-            let end = start.saturating_add(len).min(size);
-            let start = start.min(end);
-            let bytes = vmi
-                .disk
-                .read_at(start, (end - start) as usize)
-                .map_err(|e| StoreError::Corrupt(format!("range read: {e}")))?;
-            return Ok((bytes, report));
-        }
         entry.reads.fetch_add(1, Ordering::Relaxed);
         let mut report = RetrieveReport {
             image: request.name.clone(),
@@ -254,7 +218,7 @@ impl ImageStore for GzipStore {
         self.env.repo.charge_open(touched);
         self.env.repo.charge_copy_to(&self.env.local, touched);
         self.env.local.charge_fixed(costs::scaled(
-            costs::gzip_decompress_per_byte(),
+            costs::inflate_per_byte(),
             reader.uncompressed_bytes_inflated(),
         ));
         report.bytes_read = touched;
@@ -304,16 +268,14 @@ impl ImageStore for GzipStore {
                 // Re-encode the member; the uncompressed stream is pinned
                 // byte-identical (length-checked here, content via the
                 // deep audit's inflate sweep).
-                if let Ok(raw) = xpl_compress::decompress_auto(&entry.compressed) {
+                if let Ok(raw) = xpl_compress::blocked_decompress_parallel(&entry.compressed) {
                     if raw.len() as u64 == entry.raw_len {
-                        self.env.local.charge_fixed(costs::scaled(
-                            costs::gzip_decompress_per_byte(),
-                            entry.raw_len,
-                        ));
-                        self.env.local.charge_fixed(costs::scaled(
-                            costs::gzip_compress_per_byte(),
-                            entry.raw_len,
-                        ));
+                        self.env
+                            .local
+                            .charge_fixed(costs::scaled(costs::inflate_per_byte(), entry.raw_len));
+                        self.env
+                            .local
+                            .charge_fixed(costs::scaled(costs::deflate_per_byte(), entry.raw_len));
                         self.env.repo.charge_db_write(1);
                         let recoded = xpl_compress::blocked_compress_inner(
                             &raw,
@@ -348,11 +310,10 @@ impl ImageStore for GzipStore {
 
     fn check_integrity_deep(&self) -> Result<(), String> {
         self.check_integrity()?;
-        // Full sweep: every member must inflate (per-block CRCs for
-        // blocked containers, trailer CRC for legacy gzip) to exactly
-        // the byte count recorded at publish time.
+        // Full sweep: every member must inflate (per-block CRCs) to
+        // exactly the byte count recorded at publish time.
         for (name, e) in self.images.read().unwrap().iter() {
-            let raw = xpl_compress::decompress_auto(&e.compressed)
+            let raw = xpl_compress::blocked_decompress_parallel(&e.compressed)
                 .map_err(|err| format!("{name}: {err}"))?;
             if raw.len() as u64 != e.raw_len {
                 return Err(format!(
@@ -372,6 +333,13 @@ mod tests {
     use xpl_workloads::World;
 
     impl GzipStore {
+        fn corrupt_for_test(&self, name: &str) {
+            let mut images = self.images.write().unwrap();
+            let entry = images.get_mut(name).unwrap();
+            let mid = entry.compressed.len() / 2;
+            entry.compressed[mid] ^= 0x40;
+        }
+
         /// Mean compression ratio across stored images (compressed/original).
         fn mean_ratio(&self) -> f64 {
             let images = self.images.read().unwrap();
@@ -456,25 +424,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn legacy_gzip_entries_stay_readable() {
-        let w = World::small();
-        let gz = GzipStore::new(w.env());
-        let redis = w.build_image("redis");
-        gz.publish(&w.catalog, &redis).unwrap();
-        gz.downgrade_to_legacy_for_test("redis");
-        gz.check_integrity_deep().unwrap();
-        let req = xpl_store::RetrieveRequest::for_image(&redis, &w.catalog);
-        let (got, _) = gz.retrieve(&w.catalog, &req).unwrap();
-        assert_eq!(
-            got.installed_package_set(&w.catalog),
-            redis.installed_package_set(&w.catalog)
-        );
-        // Range reads on legacy entries fall back to full-inflate slicing.
-        let (bytes, _) = gz.retrieve_range(&w.catalog, &req, 0, 600).unwrap();
-        assert_eq!(bytes, got.disk.read_at(0, 600).unwrap());
     }
 
     #[test]

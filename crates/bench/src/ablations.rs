@@ -14,7 +14,7 @@
 use serde::Serialize;
 use xpl_baselines::{CdcDedupStore, FixedBlockDedupStore};
 use xpl_compress::{
-    blocked_compress_inner, decompress_auto, read_range, InnerCodec, DEFAULT_BLOCK_SIZE,
+    blocked_compress_inner, blocked_decompress_parallel, read_range, InnerCodec, DEFAULT_BLOCK_SIZE,
 };
 use xpl_semgraph::{sim_g, MasterGraph, SemanticGraph};
 use xpl_store::ImageStore;
@@ -184,7 +184,7 @@ pub fn codec_ablation_sweep(payload_len: usize, budget_s: f64) -> Vec<CodecAblat
     for codec in [InnerCodec::Deflate, InnerCodec::Lz4] {
         let encoded = blocked_compress_inner(&data, DEFAULT_BLOCK_SIZE, codec);
         assert_eq!(
-            decompress_auto(&encoded).expect("container decodes"),
+            blocked_decompress_parallel(&encoded).expect("container decodes"),
             data,
             "{} round trip",
             codec.name()
@@ -199,7 +199,7 @@ pub fn codec_ablation_sweep(payload_len: usize, budget_s: f64) -> Vec<CodecAblat
             std::hint::black_box(blocked_compress_inner(&data, DEFAULT_BLOCK_SIZE, codec));
         });
         let t_dec = time_median(budget_s, || {
-            std::hint::black_box(decompress_auto(&encoded).expect("container decodes"));
+            std::hint::black_box(blocked_decompress_parallel(&encoded).expect("container decodes"));
         });
         let t_rng = time_median(budget_s, || {
             std::hint::black_box(read_range(&encoded, range_start, range_len).expect("range"));

@@ -161,11 +161,6 @@ impl<'a> BitReader<'a> {
         self.nbits -= drop;
     }
 
-    /// Total bits consumed from the underlying slice so far.
-    pub(crate) fn bits_consumed(&self) -> usize {
-        self.pos * 8 - self.nbits as usize
-    }
-
     /// Read raw bytes (must be byte-aligned).
     pub(crate) fn read_bytes(&mut self, n: usize) -> Result<Vec<u8>, BitError> {
         debug_assert_eq!(self.nbits % 8, 0);

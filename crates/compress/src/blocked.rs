@@ -27,8 +27,8 @@
 //! through; a reader finds it from the fixed-size footer. Every field a
 //! range read touches is covered by a checksum: the index by the footer
 //! CRC, each block's payload by its per-block CRC — so partial reads
-//! validate exactly what they inflate, which whole-payload checksums
-//! (gzip's trailer, the persist segment CRC) cannot do for a range.
+//! validate exactly what they inflate, which a whole-payload checksum
+//! (the persist segment CRC) cannot do for a range.
 //!
 //! Corruption and truncation anywhere in the container surface as typed
 //! [`BlockedError`]s, never a panic: the index is fully validated
@@ -101,8 +101,7 @@ impl InnerCodec {
     }
 }
 
-/// The inner codec of a container, by magic; `None` for anything else
-/// (including legacy gzip).
+/// The inner codec of a container, by magic; `None` for anything else.
 pub(crate) fn inner_codec(bytes: &[u8]) -> Option<InnerCodec> {
     if bytes.len() < 4 {
         return None;
@@ -128,7 +127,7 @@ fn decode_capacity(claimed: u64, compressed_len: usize) -> usize {
 /// this type — corrupt or truncated input must never panic.
 #[derive(Debug, PartialEq, Eq)]
 pub enum BlockedError {
-    /// The container does not start with the "XBC1" magic.
+    /// The container starts with neither magic ("XBC1", "XBL1").
     BadMagic,
     /// Fewer bytes than the layout requires.
     Truncated { need: u64, have: u64 },
@@ -316,12 +315,6 @@ pub fn is_blocked(bytes: &[u8]) -> bool {
 /// Compress with the default block size (DEFLATE inner codec).
 pub fn blocked_compress(data: &[u8]) -> Vec<u8> {
     blocked_compress_inner(data, DEFAULT_BLOCK_SIZE, InnerCodec::Deflate)
-}
-
-/// Compress `data` into a blocked-DEFLATE container with a chosen block
-/// size.
-pub fn blocked_compress_with(data: &[u8], block_size: usize) -> Vec<u8> {
-    blocked_compress_inner(data, block_size, InnerCodec::Deflate)
 }
 
 /// Compress with the default block size and the LZ4 inner codec — the
@@ -583,172 +576,6 @@ impl<'a> BlockedReader<'a> {
     }
 }
 
-// ---------------------------------------------------------------------
-// The seekable codec abstraction.
-// ---------------------------------------------------------------------
-
-/// Codec-level errors: either format's failure, or bytes neither codec
-/// claims.
-#[derive(Debug, PartialEq, Eq)]
-pub enum CodecError {
-    Blocked(BlockedError),
-    Gzip(crate::GzipError),
-    /// The stream matches neither the blocked nor the gzip magic.
-    UnknownFormat,
-}
-
-impl std::fmt::Display for CodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CodecError::Blocked(e) => write!(f, "blocked codec: {e}"),
-            CodecError::Gzip(e) => write!(f, "gzip codec: {e}"),
-            CodecError::UnknownFormat => write!(f, "unknown compression format"),
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-impl From<BlockedError> for CodecError {
-    fn from(e: BlockedError) -> Self {
-        CodecError::Blocked(e)
-    }
-}
-
-impl From<crate::GzipError> for CodecError {
-    fn from(e: crate::GzipError) -> Self {
-        CodecError::Gzip(e)
-    }
-}
-
-/// A seekable block-stream codec: compress whole, decompress whole, or
-/// serve a byte range of the uncompressed stream. Implementations are
-/// stateless and shareable (`Send + Sync`).
-pub trait BlockCodec: Send + Sync {
-    fn name(&self) -> &'static str;
-    fn compress(&self, data: &[u8]) -> Vec<u8>;
-    fn decompress(&self, stream: &[u8]) -> Result<Vec<u8>, CodecError>;
-    /// Bytes `[start, start+len)` of the uncompressed stream, clamped.
-    fn read_range(&self, stream: &[u8], start: u64, len: u64) -> Result<Vec<u8>, CodecError>;
-}
-
-/// The blocked container codec (parallel inflate, real range reads).
-pub(crate) struct BlockedDeflate {
-    pub block_size: usize,
-}
-
-impl Default for BlockedDeflate {
-    fn default() -> Self {
-        BlockedDeflate {
-            block_size: DEFAULT_BLOCK_SIZE,
-        }
-    }
-}
-
-impl BlockCodec for BlockedDeflate {
-    fn name(&self) -> &'static str {
-        "blocked-deflate"
-    }
-
-    fn compress(&self, data: &[u8]) -> Vec<u8> {
-        blocked_compress_with(data, self.block_size)
-    }
-
-    fn decompress(&self, stream: &[u8]) -> Result<Vec<u8>, CodecError> {
-        Ok(blocked_decompress_parallel(stream)?)
-    }
-
-    fn read_range(&self, stream: &[u8], start: u64, len: u64) -> Result<Vec<u8>, CodecError> {
-        Ok(read_range(stream, start, len)?)
-    }
-}
-
-/// The blocked container with the LZ4 inner codec — the hot tier:
-/// decode runs several times faster than inflate at a worse ratio, and
-/// range reads keep their CRC-checked per-block validation.
-pub(crate) struct BlockedLz4 {
-    pub block_size: usize,
-}
-
-impl Default for BlockedLz4 {
-    fn default() -> Self {
-        BlockedLz4 {
-            block_size: DEFAULT_BLOCK_SIZE,
-        }
-    }
-}
-
-impl BlockCodec for BlockedLz4 {
-    fn name(&self) -> &'static str {
-        "blocked-lz4"
-    }
-
-    fn compress(&self, data: &[u8]) -> Vec<u8> {
-        blocked_compress_inner(data, self.block_size, InnerCodec::Lz4)
-    }
-
-    fn decompress(&self, stream: &[u8]) -> Result<Vec<u8>, CodecError> {
-        Ok(blocked_decompress_parallel(stream)?)
-    }
-
-    fn read_range(&self, stream: &[u8], start: u64, len: u64) -> Result<Vec<u8>, CodecError> {
-        Ok(read_range(stream, start, len)?)
-    }
-}
-
-/// The legacy single-stream gzip codec. Kept readable for containers
-/// written before the blocked format existed; a range read must inflate
-/// the whole stream and slice — the cost the blocked format removes.
-pub(crate) struct LegacyGzip;
-
-impl BlockCodec for LegacyGzip {
-    fn name(&self) -> &'static str {
-        "gzip"
-    }
-
-    fn compress(&self, data: &[u8]) -> Vec<u8> {
-        crate::gzip_compress_parallel(data)
-    }
-
-    fn decompress(&self, stream: &[u8]) -> Result<Vec<u8>, CodecError> {
-        Ok(crate::gzip_decompress(stream)?)
-    }
-
-    fn read_range(&self, stream: &[u8], start: u64, len: u64) -> Result<Vec<u8>, CodecError> {
-        let full = crate::gzip_decompress(stream)?;
-        let end = start.saturating_add(len).min(full.len() as u64);
-        let start = start.min(end);
-        Ok(full[start as usize..end as usize].to_vec())
-    }
-}
-
-static BLOCKED: BlockedDeflate = BlockedDeflate {
-    block_size: DEFAULT_BLOCK_SIZE,
-};
-static BLOCKED_LZ4: BlockedLz4 = BlockedLz4 {
-    block_size: DEFAULT_BLOCK_SIZE,
-};
-static GZIP: LegacyGzip = LegacyGzip;
-
-/// Identify the codec a stream was written with (by magic). A stream
-/// shorter than any full magic — including every proper prefix of a
-/// known magic — is [`CodecError::UnknownFormat`], never a misdetection:
-/// dispatch requires the *complete* magic of exactly one codec.
-pub fn codec_for(stream: &[u8]) -> Result<&'static dyn BlockCodec, CodecError> {
-    match inner_codec(stream) {
-        Some(InnerCodec::Deflate) => Ok(&BLOCKED),
-        Some(InnerCodec::Lz4) => Ok(&BLOCKED_LZ4),
-        None if stream.len() >= 2 && stream[0] == 0x1F && stream[1] == 0x8B => Ok(&GZIP),
-        None => Err(CodecError::UnknownFormat),
-    }
-}
-
-/// Decompress a stream of any known format, dispatching on its magic —
-/// the backward-compatibility read path.
-pub fn decompress_auto(stream: &[u8]) -> Result<Vec<u8>, CodecError> {
-    codec_for(stream)?.decompress(stream)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -852,30 +679,6 @@ mod tests {
         // Other blocks still serve ranges.
         let got = read_range(&c, 150_000, 100).unwrap();
         assert_eq!(got, &data[150_000..150_100]);
-    }
-
-    #[test]
-    fn codec_dispatch_and_legacy_compat() {
-        let data = sample(200_000);
-        let blocked = BlockedDeflate::default().compress(&data);
-        let legacy = crate::gzip_compress_parallel(&data);
-        assert_eq!(codec_for(&blocked).unwrap().name(), "blocked-deflate");
-        assert_eq!(codec_for(&legacy).unwrap().name(), "gzip");
-        assert_eq!(decompress_auto(&blocked).unwrap(), data);
-        assert_eq!(decompress_auto(&legacy).unwrap(), data);
-        assert_eq!(codec_for(b"????").err(), Some(CodecError::UnknownFormat));
-        // Range reads work through both codecs (gzip pays full inflate).
-        for codec in [codec_for(&blocked).unwrap(), codec_for(&legacy).unwrap()] {
-            let stream = if codec.name() == "gzip" {
-                &legacy
-            } else {
-                &blocked
-            };
-            assert_eq!(
-                codec.read_range(stream, 12_345, 678).unwrap(),
-                &data[12_345..12_345 + 678]
-            );
-        }
     }
 
     /// A syntactically valid container whose single index entry claims
@@ -1012,66 +815,58 @@ mod tests {
 
     #[test]
     fn codec_magic_prefixes_are_typed_errors_never_misdetected() {
-        // Satellite: every proper prefix of every known magic — blocked
-        // DEFLATE ("XBC1"), blocked LZ4 ("XBL1"), gzip (0x1F 0x8B) —
-        // must surface as a typed error from both `codec_for` and
-        // `decompress_auto`. A gzip prefix of length 1 must not be
-        // "detected" as gzip; a 3-byte "XBC" must not be blocked.
-        let magics: [&[u8]; 3] = [MAGIC, LZ4_MAGIC, &[0x1F, 0x8B]];
-        for magic in magics {
+        // Every proper prefix of either container magic — blocked
+        // DEFLATE ("XBC1"), blocked LZ4 ("XBL1") — is not a container:
+        // a 3-byte "XBC" must not be blocked, alone or followed by
+        // enough bytes to fill a header and footer.
+        for magic in [MAGIC, LZ4_MAGIC] {
             for take in 0..magic.len() {
                 let prefix = &magic[..take];
+                assert!(!is_blocked(prefix), "prefix {prefix:?} of {magic:?}");
+                assert!(matches!(
+                    BlockIndex::parse(prefix),
+                    Err(BlockedError::Truncated { .. })
+                ));
+                let mut padded = prefix.to_vec();
+                padded.resize(HEADER + FOOTER, 0);
+                assert!(!is_blocked(&padded));
                 assert_eq!(
-                    codec_for(prefix).err(),
-                    Some(CodecError::UnknownFormat),
-                    "prefix {prefix:?} of {magic:?} must be UnknownFormat"
-                );
-                assert_eq!(
-                    decompress_auto(prefix).err(),
-                    Some(CodecError::UnknownFormat),
-                    "prefix {prefix:?} of {magic:?} must not decompress"
+                    blocked_decompress_parallel(&padded).err(),
+                    Some(BlockedError::BadMagic),
+                    "prefix {prefix:?} of {magic:?} must not decode"
                 );
             }
-            // The complete magic alone dispatches, then fails typed in
-            // the codec (truncated container / truncated gzip) — never
-            // a panic, never Ok.
-            let whole = magic;
-            match codec_for(whole) {
-                Ok(codec) => {
-                    let err = codec.decompress(whole).unwrap_err();
-                    assert!(
-                        matches!(err, CodecError::Blocked(_) | CodecError::Gzip(_)),
-                        "{err:?}"
-                    );
-                }
-                Err(e) => panic!("complete magic {whole:?} must dispatch, got {e:?}"),
-            }
+            // The complete magic alone is a container that fails typed
+            // (truncated) — never a panic, never Ok.
+            assert!(is_blocked(magic));
+            assert!(matches!(
+                blocked_decompress_parallel(magic),
+                Err(BlockedError::Truncated { .. })
+            ));
         }
     }
 
     #[test]
     fn lz4_codec_dispatch_roundtrip() {
         let data = sample(200_000);
-        let fast = BlockedLz4::default().compress(&data);
-        assert_eq!(codec_for(&fast).unwrap().name(), "blocked-lz4");
-        assert_eq!(decompress_auto(&fast).unwrap(), data);
+        let fast = blocked_compress_lz4(&data);
+        assert_eq!(BlockIndex::parse(&fast).unwrap().codec, InnerCodec::Lz4);
+        assert_eq!(blocked_decompress_parallel(&fast).unwrap(), data);
         assert_eq!(
-            codec_for(&fast)
-                .unwrap()
-                .read_range(&fast, 9_876, 543)
-                .unwrap(),
+            read_range(&fast, 9_876, 543).unwrap(),
             &data[9_876..9_876 + 543]
         );
-        // The three formats stay mutually distinguishable.
+        // The two inner codecs stay distinguishable by magic alone.
         let dense = blocked_compress(&data);
-        let legacy = crate::gzip_compress_parallel(&data);
-        assert_eq!(codec_for(&dense).unwrap().name(), "blocked-deflate");
-        assert_eq!(codec_for(&legacy).unwrap().name(), "gzip");
+        assert_eq!(
+            BlockIndex::parse(&dense).unwrap().codec,
+            InnerCodec::Deflate
+        );
         // LZ4 trades ratio for decode speed: the fast container may be
         // larger, but both reproduce the bytes.
         assert_eq!(
-            decompress_auto(&dense).unwrap(),
-            decompress_auto(&fast).unwrap()
+            blocked_decompress_parallel(&dense).unwrap(),
+            blocked_decompress_parallel(&fast).unwrap()
         );
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The encoder tokenizes with [`crate::lz77`], then emits whichever of the
 //! three block types (stored / fixed Huffman / dynamic Huffman) is smallest
-//! for the data. The decoder implements the full specification and is used
-//! both by tests (round-trip) and by the gzip layer.
+//! for the data. The decoder implements the full specification; the
+//! blocked container runs it once per `XBC1` block.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::huffman::{build_lengths, canonical_codes, HuffError, HuffmanDecoder};
@@ -463,12 +463,7 @@ impl From<HuffError> for InflateError {
 
 /// Decompress a raw DEFLATE stream.
 pub fn inflate(data: &[u8]) -> Result<Vec<u8>, InflateError> {
-    let mut r = BitReader::new(data);
-    inflate_from(&mut r)
-}
-
-/// Decompress from an existing bit reader (gzip layer shares the reader).
-pub(crate) fn inflate_from(r: &mut BitReader<'_>) -> Result<Vec<u8>, InflateError> {
+    let r = &mut BitReader::new(data);
     let mut out: Vec<u8> = Vec::new();
     loop {
         let bfinal = r.read_bit()?;

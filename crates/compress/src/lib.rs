@@ -1,4 +1,5 @@
-//! `xpl-compress` — DEFLATE (RFC 1951) and gzip (RFC 1952) from scratch.
+//! `xpl-compress` — DEFLATE (RFC 1951) and an LZ4-class codec from
+//! scratch, inside one seekable blocked container.
 //!
 //! This crate provides the compression substrate for the paper's
 //! "Qcow2 + Gzip" baseline: serialized images are compressed whole, so the
@@ -7,61 +8,30 @@
 //! Figure 3 contrasts.
 //!
 //! Public surface:
-//! * [`deflate`] / [`inflate`] — raw DEFLATE streams.
-//! * [`gzip_compress`] / [`gzip_decompress`] — framed, CRC-checked.
-//! * [`gzip_compress_parallel`] — rayon-parallel multi-member gzip
-//!   (RFC 1952 concatenation semantics), used for large image payloads.
-//! * [`blocked`] — the seekable blocked container: parallel inflate and
-//!   byte-range reads over independently-encoded 64 KiB blocks, behind
-//!   the [`BlockCodec`] trait (legacy gzip stays readable via
-//!   [`decompress_auto`]).
+//! * [`deflate()`] / [`inflate`] — raw DEFLATE streams.
+//! * [`blocked`] — the seekable blocked container every store writes:
+//!   independently-encoded 64 KiB blocks, compressed and inflated in
+//!   parallel, with CRC-checked byte-range reads. The [`InnerCodec`]
+//!   (magic `XBC1` for DEFLATE, `XBL1` for LZ4) is the only per-container
+//!   choice; the layout and every reader are shared.
 //! * [`lz4`] — the LZ4-class fast codec: greedy hash-table matching, a
-//!   literal-run/match token format, no entropy stage. Slots into the
-//!   blocked container as the hot-tier inner codec ([`BlockedLz4`],
-//!   magic `XBL1`) so range reads and parallel decode come for free.
+//!   literal-run/match token format, no entropy stage — the hot-tier
+//!   inner codec, trading ratio for decode speed.
 
 pub mod bitio;
 pub mod blocked;
 pub mod deflate;
-pub mod gzip;
 pub mod huffman;
 pub mod lz4;
 pub mod lz77;
 
 pub use blocked::{
-    blocked_compress, blocked_compress_inner, blocked_compress_lz4, blocked_compress_with,
-    blocked_decompress, blocked_decompress_parallel, codec_for, decompress_auto, is_blocked,
-    read_range, verify_blocks, BlockCodec, BlockIndex, BlockedError, BlockedReader, CodecError,
-    CodecObs, InnerCodec, DEFAULT_BLOCK_SIZE,
+    blocked_compress, blocked_compress_inner, blocked_compress_lz4, blocked_decompress,
+    blocked_decompress_parallel, is_blocked, read_range, verify_blocks, BlockIndex, BlockedError,
+    BlockedReader, CodecObs, InnerCodec, DEFAULT_BLOCK_SIZE,
 };
 pub use deflate::{deflate, inflate, InflateError};
-pub use gzip::{gzip_compress, gzip_decompress, GzipError};
 pub use lz4::{lz4_compress, lz4_decompress, Lz4Error};
-
-use rayon::prelude::*;
-
-/// Segment size for parallel compression. Each segment becomes an
-/// independent gzip member; smaller segments parallelize better but lose a
-/// little ratio at the seams.
-pub const PARALLEL_SEGMENT: usize = 128 * 1024;
-
-/// Compress `data` as a multi-member gzip stream, one member per
-/// [`PARALLEL_SEGMENT`]-sized segment, in parallel.
-pub fn gzip_compress_parallel(data: &[u8]) -> Vec<u8> {
-    if data.len() <= PARALLEL_SEGMENT {
-        return gzip_compress(data);
-    }
-    let members: Vec<Vec<u8>> = data
-        .par_chunks(PARALLEL_SEGMENT)
-        .map(gzip_compress)
-        .collect();
-    let total = members.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    for m in members {
-        out.extend_from_slice(&m);
-    }
-    out
-}
 
 /// Compression ratio `compressed / original` (lower is better); 1.0 for
 /// empty input.
@@ -76,24 +46,6 @@ pub fn ratio(original_len: usize, compressed_len: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_roundtrip_matches_serial_payload() {
-        let data: Vec<u8> = (0..400_000u32)
-            .flat_map(|i| ((i / 64) as u16).to_le_bytes())
-            .collect();
-        let par = gzip_compress_parallel(&data);
-        assert_eq!(gzip_decompress(&par).unwrap(), data);
-        // Parallel output is multi-member; same payload, slightly larger.
-        let ser = gzip_compress(&data);
-        assert_eq!(gzip_decompress(&ser).unwrap(), data);
-    }
-
-    #[test]
-    fn small_input_single_member() {
-        let data = b"tiny";
-        assert_eq!(gzip_compress_parallel(data), gzip_compress(data));
-    }
 
     #[test]
     fn ratio_math() {
@@ -121,7 +73,8 @@ mod tests {
                 data.extend_from_slice(&[0u8; 24]);
             }
         }
-        let c = gzip_compress(&data);
+        let c = deflate(&data);
+        assert_eq!(inflate(&c).unwrap(), data);
         let r = ratio(data.len(), c.len());
         assert!(r < 0.55, "ratio {r} too poor for OS-like content");
     }

@@ -1,12 +1,14 @@
 //! Blocked-container property tests: round-trips at adversarial sizes,
-//! `read_range` differential-checked against full-inflate slicing, and
-//! a corruption/truncation sweep over every byte of the index + footer
-//! region — typed errors always, panics never.
+//! `read_range` differential-checked against full-inflate slicing, a
+//! corruption/truncation sweep over every byte of the index + footer
+//! region, and a whole-container sweep through every reader for both
+//! inner codecs — typed errors always, panics never.
 
 use proptest::prelude::*;
 use xpl_compress::{
-    blocked_compress, blocked_compress_with, blocked_decompress, blocked_decompress_parallel,
-    gzip_compress_parallel, read_range, BlockedError, BlockedReader, DEFAULT_BLOCK_SIZE,
+    blocked_compress, blocked_compress_inner, blocked_decompress, blocked_decompress_parallel,
+    read_range, verify_blocks, BlockIndex, BlockedError, BlockedReader, InnerCodec,
+    DEFAULT_BLOCK_SIZE,
 };
 use xpl_util::SplitMix64;
 
@@ -36,8 +38,13 @@ fn texty(seed: u64, n: usize) -> Vec<u8> {
     out
 }
 
+/// A blocked-DEFLATE container with a chosen block size.
+fn dense(data: &[u8], block_size: usize) -> Vec<u8> {
+    blocked_compress_inner(data, block_size, InnerCodec::Deflate)
+}
+
 fn roundtrip_all_paths(data: &[u8], block_size: usize) {
-    let c = blocked_compress_with(data, block_size);
+    let c = dense(data, block_size);
     assert_eq!(blocked_decompress(&c).expect("sequential"), data);
     assert_eq!(blocked_decompress_parallel(&c).expect("parallel"), data);
     assert_eq!(read_range(&c, 0, data.len() as u64).expect("range"), data);
@@ -95,7 +102,7 @@ proptest! {
         b in any::<u64>(),
     ) {
         let data = texty(seed, len);
-        let c = blocked_compress_with(&data, 4096);
+        let c = dense(&data, 4096);
         // Differential oracle: read_range == inflate-everything-then-slice,
         // including out-of-bounds starts and over-long lengths.
         let start = a % (len as u64 * 2);
@@ -111,7 +118,7 @@ proptest! {
         cut in 0usize..2_000,
     ) {
         let data = texty(4, 40_000);
-        let c = blocked_compress_with(&data, 4096);
+        let c = dense(&data, 4096);
         let cut = cut % c.len();
         // Every prefix decodes to a typed error (or, for cut=0 … never:
         // an empty prefix is Truncated too), never a panic or success.
@@ -133,7 +140,7 @@ fn corruption_at_every_index_byte_is_typed() {
     // flip must surface as a typed error from one of the decode paths —
     // never a panic, and never a silently wrong payload.
     let data = texty(21, 10 * 4096 + 123);
-    let c = blocked_compress_with(&data, 4096);
+    let c = dense(&data, 4096);
     let index_region = 4096usize.min(c.len()); // 11 entries * 12 + 20 < 4096
     for i in (c.len() - index_region)..c.len() {
         for bit in [0x01u8, 0x80] {
@@ -161,7 +168,7 @@ fn corruption_at_every_index_byte_is_typed() {
 #[test]
 fn truncation_at_every_tail_byte_is_typed() {
     let data = texty(22, 6 * 4096);
-    let c = blocked_compress_with(&data, 4096);
+    let c = dense(&data, 4096);
     // Cut at every boundary in the last 256 bytes (covers the whole
     // index + footer) and at a spread of earlier offsets.
     let cuts: Vec<usize> = (c.len().saturating_sub(256)..c.len())
@@ -202,18 +209,50 @@ fn range_read_of_8mib_blob_touches_under_an_eighth() {
     assert!(r.compressed_bytes_touched() < c.len() as u64 / 8);
 }
 
+// ------------------------------------------------- whole-container sweep
+
+/// Run damaged container bytes through every reader. Each must return
+/// a typed error or exactly the original bytes (or, for the index, the
+/// original geometry); a panic fails the test on its own.
+fn check_every_reader(bad: &[u8], data: &[u8], blocks: usize, what: &str) {
+    let (start, len) = (3000u64, 5000u64);
+    let slice = &data[start as usize..(start + len) as usize];
+    if let Ok(index) = BlockIndex::parse(bad) {
+        assert_eq!(index.total_len, data.len() as u64, "{what}: parse");
+        assert_eq!(index.entries.len(), blocks, "{what}: parse");
+    }
+    if let Ok(out) = blocked_decompress(bad) {
+        assert_eq!(out, data, "{what}: blocked_decompress");
+    }
+    if let Ok(out) = blocked_decompress_parallel(bad) {
+        assert_eq!(out, data, "{what}: blocked_decompress_parallel");
+    }
+    if let Ok(out) = read_range(bad, start, len) {
+        assert_eq!(out, slice, "{what}: read_range");
+    }
+    if let Ok(out) = BlockedReader::new(bad).and_then(|mut r| r.read_at(start, len)) {
+        assert_eq!(out, slice, "{what}: read_at");
+    }
+    if let Ok(n) = verify_blocks(bad) {
+        assert_eq!(n, blocks, "{what}: verify_blocks");
+        assert_eq!(blocked_decompress(bad).as_deref(), Ok(data), "{what}");
+    }
+}
+
 #[test]
-fn blocked_ratio_comparable_to_gzip() {
-    // Per-block deflate loses a little ratio at the seams plus 12 B/block
-    // of index; on texty content it must stay within a few percent of the
-    // multi-member gzip the stores used before.
-    let data = texty(44, 2 * 1024 * 1024);
-    let blocked = blocked_compress(&data);
-    let gz = gzip_compress_parallel(&data);
-    assert!(
-        (blocked.len() as f64) < gz.len() as f64 * 1.05,
-        "blocked {} vs gzip {}",
-        blocked.len(),
-        gz.len()
-    );
+fn every_flip_and_truncation_of_either_codec_is_typed_or_exact() {
+    let data = texty(55, 10_000);
+    for codec in [InnerCodec::Deflate, InnerCodec::Lz4] {
+        let c = blocked_compress_inner(&data, 4096, codec);
+        let blocks = data.len().div_ceil(4096);
+        check_every_reader(&c, &data, blocks, "intact");
+        for i in 0..c.len() {
+            let mut bad = c.clone();
+            bad[i] ^= 0x5A;
+            check_every_reader(&bad, &data, blocks, &format!("{codec:?} flip at {i}"));
+        }
+        for cut in 0..c.len() {
+            check_every_reader(&c[..cut], &data, blocks, &format!("{codec:?} cut at {cut}"));
+        }
+    }
 }

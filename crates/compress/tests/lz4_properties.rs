@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use xpl_compress::{
-    blocked_compress_lz4, blocked_decompress, blocked_decompress_parallel, codec_for,
-    decompress_auto, lz4_compress, lz4_decompress, read_range, BlockedError, CodecError,
+    blocked_compress_lz4, blocked_decompress, blocked_decompress_parallel, is_blocked,
+    lz4_compress, lz4_decompress, read_range, BlockIndex, BlockedError, InnerCodec,
     DEFAULT_BLOCK_SIZE,
 };
 use xpl_util::SplitMix64;
@@ -32,9 +32,9 @@ fn roundtrip(data: &[u8]) {
         "parallel container roundtrip"
     );
     assert_eq!(
-        decompress_auto(&container).expect("auto decode"),
-        data,
-        "decompress_auto must sniff XBL1"
+        BlockIndex::parse(&container).expect("index").codec,
+        InnerCodec::Lz4,
+        "the index must read XBL1 as the LZ4 inner codec"
     );
 }
 
@@ -186,10 +186,20 @@ fn raw_stream_truncation_at_every_byte_never_panics() {
 
 #[test]
 fn magic_prefixes_never_misdetect() {
-    // "XBL1" truncated to every length, through the public dispatch.
+    // "XBL1" truncated to every length is no container, through the
+    // public readers.
     for take in 0..4 {
         let prefix = &b"XBL1"[..take];
-        assert_eq!(codec_for(prefix).err(), Some(CodecError::UnknownFormat));
+        assert!(!is_blocked(prefix));
+        assert!(matches!(
+            blocked_decompress_parallel(prefix),
+            Err(BlockedError::Truncated { .. })
+        ));
     }
-    assert_eq!(codec_for(b"XBL1").unwrap().name(), "blocked-lz4");
+    assert!(is_blocked(b"XBL1"));
+    let container = blocked_compress_lz4(b"some bytes");
+    assert_eq!(
+        BlockIndex::parse(&container).unwrap().codec,
+        InnerCodec::Lz4
+    );
 }

@@ -1,17 +1,18 @@
-//! Thread-pool determinism suite for `gzip_compress_parallel`.
+//! Thread-pool determinism suite for the parallel encoder,
+//! `blocked_compress_inner`.
 //!
-//! The rayon shim now runs mapped stages on real worker threads; these
-//! tests pin the contract that matters to every store: the compressed
-//! stream is **byte-identical** on any pool size, and identical to the
-//! sequential per-segment construction (one `gzip_compress` member per
-//! `PARALLEL_SEGMENT` chunk, concatenated — exactly what the pre-pool
-//! sequential shim produced).
+//! The rayon shim runs mapped stages on real worker threads; these tests
+//! pin the contract that matters to every store: the container is
+//! **byte-identical** on any pool size, for either inner codec, so a
+//! content digest of a compressed image never depends on the host.
 
-use xpl_compress::{gzip_compress, gzip_compress_parallel, gzip_decompress, PARALLEL_SEGMENT};
+use xpl_compress::{blocked_compress_inner, blocked_decompress, InnerCodec, DEFAULT_BLOCK_SIZE};
 use xpl_util::SplitMix64;
 
+const CODECS: [InnerCodec; 2] = [InnerCodec::Deflate, InnerCodec::Lz4];
+
 /// The committed regression corpus, repeated until it spans several
-/// parallel segments.
+/// blocks.
 fn corpus_payload() -> Vec<u8> {
     let parts: [&[u8]; 6] = [
         include_bytes!("corpus/empty.bin"),
@@ -23,46 +24,45 @@ fn corpus_payload() -> Vec<u8> {
     ];
     let one = parts.concat();
     let mut data = Vec::new();
-    while data.len() < PARALLEL_SEGMENT * 3 + 4321 {
+    while data.len() < DEFAULT_BLOCK_SIZE * 6 + 4321 {
         data.extend_from_slice(&one);
     }
     data
 }
 
-/// The sequential reference: what the pre-pool shim emitted.
-fn sequential_members(data: &[u8]) -> Vec<u8> {
-    data.chunks(PARALLEL_SEGMENT)
-        .flat_map(gzip_compress)
-        .collect()
+/// Compress `data` at 1, 2 and 8 threads with each inner codec and
+/// require every container to equal the single-threaded one.
+fn assert_stable_across_pool_sizes(data: &[u8], block_size: usize) {
+    for codec in CODECS {
+        let reference =
+            rayon::with_num_threads(1, || blocked_compress_inner(data, block_size, codec));
+        for threads in [2usize, 8] {
+            let got = rayon::with_num_threads(threads, || {
+                blocked_compress_inner(data, block_size, codec)
+            });
+            assert_eq!(
+                got, reference,
+                "{codec:?} container diverged from the 1-thread one at {threads} threads"
+            );
+        }
+        assert_eq!(blocked_decompress(&reference).unwrap(), data, "{codec:?}");
+    }
 }
 
 #[test]
 fn output_is_byte_identical_across_pool_sizes() {
-    let data = corpus_payload();
-    let reference = sequential_members(&data);
-    for threads in [1usize, 2, 4, 16] {
-        let got = rayon::with_num_threads(threads, || gzip_compress_parallel(&data));
-        assert_eq!(
-            got, reference,
-            "gzip_compress_parallel diverged from the sequential stream at {threads} threads"
-        );
-    }
-    assert_eq!(gzip_decompress(&reference).unwrap(), data);
+    assert_stable_across_pool_sizes(&corpus_payload(), DEFAULT_BLOCK_SIZE);
 }
 
 #[test]
 fn random_payload_stable_across_pool_sizes() {
     let mut rng = SplitMix64::new(0x900F);
-    let mut data = vec![0u8; PARALLEL_SEGMENT * 5 + 99];
+    let mut data = vec![0u8; 4096 * 37 + 99];
     rng.fill_bytes(&mut data);
     for chunk in data.chunks_mut(211) {
-        chunk[0] = 0x55; // sprinkle structure so segments compress unevenly
+        chunk[0] = 0x55; // sprinkle structure so blocks compress unevenly
     }
-    let reference = sequential_members(&data);
-    for threads in [1usize, 3, 8] {
-        let got = rayon::with_num_threads(threads, || gzip_compress_parallel(&data));
-        assert_eq!(got, reference, "{threads} threads");
-    }
+    assert_stable_across_pool_sizes(&data, 4096);
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! DEFLATE/gzip round-trip property tests and the pinned regression
+//! DEFLATE and blocked-container round-trip property tests and the pinned regression
 //! corpus (`tests/corpus/`).
 //!
 //! The corpus files are committed, not generated, so a compressor
@@ -8,16 +8,13 @@
 
 use proptest::prelude::*;
 use xpl_compress::{
-    blocked_compress, blocked_compress_lz4, blocked_decompress_parallel, deflate, gzip_compress,
-    gzip_compress_parallel, gzip_decompress, inflate, ratio, PARALLEL_SEGMENT,
+    blocked_compress, blocked_compress_lz4, blocked_decompress_parallel, deflate, inflate, ratio,
 };
 use xpl_util::SplitMix64;
 
 fn roundtrip(data: &[u8]) {
     let d = deflate(data);
     assert_eq!(inflate(&d).expect("inflate"), data, "deflate roundtrip");
-    let g = gzip_compress(data);
-    assert_eq!(gzip_decompress(&g).expect("gunzip"), data, "gzip roundtrip");
 }
 
 // ------------------------------------------------------- random properties
@@ -58,11 +55,11 @@ proptest! {
     fn compression_never_lies_about_ratio(
         data in proptest::collection::vec(any::<u8>(), 1..8_000),
     ) {
-        let c = gzip_compress(&data);
+        let c = deflate(&data);
         let r = ratio(data.len(), c.len());
         prop_assert!(r > 0.0, "ratio must be positive");
         // Decompressed length always matches the original exactly.
-        prop_assert_eq!(gzip_decompress(&c).unwrap().len(), data.len());
+        prop_assert_eq!(inflate(&c).unwrap().len(), data.len());
     }
 }
 
@@ -71,17 +68,14 @@ proptest! {
 #[test]
 fn empty_input_roundtrips() {
     roundtrip(&[]);
-    assert_eq!(
-        gzip_decompress(&gzip_compress(&[])).unwrap(),
-        Vec::<u8>::new()
-    );
+    assert_eq!(inflate(&deflate(&[])).unwrap(), Vec::<u8>::new());
 }
 
 #[test]
 fn all_zero_block_compresses_massively() {
     let data = vec![0u8; 64 * 1024];
     roundtrip(&data);
-    let c = gzip_compress(&data);
+    let c = deflate(&data);
     assert!(
         ratio(data.len(), c.len()) < 0.05,
         "zeros must compress > 20x, got {}",
@@ -95,34 +89,10 @@ fn incompressible_noise_roundtrips_with_bounded_expansion() {
     let mut data = vec![0u8; 48 * 1024];
     rng.fill_bytes(&mut data);
     roundtrip(&data);
-    let c = gzip_compress(&data);
+    let c = deflate(&data);
     // Stored/expanded output is allowed, but only with small framing
     // overhead — never a blowup.
     assert!(c.len() < data.len() + data.len() / 8 + 64, "{}", c.len());
-}
-
-#[test]
-fn multi_member_parallel_stream_roundtrips() {
-    // > 1 member: gzip_compress_parallel cuts at PARALLEL_SEGMENT.
-    let mut rng = SplitMix64::new(7);
-    let mut data = vec![0u8; PARALLEL_SEGMENT * 3 + 1234];
-    rng.fill_bytes(&mut data);
-    for chunk in data.chunks_mut(97) {
-        chunk[0] = 0; // sprinkle structure so members differ in ratio
-    }
-    let par = gzip_compress_parallel(&data);
-    assert_eq!(gzip_decompress(&par).unwrap(), data);
-    // RFC 1952 concatenation semantics: manual member concatenation
-    // decompresses to concatenated payloads.
-    let manual = [
-        gzip_compress(b"first member "),
-        gzip_compress(b"second member"),
-    ]
-    .concat();
-    assert_eq!(
-        gzip_decompress(&manual).unwrap(),
-        b"first member second member"
-    );
 }
 
 // ------------------------------------------------------ regression corpus
@@ -140,14 +110,6 @@ fn regression_corpus_roundtrips() {
     for (name, data) in corpus {
         let d = deflate(data);
         assert_eq!(inflate(&d).unwrap(), data, "{name}: deflate roundtrip");
-        let g = gzip_compress(data);
-        assert_eq!(gzip_decompress(&g).unwrap(), data, "{name}: gzip roundtrip");
-        let p = gzip_compress_parallel(data);
-        assert_eq!(
-            gzip_decompress(&p).unwrap(),
-            data,
-            "{name}: parallel roundtrip"
-        );
         // The blocked container, both inner codecs, decoded on one
         // worker and on four.
         for (codec, blocked) in [
@@ -168,7 +130,7 @@ fn regression_corpus_roundtrips() {
     // Ratio floors for the compressible members (regression against a
     // quietly degrading matcher).
     let text: &[u8] = include_bytes!("corpus/dpkg-text.bin");
-    assert!(ratio(text.len(), gzip_compress(text).len()) < 0.10);
+    assert!(ratio(text.len(), deflate(text).len()) < 0.10);
     let period: &[u8] = include_bytes!("corpus/period7-12k.bin");
-    assert!(ratio(period.len(), gzip_compress(period).len()) < 0.05);
+    assert!(ratio(period.len(), deflate(period).len()) < 0.05);
 }

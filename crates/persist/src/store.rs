@@ -795,11 +795,13 @@ impl DurableContentStore {
     }
 
     /// Re-read and validate every live blob from its segment (full
-    /// content sweep: magic, digest, CRC-32). Payloads in the blocked
-    /// compression container additionally get a per-block CRC sweep
-    /// ([`xpl_compress::verify_blocks`]), which localizes damage to a
-    /// block instead of just "the blob is bad" — the record-level CRC
-    /// can only say the latter. Returns the number of blobs verified.
+    /// content sweep: magic, digest, CRC-32). A damaged payload in the
+    /// blocked compression container additionally gets a per-block CRC
+    /// sweep ([`xpl_compress::verify_blocks`]), which localizes the
+    /// damage to a block instead of just "the blob is bad" — the
+    /// record-level CRC can only say the latter. An intact blob is
+    /// opaque bytes: its digest proves them, whatever they begin with.
+    /// Returns the number of blobs verified.
     pub fn deep_verify(&self) -> Result<usize, PersistError> {
         let mut verified = 0usize;
         for (digest, _refs, _len) in self.snapshot_refs() {
@@ -847,11 +849,6 @@ impl DurableContentStore {
                     "blob {} no longer hashes to its digest",
                     digest.short()
                 )));
-            }
-            if xpl_compress::is_blocked(&payload) {
-                xpl_compress::verify_blocks(&payload).map_err(|e| {
-                    corrupt(format!("blob {}: blocked payload: {e}", digest.short()))
-                })?;
             }
             verified += 1;
         }
@@ -933,7 +930,8 @@ mod tests {
         let raw: Vec<u8> = (0..20_000u64)
             .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
             .collect();
-        let blocked = xpl_compress::blocked_compress_with(&raw, 4096);
+        let blocked =
+            xpl_compress::blocked_compress_inner(&raw, 4096, xpl_compress::InnerCodec::Deflate);
         let (d, _) = store.put(&blocked).unwrap();
         assert_eq!(store.deep_verify().unwrap(), 1);
 
@@ -963,7 +961,7 @@ mod tests {
     #[test]
     fn blocked_lz4_payloads_survive_recovery_and_deep_verify() {
         // The fast-codec container (`XBL1`) is just another blob to the
-        // durable layer, but deep_verify's blocked special-case must
+        // durable layer, but deep_verify's damage localization must
         // sweep its per-block CRCs too — and recovery must hand the
         // container back byte-identical.
         let (vfs, store) = fresh(DurableConfig::named("cas"));
@@ -979,7 +977,10 @@ mod tests {
         assert_eq!(recovered.deep_verify().unwrap(), 1);
         let back = recovered.get(&d).unwrap();
         assert_eq!(back, lz4);
-        assert_eq!(xpl_compress::decompress_auto(&back).unwrap(), raw);
+        assert_eq!(
+            xpl_compress::blocked_decompress_parallel(&back).unwrap(),
+            raw
+        );
 
         // Damage inside the LZ4 block data is localized by deep_verify.
         let file = segment::file_name("cas", 1);
@@ -993,6 +994,17 @@ mod tests {
             }
             other => panic!("expected CorruptRecord, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn deep_verify_accepts_an_intact_blob_that_begins_with_a_container_magic() {
+        // The digest proves an intact blob's bytes; they are not read as
+        // a container just because they start with "XBC1".
+        let (_vfs, store) = fresh(DurableConfig::named("cas"));
+        let mut blob = b"XBC1".to_vec();
+        blob.extend_from_slice(&[7; 100]);
+        store.put(&blob).unwrap();
+        assert_eq!(store.deep_verify(), Ok(1));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
 //!
-//! Required by the gzip framing layer (RFC 1952 stores a CRC-32 of the
-//! uncompressed payload). Slice-by-8 table-driven: eight derived tables
-//! let the hot loop fold one 64-bit word per step instead of one byte,
-//! producing the same CRC values as the classic byte-wise form.
+//! Checks the blocked compression container's index and blocks, the
+//! persist segment, WAL and manifest records, and the wire frames.
+//! Slice-by-8 table-driven: eight derived tables let the hot loop fold
+//! one 64-bit word per step instead of one byte, producing the same CRC
+//! values as the classic byte-wise form.
 
 /// Streaming CRC-32 state.
 #[derive(Clone)]

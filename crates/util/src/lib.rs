@@ -3,7 +3,8 @@
 //! Contents:
 //! * [`sha256`] — a from-scratch SHA-256 implementation (FIPS 180-4) used
 //!   for content addressing in the deduplicating stores.
-//! * [`crc32`] — CRC-32 (IEEE, reflected) used by the gzip framing layer.
+//! * [`crc32`] — CRC-32 (IEEE, reflected) for the compressed-block,
+//!   on-disk record and wire-frame checksums.
 //! * [`fxhash`] — a Firefox/rustc-style multiplicative hasher for hot
 //!   in-memory maps where HashDoS resistance is irrelevant.
 //! * [`rng`] — SplitMix64, a tiny deterministic PRNG used to synthesize

@@ -7,7 +7,8 @@
 //! semantic graphs, master graphs, similarity metrics, the publish /
 //! base-image-selection / retrieval algorithms — plus every substrate it
 //! depends on (a qcow2-style disk format, a guest filesystem and package
-//! manager, DEFLATE/gzip, an embedded metadata DB, a simulated storage
+//! manager, DEFLATE and LZ4-class codecs in a seekable blocked container,
+//! an embedded metadata DB, a simulated storage
 //! device) and the four comparison systems from its evaluation (Qcow2,
 //! Qcow2+Gzip, Mirage, Hemera).
 //!
