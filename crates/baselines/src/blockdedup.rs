@@ -2,12 +2,12 @@
 //!
 //! Jin & Miller (SYSTOR '09) showed fixed-size block dedup detects up to
 //! 70 % identical content between VM images; Liquid and Crab build systems
-//! on the same principle. These stores chunk the *serialized image stream*
-//! (fixed-size or Rabin CDC) and dedup chunks globally — the ablation
-//! benches compare them against file- and semantic-level management.
+//! on the same principle. One store type chunks the image's *device
+//! address space* (fixed-size or Rabin CDC, picked by its const
+//! parameter) and dedups chunks globally — the ablation benches compare
+//! it against file- and semantic-level management.
 
-use std::sync::RwLock;
-
+use crate::refindex::{RefIndex, Refs};
 use crate::snapshot::VmiSnapshot;
 use xpl_chunking::{fixed::chunk_fixed, rabin, ChunkSpan};
 use xpl_guestfs::Vmi;
@@ -17,7 +17,7 @@ use xpl_store::{
     ContentStore, DeleteReport, ImageStore, NameLocks, PublishReport, RetrieveReport,
     RetrieveRequest, StoreError,
 };
-use xpl_util::{Digest, FxHashMap};
+use xpl_util::Digest;
 
 enum Chunker {
     Fixed { block: usize },
@@ -39,146 +39,91 @@ struct Recipe {
     snapshot: VmiSnapshot,
 }
 
-/// Generic chunk-dedup store.
+impl Refs for Recipe {
+    fn ref_count(&self) -> usize {
+        self.chunks.len()
+    }
+
+    fn refs(&self) -> impl Iterator<Item = &Digest> {
+        self.chunks.iter()
+    }
+}
+
+/// Chunk-dedup store over the image's device address space: fixed-size
+/// blocks (`CDC = false`, [`FixedBlockDedupStore`]) or Rabin
+/// content-defined chunks ([`CdcDedupStore`]).
 ///
 /// Concurrency: chunks live in the digest-sharded content store; the
 /// recipe index is a `RwLock` and same-name operations serialize on a
 /// per-image stripe, so distinct images chunk and publish in parallel.
-pub(crate) struct BlockDedupStore {
+pub struct BlockDedupStore<const CDC: bool> {
     env: SimEnv,
-    label: &'static str,
     chunker: Chunker,
-    cas: ContentStore,
-    recipes: RwLock<FxHashMap<String, Recipe>>,
+    /// Recipes over the chunk CAS: ≈40 nominal bytes per chunk reference.
+    index: RefIndex<Recipe>,
     names: NameLocks,
 }
 
 /// Fixed-size block dedup (Jin & Miller's preferred configuration).
-pub struct FixedBlockDedupStore(BlockDedupStore);
+pub type FixedBlockDedupStore = BlockDedupStore<false>;
 /// Content-defined (Rabin) chunk dedup.
-pub struct CdcDedupStore(BlockDedupStore);
+pub type CdcDedupStore = BlockDedupStore<true>;
 
-impl FixedBlockDedupStore {
-    /// `block_real` is the materialized block size (e.g. 4096 = 4 MB
-    /// nominal).
-    pub fn new(env: SimEnv, block_real: usize) -> Self {
-        let cas = ContentStore::new(std::sync::Arc::clone(&env.repo));
-        FixedBlockDedupStore(BlockDedupStore {
-            env,
-            label: "BlockDedup(fixed)",
-            chunker: Chunker::Fixed { block: block_real },
-            cas,
-            recipes: RwLock::new(FxHashMap::default()),
-            names: NameLocks::new(),
-        })
-    }
+impl<const CDC: bool> BlockDedupStore<CDC> {
+    const LABEL: &'static str = if CDC {
+        "BlockDedup(cdc)"
+    } else {
+        "BlockDedup(fixed)"
+    };
 
-    pub fn dedup_factor(&self) -> f64 {
-        self.0.dedup_factor()
-    }
-}
-
-impl CdcDedupStore {
-    pub fn new(env: SimEnv, avg_real: usize) -> Self {
-        let cas = ContentStore::new(std::sync::Arc::clone(&env.repo));
-        CdcDedupStore(BlockDedupStore {
-            env,
-            label: "BlockDedup(cdc)",
-            chunker: Chunker::Cdc {
-                params: rabin::CdcParams::with_avg(avg_real),
-            },
-            cas,
-            recipes: RwLock::new(FxHashMap::default()),
-            names: NameLocks::new(),
-        })
-    }
-
-    pub fn dedup_factor(&self) -> f64 {
-        self.0.dedup_factor()
-    }
-}
-
-impl BlockDedupStore {
-    fn recipe_overhead(entries: u64) -> u64 {
-        (entries * 40).div_ceil(xpl_util::SCALE_FACTOR)
-    }
-
-    fn total_entries(&self) -> u64 {
-        self.recipes
-            .read()
-            .unwrap()
-            .values()
-            .map(|r| r.chunks.len() as u64)
-            .sum()
-    }
-
-    /// Drop one recipe's chunk references; returns (freed bytes, blobs).
-    fn release_recipe(&self, recipe: &Recipe) -> Result<(u64, usize), StoreError> {
-        let mut freed = 0u64;
-        let mut blobs = 0usize;
-        for digest in &recipe.chunks {
-            let f = self
-                .cas
-                .release(digest)
-                .map_err(|_| StoreError::Corrupt(format!("release chunk {digest}")))?;
-            if f > 0 {
-                freed += f;
-                blobs += 1;
+    /// `chunk_real` is the materialized block size (e.g. 4096 = 4 MB
+    /// nominal), or for CDC the average chunk size, a power of two.
+    pub fn new(env: SimEnv, chunk_real: usize) -> Self {
+        let chunker = if CDC {
+            Chunker::Cdc {
+                params: rabin::CdcParams::with_avg(chunk_real),
             }
+        } else {
+            Chunker::Fixed { block: chunk_real }
+        };
+        let cas = ContentStore::new(std::sync::Arc::clone(&env.repo));
+        BlockDedupStore {
+            env,
+            chunker,
+            index: RefIndex::new(cas, 40),
+            names: NameLocks::new(),
         }
-        Ok((freed, blobs))
     }
 
-    fn delete(&self, name: &str) -> Result<DeleteReport, StoreError> {
-        let _name_guard = self.names.lock(name);
-        let t0 = self.env.clock.now();
-        let entries_before = self.total_entries();
-        let recipe = self
-            .recipes
-            .write()
-            .unwrap()
-            .remove(name)
-            .ok_or_else(|| StoreError::NotFound(name.to_string()))?;
-        let (freed_content, blobs) = self.release_recipe(&recipe)?;
-        self.env.repo.charge_db_write(1);
-        let overhead_freed = Self::recipe_overhead(entries_before)
-            .saturating_sub(Self::recipe_overhead(self.total_entries()));
-        Ok(DeleteReport {
-            image: name.to_string(),
-            duration: self.env.clock.since(t0),
-            bytes_freed: freed_content + overhead_freed,
-            units_removed: blobs,
-        })
-    }
-
-    fn check_integrity(&self) -> Result<(), String> {
-        let mut expected: FxHashMap<Digest, u32> = FxHashMap::default();
-        for r in self.recipes.read().unwrap().values() {
-            for digest in &r.chunks {
-                *expected.entry(*digest).or_insert(0) += 1;
-            }
-        }
-        self.cas
-            .audit_refs(&expected)
-            .map_err(|e| format!("{}: {e}", self.label))
-    }
-
-    fn dedup_factor(&self) -> f64 {
+    /// Logical image bytes per unique stored chunk byte.
+    pub fn dedup_factor(&self) -> f64 {
         let logical: u64 = self
-            .recipes
+            .index
+            .images
             .read()
             .unwrap()
             .values()
             .map(|r| r.total_len)
             .sum();
-        if self.cas.unique_bytes() == 0 {
+        let unique = self.index.cas.unique_bytes();
+        if unique == 0 {
             1.0
         } else {
-            logical as f64 / self.cas.unique_bytes() as f64
+            logical as f64 / unique as f64
         }
     }
+}
 
-    fn publish(&self, vmi: &Vmi) -> Result<PublishReport, StoreError> {
+impl<const CDC: bool> ImageStore for BlockDedupStore<CDC> {
+    fn name(&self) -> &'static str {
+        Self::LABEL
+    }
+
+    fn attach_obs(&self, reg: &std::sync::Arc<xpl_obs::Registry>) {
+        self.index.cas.attach_obs(reg);
+    }
+
+    fn publish(&self, _catalog: &Catalog, vmi: &Vmi) -> Result<PublishReport, StoreError> {
         let _name_guard = self.names.lock(&vmi.name);
         let t0 = self.env.clock.now();
         let mut report = PublishReport {
@@ -200,7 +145,7 @@ impl BlockDedupStore {
         let mut added_content = 0u64;
         for s in &spans {
             let chunk = &data[s.offset..s.offset + s.len];
-            let (digest, new) = self.cas.put(chunk);
+            let (digest, new) = self.index.cas.put(chunk);
             if new {
                 new_chunks += 1;
                 added_content += chunk.len() as u64;
@@ -208,34 +153,24 @@ impl BlockDedupStore {
             chunks.push(digest);
         }
         report.units_stored = new_chunks;
-        let entries_before = self.total_entries();
-        let old = self.recipes.write().unwrap().insert(
-            vmi.name.clone(),
-            Recipe {
-                chunks,
-                total_len: data.len() as u64,
-                snapshot: VmiSnapshot::of(vmi),
-            },
-        );
-        // Re-publish: release the replaced recipe after the new one holds
-        // its chunk references.
-        let freed_content = match &old {
-            Some(old) => self.release_recipe(old)?.0,
-            None => 0,
+        let recipe = Recipe {
+            chunks,
+            total_len: data.len() as u64,
+            snapshot: VmiSnapshot::of(vmi),
         };
-        let (oa, ob) = (
-            Self::recipe_overhead(self.total_entries()),
-            Self::recipe_overhead(entries_before),
-        );
-        report.bytes_added = added_content + oa.saturating_sub(ob);
-        report.bytes_freed = freed_content + ob.saturating_sub(oa);
+        self.index
+            .insert(&vmi.name, recipe, added_content, &mut report)?;
         report.duration = self.env.clock.since(t0);
         Ok(report)
     }
 
-    fn retrieve(&self, request: &RetrieveRequest) -> Result<(Vmi, RetrieveReport), StoreError> {
+    fn retrieve(
+        &self,
+        _catalog: &Catalog,
+        request: &RetrieveRequest,
+    ) -> Result<(Vmi, RetrieveReport), StoreError> {
         let t0 = self.env.clock.now();
-        let recipes = self.recipes.read().unwrap();
+        let recipes = self.index.images.read().unwrap();
         let recipe = recipes
             .get(&request.name)
             .ok_or_else(|| StoreError::NotFound(request.name.clone()))?;
@@ -247,6 +182,7 @@ impl BlockDedupStore {
         let mut reassembled = Vec::with_capacity(recipe.total_len as usize);
         for digest in &recipe.chunks {
             let chunk = self
+                .index
                 .cas
                 .get(digest)
                 .map_err(|_| StoreError::Corrupt(format!("chunk {digest}")))?;
@@ -267,53 +203,31 @@ impl BlockDedupStore {
         Ok((vmi, report))
     }
 
+    fn delete(&self, name: &str) -> Result<DeleteReport, StoreError> {
+        let _name_guard = self.names.lock(name);
+        let t0 = self.env.clock.now();
+        let (bytes_freed, blobs) = self.index.remove(name)?;
+        self.env.repo.charge_db_write(1);
+        Ok(DeleteReport {
+            image: name.to_string(),
+            duration: self.env.clock.since(t0),
+            bytes_freed,
+            units_removed: blobs,
+        })
+    }
+
     fn repo_bytes(&self) -> u64 {
-        // Recipe overhead: ≈40 nominal bytes per chunk reference.
-        self.cas.unique_bytes() + Self::recipe_overhead(self.total_entries())
+        self.index.repo_bytes()
+    }
+
+    fn check_integrity(&self) -> Result<(), String> {
+        self.index.audit(Self::LABEL, false)
+    }
+
+    fn check_integrity_deep(&self) -> Result<(), String> {
+        self.index.audit(Self::LABEL, true)
     }
 }
-
-macro_rules! delegate_store {
-    ($ty:ty) => {
-        impl ImageStore for $ty {
-            fn name(&self) -> &'static str {
-                self.0.label
-            }
-            fn attach_obs(&self, reg: &std::sync::Arc<xpl_obs::Registry>) {
-                self.0.cas.attach_obs(reg);
-            }
-            fn publish(&self, _catalog: &Catalog, vmi: &Vmi) -> Result<PublishReport, StoreError> {
-                self.0.publish(vmi)
-            }
-            fn retrieve(
-                &self,
-                _catalog: &Catalog,
-                request: &RetrieveRequest,
-            ) -> Result<(Vmi, RetrieveReport), StoreError> {
-                self.0.retrieve(request)
-            }
-            fn delete(&self, name: &str) -> Result<DeleteReport, StoreError> {
-                self.0.delete(name)
-            }
-            fn repo_bytes(&self) -> u64 {
-                self.0.repo_bytes()
-            }
-            fn check_integrity(&self) -> Result<(), String> {
-                self.0.check_integrity()
-            }
-            fn check_integrity_deep(&self) -> Result<(), String> {
-                self.0.check_integrity()?;
-                self.0
-                    .cas
-                    .check_integrity(true)
-                    .map_err(|e| format!("{} content: {e}", self.0.label))
-            }
-        }
-    };
-}
-
-delegate_store!(FixedBlockDedupStore);
-delegate_store!(CdcDedupStore);
 
 #[cfg(test)]
 mod tests {

@@ -12,7 +12,6 @@ use std::sync::RwLock;
 
 use crate::costs;
 use crate::snapshot::VmiSnapshot;
-use rayon::prelude::*;
 use xpl_guestfs::{FileRecord, Vmi};
 use xpl_pkg::Catalog;
 use xpl_simio::{SimDuration, SimEnv};
@@ -92,10 +91,6 @@ impl HemeraStore {
         self
     }
 
-    fn threshold_real() -> u64 {
-        costs::HEMERA_DB_THRESHOLD_NOMINAL / xpl_util::SCALE_FACTOR
-    }
-
     /// Manifest + row-key metadata overhead.
     fn metadata_overhead(&self) -> u64 {
         let entries: u64 = self
@@ -165,24 +160,9 @@ impl ImageStore for HemeraStore {
             ..Default::default()
         };
 
-        let hashed: Vec<(FileRecord, Digest, Vec<u8>)> =
-            report.breakdown.measure(&self.env.clock, "scan+hash", || {
-                self.env.local.charge_fixed(costs::mount_fixed());
-                self.env
-                    .local
-                    .charge_fixed(costs::xfer(vmi.mounted_bytes(), costs::SCAN_BPS));
-                let records: Vec<FileRecord> = vmi.fs.iter().collect();
-                records
-                    .into_par_iter()
-                    .map(|r| {
-                        let content = r.content();
-                        let digest = xpl_util::Sha256::digest(&content);
-                        (r, digest, content)
-                    })
-                    .collect()
-            });
+        let hashed = crate::mirage::scan_and_hash(&self.env, vmi, &mut report);
 
-        let threshold = Self::threshold_real();
+        let threshold = costs::HEMERA_DB_THRESHOLD_NOMINAL / xpl_util::SCALE_FACTOR;
         // Gross content added by this publish, tracked op-locally (this
         // publish's new blobs and rows) so the ledger check downstream is
         // independent of global counters.
@@ -291,13 +271,8 @@ impl ImageStore for HemeraStore {
             },
         )?;
 
-        // Hemera keeps rows and files, not a disk, so the disk is
-        // rebuilt with `mkfs` from the snapshot's tree.
-        let vmi = report.breakdown.measure(&self.env.clock, "assemble", || {
-            let vmi = manifest.snapshot.restore();
-            self.env.local.charge_write(vmi.disk_bytes());
-            vmi
-        });
+        // Hemera keeps rows and files, not a disk.
+        let vmi = manifest.snapshot.restore(&self.env, &mut report);
         report.bytes_read = self.env.repo.stats().bytes_read - reads_before;
         report.duration = self.env.clock.since(t0);
         Ok((vmi, report))
@@ -390,15 +365,7 @@ impl ImageStore for HemeraStore {
     }
 
     fn maintain(&self) -> xpl_store::MaintainReport {
-        let t0 = self.env.clock.now();
-        let sweep = self.cas.maintain();
-        xpl_store::MaintainReport {
-            duration: self.env.clock.since(t0),
-            scanned: sweep.scanned,
-            promoted: sweep.promoted,
-            demoted: sweep.demoted,
-            bytes_delta: 0,
-        }
+        crate::mirage::maintain_cas(&self.env, &self.cas)
     }
 
     fn cas_fingerprints(&self) -> Vec<(String, String)> {

@@ -7,9 +7,8 @@
 //! small-file penalty the paper identifies ("it is inefficient in reading
 //! small files (below 1MB) from file system-based repository").
 
-use std::sync::RwLock;
-
 use crate::costs;
+use crate::refindex::{RefIndex, Refs};
 use crate::snapshot::VmiSnapshot;
 use rayon::prelude::*;
 use xpl_guestfs::{FileRecord, Vmi};
@@ -19,7 +18,7 @@ use xpl_store::{
     ContentStore, DeleteReport, ImageStore, MaintainReport, NameLocks, PublishReport,
     RetrieveReport, RetrieveRequest, StoreError, TierPolicy,
 };
-use xpl_util::{Digest, FxHashMap};
+use xpl_util::Digest;
 
 struct Manifest {
     /// In path order: the tree's iteration order at publish.
@@ -39,6 +38,53 @@ impl Manifest {
     }
 }
 
+impl Refs for Manifest {
+    fn ref_count(&self) -> usize {
+        self.files.len()
+    }
+
+    fn refs(&self) -> impl Iterator<Item = &Digest> {
+        self.files.iter().map(|(_, digest)| digest)
+    }
+}
+
+/// Mount the image and hash every file through the mounted guest
+/// filesystem (rayon-parallel): the publish scan Mirage and Hemera share.
+pub(crate) fn scan_and_hash(
+    env: &SimEnv,
+    vmi: &Vmi,
+    report: &mut PublishReport,
+) -> Vec<(FileRecord, Digest, Vec<u8>)> {
+    report.breakdown.measure(&env.clock, "scan+hash", || {
+        env.local.charge_fixed(costs::mount_fixed());
+        env.local
+            .charge_fixed(costs::xfer(vmi.mounted_bytes(), costs::SCAN_BPS));
+        let records: Vec<FileRecord> = vmi.fs.iter().collect();
+        records
+            .into_par_iter()
+            .map(|r| {
+                let content = r.content();
+                let digest = xpl_util::Sha256::digest(&content);
+                (r, digest, content)
+            })
+            .collect()
+    })
+}
+
+/// A file CAS's tier sweep as the store's maintenance report. The CAS
+/// ledger is logical, so `repo_bytes` never moves.
+pub(crate) fn maintain_cas(env: &SimEnv, cas: &ContentStore) -> MaintainReport {
+    let t0 = env.clock.now();
+    let sweep = cas.maintain();
+    MaintainReport {
+        duration: env.clock.since(t0),
+        scanned: sweep.scanned,
+        promoted: sweep.promoted,
+        demoted: sweep.demoted,
+        bytes_delta: 0,
+    }
+}
+
 /// File-level deduplicating image repository.
 ///
 /// Concurrency: the content store is digest-sharded (see
@@ -47,8 +93,9 @@ impl Manifest {
 /// Scan+hash — the expensive publish leg — runs outside every lock.
 pub struct MirageStore {
     env: SimEnv,
-    cas: ContentStore,
-    manifests: RwLock<FxHashMap<String, Manifest>>,
+    /// Manifests over the file CAS: ≈48 *nominal* bytes per entry
+    /// (digest + path ref).
+    index: RefIndex<Manifest>,
     names: NameLocks,
 }
 
@@ -57,8 +104,7 @@ impl MirageStore {
         let cas = ContentStore::new(std::sync::Arc::clone(&env.repo));
         MirageStore {
             env,
-            cas,
-            manifests: RwLock::new(FxHashMap::default()),
+            index: RefIndex::new(cas, 48),
             names: NameLocks::new(),
         }
     }
@@ -74,8 +120,7 @@ impl MirageStore {
         let cas = ContentStore::new_durable(std::sync::Arc::clone(&env.repo), durable);
         MirageStore {
             env,
-            cas,
-            manifests: RwLock::new(FxHashMap::default()),
+            index: RefIndex::new(cas, 48),
             names: NameLocks::new(),
         }
     }
@@ -84,43 +129,8 @@ impl MirageStore {
     /// logical (codec-invariant); only the physical representation and
     /// real CPU change.
     pub fn with_tier(mut self, tier: TierPolicy) -> Self {
-        self.cas = self.cas.with_tier(tier);
+        self.index.cas = self.index.cas.with_tier(tier);
         self
-    }
-
-    pub fn dedup_hits(&self) -> u64 {
-        self.cas.dedup_hits()
-    }
-
-    /// Manifest metadata overhead for `entries` total manifest entries.
-    fn manifest_overhead(entries: u64) -> u64 {
-        (entries * 48).div_ceil(xpl_util::SCALE_FACTOR)
-    }
-
-    fn total_entries(&self) -> u64 {
-        self.manifests
-            .read()
-            .unwrap()
-            .values()
-            .map(|m| m.files.len() as u64)
-            .sum()
-    }
-
-    /// Drop one manifest's references; returns (freed bytes, freed blobs).
-    fn release_manifest(&self, manifest: &Manifest) -> Result<(u64, usize), StoreError> {
-        let mut freed = 0u64;
-        let mut blobs = 0usize;
-        for (record, digest) in &manifest.files {
-            let f = self
-                .cas
-                .release(digest)
-                .map_err(|_| StoreError::Corrupt(format!("release {}", record.path)))?;
-            if f > 0 {
-                freed += f;
-                blobs += 1;
-            }
-        }
-        Ok((freed, blobs))
     }
 
     /// The publish itself. Caller holds the image's name lock and
@@ -132,24 +142,7 @@ impl MirageStore {
             ..Default::default()
         };
 
-        // Mount + full content scan (hashing every file through the
-        // mounted guest filesystem).
-        let hashed: Vec<(FileRecord, Digest, Vec<u8>)> =
-            report.breakdown.measure(&self.env.clock, "scan+hash", || {
-                self.env.local.charge_fixed(costs::mount_fixed());
-                self.env
-                    .local
-                    .charge_fixed(costs::xfer(vmi.mounted_bytes(), costs::SCAN_BPS));
-                let records: Vec<FileRecord> = vmi.fs.iter().collect();
-                records
-                    .into_par_iter()
-                    .map(|r| {
-                        let content = r.content();
-                        let digest = xpl_util::Sha256::digest(&content);
-                        (r, digest, content)
-                    })
-                    .collect()
-            });
+        let hashed = scan_and_hash(&self.env, vmi, &mut report);
 
         // Index matching + storing new content. `bytes_added` is tracked
         // op-locally (this publish's new puts), so concurrent publishes
@@ -164,7 +157,7 @@ impl MirageStore {
                     .local
                     .charge_fixed(SimDuration(costs::file_match().0 * hashed.len() as u64));
                 for (record, digest, content) in hashed {
-                    if self.cas.put_with_digest(digest, &content) {
+                    if self.index.cas.put_with_digest(digest, &content) {
                         new_files += 1;
                         added_content += content.len() as u64;
                     }
@@ -172,28 +165,12 @@ impl MirageStore {
                 }
             });
         report.units_stored = new_files;
-        let entries_before = self.total_entries();
-        let old = self.manifests.write().unwrap().insert(
-            vmi.name.clone(),
-            Manifest {
-                files,
-                snapshot: VmiSnapshot::of(vmi),
-            },
-        );
-        // Re-publish: the new manifest is referenced first, then the old
-        // one is released, so content shared across generations survives.
-        let freed_content = match &old {
-            Some(old) => self.release_manifest(old)?.0,
-            None => 0,
+        let manifest = Manifest {
+            files,
+            snapshot: VmiSnapshot::of(vmi),
         };
-        // Exact ledger: repo_bytes_after == before + bytes_added - bytes_freed,
-        // including the manifest-overhead delta.
-        let (oa, ob) = (
-            Self::manifest_overhead(self.total_entries()),
-            Self::manifest_overhead(entries_before),
-        );
-        report.bytes_added = added_content + oa.saturating_sub(ob);
-        report.bytes_freed = freed_content + ob.saturating_sub(oa);
+        self.index
+            .insert(&vmi.name, manifest, added_content, &mut report)?;
         report.duration = self.env.clock.since(t0);
         Ok(report)
     }
@@ -201,21 +178,12 @@ impl MirageStore {
     /// The delete itself; same contract as `publish_locked`.
     fn delete_locked(&self, name: &str) -> Result<DeleteReport, StoreError> {
         let t0 = self.env.clock.now();
-        let entries_before = self.total_entries();
-        let manifest = self
-            .manifests
-            .write()
-            .unwrap()
-            .remove(name)
-            .ok_or_else(|| StoreError::NotFound(name.to_string()))?;
-        let (freed_content, blobs) = self.release_manifest(&manifest)?;
+        let (bytes_freed, blobs) = self.index.remove(name)?;
         self.env.repo.charge_db_write(1);
-        let overhead_freed = Self::manifest_overhead(entries_before)
-            .saturating_sub(Self::manifest_overhead(self.total_entries()));
         Ok(DeleteReport {
             image: name.to_string(),
             duration: self.env.clock.since(t0),
-            bytes_freed: freed_content + overhead_freed,
+            bytes_freed,
             units_removed: blobs,
         })
     }
@@ -227,12 +195,12 @@ impl ImageStore for MirageStore {
     }
 
     fn attach_obs(&self, reg: &std::sync::Arc<xpl_obs::Registry>) {
-        self.cas.attach_obs(reg);
+        self.index.cas.attach_obs(reg);
     }
 
     fn publish(&self, _catalog: &Catalog, vmi: &Vmi) -> Result<PublishReport, StoreError> {
         let _name_guard = self.names.lock(&vmi.name);
-        self.cas.committed(self.publish_locked(vmi))
+        self.index.cas.committed(self.publish_locked(vmi))
     }
 
     fn retrieve(
@@ -241,7 +209,7 @@ impl ImageStore for MirageStore {
         request: &RetrieveRequest,
     ) -> Result<(Vmi, RetrieveReport), StoreError> {
         let t0 = self.env.clock.now();
-        let manifests = self.manifests.read().unwrap();
+        let manifests = self.index.images.read().unwrap();
         let manifest = manifests
             .get(&request.name)
             .ok_or_else(|| StoreError::NotFound(request.name.clone()))?;
@@ -257,7 +225,8 @@ impl ImageStore for MirageStore {
             "read files",
             || -> Result<(), StoreError> {
                 for (record, digest) in &manifest.files {
-                    self.cas
+                    self.index
+                        .cas
                         .get(digest)
                         .map_err(|_| StoreError::Corrupt(format!("file {}", record.path)))?;
                 }
@@ -265,13 +234,8 @@ impl ImageStore for MirageStore {
             },
         )?;
 
-        // Reassemble the image locally. Mirage keeps files, not a disk,
-        // so the disk is rebuilt with `mkfs` from the snapshot's tree.
-        let vmi = report.breakdown.measure(&self.env.clock, "assemble", || {
-            let vmi = manifest.snapshot.restore();
-            self.env.local.charge_write(vmi.disk_bytes());
-            vmi
-        });
+        // Mirage keeps files, not a disk.
+        let vmi = manifest.snapshot.restore(&self.env, &mut report);
 
         report.bytes_read = self.env.repo.stats().bytes_read - reads_before;
         report.duration = self.env.clock.since(t0);
@@ -286,7 +250,7 @@ impl ImageStore for MirageStore {
         len: u64,
     ) -> Result<(Vec<u8>, RetrieveReport), StoreError> {
         let t0 = self.env.clock.now();
-        let manifests = self.manifests.read().unwrap();
+        let manifests = self.index.images.read().unwrap();
         let manifest = manifests
             .get(&request.name)
             .ok_or_else(|| StoreError::NotFound(request.name.clone()))?;
@@ -307,7 +271,8 @@ impl ImageStore for MirageStore {
                     let digest = manifest
                         .blob_of(rec)
                         .ok_or_else(|| format!("no blob for {}", rec.path))?;
-                    self.cas
+                    self.index
+                        .cas
                         .get_range(&digest, off, l)
                         .map_err(|e| format!("blob {}: {e:?}", rec.path))
                 })
@@ -321,51 +286,27 @@ impl ImageStore for MirageStore {
 
     fn delete(&self, name: &str) -> Result<DeleteReport, StoreError> {
         let _name_guard = self.names.lock(name);
-        self.cas.committed(self.delete_locked(name))
+        self.index.cas.committed(self.delete_locked(name))
     }
 
     fn repo_bytes(&self) -> u64 {
-        // Unique content + manifest overhead: ≈48 *nominal* bytes per
-        // entry (digest + path ref), i.e. 48/1024 materialized bytes.
-        self.cas.unique_bytes() + Self::manifest_overhead(self.total_entries())
+        self.index.repo_bytes()
     }
 
     fn check_integrity(&self) -> Result<(), String> {
-        // Every blob's refcount must equal the number of manifest entries
-        // referencing it (counting multiplicity), with no orphans.
-        let mut expected: FxHashMap<Digest, u32> = FxHashMap::default();
-        for m in self.manifests.read().unwrap().values() {
-            for (_, digest) in &m.files {
-                *expected.entry(*digest).or_insert(0) += 1;
-            }
-        }
-        self.cas
-            .audit_refs(&expected)
-            .map_err(|e| format!("Mirage CAS: {e}"))
+        self.index.audit("Mirage CAS", false)
     }
 
     fn check_integrity_deep(&self) -> Result<(), String> {
-        self.check_integrity()?;
-        self.cas
-            .check_integrity(true)
-            .map_err(|e| format!("Mirage CAS content: {e}"))
+        self.index.audit("Mirage CAS", true)
     }
 
     fn maintain(&self) -> MaintainReport {
-        let t0 = self.env.clock.now();
-        let sweep = self.cas.maintain();
-        MaintainReport {
-            duration: self.env.clock.since(t0),
-            scanned: sweep.scanned,
-            promoted: sweep.promoted,
-            demoted: sweep.demoted,
-            // The CAS ledger is logical: repo_bytes never moves.
-            bytes_delta: 0,
-        }
+        maintain_cas(&self.env, &self.index.cas)
     }
 
     fn cas_fingerprints(&self) -> Vec<(String, String)> {
-        vec![("files".to_string(), self.cas.state_fingerprint())]
+        vec![("files".to_string(), self.index.cas.state_fingerprint())]
     }
 }
 
@@ -392,7 +333,7 @@ mod tests {
             redis.mounted_bytes()
         );
         assert!(r.units_stored > 0, "redis's own files are new");
-        assert!(store.dedup_hits() > 10);
+        assert!(store.index.cas.dedup_hits() > 10);
     }
 
     #[test]
@@ -463,8 +404,8 @@ mod tests {
         store.publish(&w.catalog, &redis).unwrap();
         // Corrupt one stored blob (truncation — what the hot-path length
         // check catches on read).
-        let digest = store.manifests.read().unwrap()["redis"].files[0].1;
-        assert!(store.cas.corrupt_for_test(&digest));
+        let digest = store.index.images.read().unwrap()["redis"].files[0].1;
+        assert!(store.index.cas.corrupt_for_test(&digest));
         let req = xpl_store::RetrieveRequest::for_image(&redis, &w.catalog);
         assert!(matches!(
             store.retrieve(&w.catalog, &req),
@@ -478,8 +419,8 @@ mod tests {
         let store = MirageStore::new(w.env());
         let redis = w.build_image("redis");
         store.publish(&w.catalog, &redis).unwrap();
-        let digest = store.manifests.read().unwrap()["redis"].files[0].1;
-        assert!(store.cas.corrupt_bitflip_for_test(&digest));
+        let digest = store.index.images.read().unwrap()["redis"].files[0].1;
+        assert!(store.index.cas.corrupt_bitflip_for_test(&digest));
         // Refcounts still coherent: the cheap audit passes…
         store.check_integrity().unwrap();
         // …the deep content audit does not.

@@ -6,16 +6,20 @@
 //! A retrieve hands back a functional [`Vmi`] built from both:
 //!
 //! * stores that keep a disk return the one they read back —
-//!   [`VmiSnapshot::restore_with`] over Qcow2's parsed stream, Gzip's
-//!   inflated one, or the block-dedup stores' reassembled device;
+//!   [`VmiSnapshot::restore_with`] over the whole-image store's parsed
+//!   stream (raw for Qcow2, inflated for Gzip) or the block-dedup store's
+//!   reassembled device;
 //! * stores that keep files (Mirage, Hemera) have no disk to return and
-//!   rebuild it with `mkfs` from the tree ([`VmiSnapshot::restore`]).
+//!   rebuild it with `mkfs` from the tree ([`VmiSnapshot::restore`]),
+//!   charged to the retrieve as "assemble".
 //!
 //! Either way the snapshot supplies the tree, the package DB and the
 //! primary packages that tests compare against the original.
 
 use xpl_guestfs::{FsTree, Vmi};
 use xpl_pkg::{BaseImageAttrs, DpkgDb, PackageId};
+use xpl_simio::SimEnv;
+use xpl_store::RetrieveReport;
 use xpl_vdisk::QcowImage;
 
 #[derive(Clone)]
@@ -38,15 +42,20 @@ impl VmiSnapshot {
         }
     }
 
-    /// Rebuild a full Vmi, regenerating its disk with `mkfs`.
-    pub(crate) fn restore(&self) -> Vmi {
-        Vmi::assemble(
-            &self.name,
-            self.base.clone(),
-            self.fs.clone(),
-            self.pkgdb.clone(),
-            self.primary.clone(),
-        )
+    /// Rebuild a full Vmi on the local host, regenerating its disk with
+    /// `mkfs` from the tree; charged to `report` as "assemble".
+    pub(crate) fn restore(&self, env: &SimEnv, report: &mut RetrieveReport) -> Vmi {
+        report.breakdown.measure(&env.clock, "assemble", || {
+            let vmi = Vmi::assemble(
+                &self.name,
+                self.base.clone(),
+                self.fs.clone(),
+                self.pkgdb.clone(),
+                self.primary.clone(),
+            );
+            env.local.charge_write(vmi.disk_bytes());
+            vmi
+        })
     }
 
     /// The Vmi around `disk`, a disk the store read back.

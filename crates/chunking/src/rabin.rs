@@ -152,7 +152,7 @@ impl CdcParams {
 ///
 /// Hot-path structure: the fingerprint only matters once a chunk reaches
 /// `min_size` (no boundary can be declared earlier), and it depends only
-/// on the last [`WINDOW`] bytes — so after each boundary the scan skips
+/// on the last `WINDOW` bytes — so after each boundary the scan skips
 /// ahead `min_size - WINDOW` bytes and warms the window on the remainder.
 /// Byte-identical to the naive push-every-byte scan: a fresh window is
 /// all zeros, whose polynomial contributions vanish (`out_table[0] == 0`),

@@ -2,8 +2,8 @@
 //!
 //! Huffman codes are written most-significant-bit first *within the code*
 //! but packed into bytes starting from the least significant bit; the
-//! helpers here keep those two conventions separate ([`BitWriter::write_bits`]
-//! for extra-bits fields, [`BitWriter::write_code`] for Huffman codes).
+//! helpers here keep those two conventions separate (`BitWriter::write_bits`
+//! for extra-bits fields, `BitWriter::write_code` for Huffman codes).
 
 /// Bit-level writer producing a DEFLATE-conformant byte stream.
 pub(crate) struct BitWriter {

@@ -1,11 +1,11 @@
 //! Canonical Huffman coding for DEFLATE.
 //!
-//! * [`build_lengths`] turns symbol frequencies into length-limited code
+//! * `build_lengths` turns symbol frequencies into length-limited code
 //!   lengths (≤15 bits, as DEFLATE requires) using frequency-halving
 //!   rebuilds — simple, and provably convergent because equal frequencies
 //!   produce a balanced tree of depth ⌈log₂ n⌉ ≤ 9 for n ≤ 288.
-//! * [`canonical_codes`] assigns the RFC 1951 canonical code values.
-//! * [`HuffmanDecoder`] decodes canonical codes bit by bit using the
+//! * `canonical_codes` assigns the RFC 1951 canonical code values.
+//! * `HuffmanDecoder` decodes canonical codes bit by bit using the
 //!   counts/offsets method (fast enough for our stream sizes and trivially
 //!   correct).
 

@@ -4,7 +4,7 @@
 //! decode loop; this codec skips entropy coding entirely. The stream is
 //! a sequence of *sequences*: a token byte whose high nibble is the
 //! literal-run length and whose low nibble is the match length minus
-//! [`MIN_MATCH`], each nibble saturating at 15 with `0xFF`-extension
+//! `MIN_MATCH`, each nibble saturating at 15 with `0xFF`-extension
 //! bytes, then the literals, then a 2-byte little-endian match offset:
 //!
 //! ```text

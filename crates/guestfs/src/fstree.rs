@@ -7,7 +7,7 @@
 //! [`xpl_pkg::content::generate`] reproduces the bytes deterministically.
 //!
 //! **The shared layer is indexed once.** A [`Layer`] never changes after
-//! [`layer_from`] built it, so everything an operation could want to know
+//! `layer_from` built it, so everything an operation could want to know
 //! about it — where a path sits, which records a package or the user
 //! owns, which are junk, which block group each falls into and what the
 //! groups add up to — is computed there, once per world, and shared by

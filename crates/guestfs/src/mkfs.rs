@@ -14,7 +14,7 @@
 //!
 //! **The shared layer is indexed once.** The layer already knows which
 //! group each of its records falls into and what each group adds up to
-//! (see [`crate::fstree`]), so a [`Layout`] costs the overlay and the
+//! (see [`crate::fstree`]), so a `Layout` costs the overlay and the
 //! tombstones: it corrects the layer's sums by the positions they hide,
 //! buckets the overlay's records, and from that has the group capacity
 //! and the superblock counts. Groups are placed on demand, each the
@@ -63,7 +63,7 @@ pub(crate) fn file_span(rec: &FileRecord) -> u64 {
     align_up(INODE_BYTES + rec.size as u64, ALIGN)
 }
 
-/// One file's placement on disk: the [`INODE_BYTES`] boundary marker
+/// One file's placement on disk: the `INODE_BYTES` boundary marker
 /// sits at `offset`, content immediately after.
 #[derive(Clone, Debug)]
 pub struct Extent {

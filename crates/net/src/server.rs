@@ -87,7 +87,7 @@ pub(crate) struct ServerStats {
     pub frame_errors: AtomicU64,
 }
 
-/// Plain-number snapshot of [`ServerStats`].
+/// Plain-number snapshot of the server's internal counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServerStatsSnapshot {
     pub connections: u64,
@@ -525,7 +525,7 @@ impl Drop for NetServer {
 
 /// An in-memory "listener": every [`MemHost::connect`] spawns a server
 /// thread on one end of a fresh pipe and hands back the client end,
-/// optionally wrapping **both** ends in seeded [`FaultTransport`]s (the
+/// optionally wrapping **both** ends in seeded fault transports (the
 /// per-256 rates from [`FaultConfig`]). Deterministic per connection;
 /// the robustness harness and tests drive this instead of real sockets.
 pub struct MemHost {

@@ -44,7 +44,7 @@ pub trait Transport: Send {
 ///
 /// SIGPIPE note: the Rust runtime ignores SIGPIPE on unix, so writing
 /// to a socket the peer already closed returns `EPIPE`/`ECONNRESET` as
-/// an `io::Error`, which [`NetError::from_io`] maps to
+/// an `io::Error`, which `NetError::from_io` maps to
 /// [`NetError::PeerClosed`] / [`NetError::Reset`] — the process never
 /// dies from a vanished client.
 pub struct TcpTransport {
@@ -230,7 +230,7 @@ impl Drop for MemTransport {
 
 // ------------------------------------------------------ FaultTransport
 
-/// Per-256 injection rates for [`FaultTransport`]. A rate of 0 disables
+/// Per-256 injection rates for `FaultTransport`. A rate of 0 disables
 /// that fault class; 256 fires on every opportunity.
 ///
 /// Reset and torn-write rolls happen once per *frame-ish* unit — every

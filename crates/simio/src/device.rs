@@ -66,7 +66,7 @@ pub(crate) struct DeviceStats {
     pub db_rows_written: AtomicU64,
 }
 
-/// Snapshot of [`DeviceStats`] for reporting.
+/// Snapshot of a device's internal counters for reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
     pub bytes_read: u64,

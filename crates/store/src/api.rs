@@ -172,7 +172,8 @@ pub trait ImageStore: Send + Sync {
     /// handful of compressed blocks or blob slices, while this default
     /// reassembles the whole image and slices it (correct for every
     /// store, but paying full retrieval cost — the baseline the blocked
-    /// codec beats).
+    /// codec beats). Hemera and the block-dedup stores take the default;
+    /// Qcow2 parses only the range but is charged a full download.
     fn retrieve_range(
         &self,
         catalog: &Catalog,

@@ -7,7 +7,7 @@
 //!
 //! # Concurrency model
 //!
-//! The store is split into [`SHARD_COUNT`] segments addressed by the
+//! The store is split into `SHARD_COUNT` segments addressed by the
 //! first byte of the digest, each behind its own `RwLock`, so `put`,
 //! `get`, `add_ref` and `release` on *different* digests proceed in
 //! parallel and only same-shard writers contend. Aggregate statistics
@@ -19,9 +19,9 @@
 //!
 //! `get` performs a *cheap* integrity check (stored length vs. the length
 //! recorded at `put` time — catches truncation) on the hot path; the full
-//! recompute-the-digest check is opt-in via [`ContentStore::verify`] /
+//! recompute-the-digest check is opt-in via
 //! [`ContentStore::check_integrity`] with `deep = true`, which is what
-//! store-level `check_integrity_deep` audits call. Both surface
+//! store-level `check_integrity_deep` audits call. It surfaces
 //! [`CasError::DigestMismatch`].
 //!
 //! # Durability
@@ -30,7 +30,7 @@
 //! [`DurableContentStore`]: every mutation (`put`, `add_ref`,
 //! `release`) is *logged* to the log-structured on-disk store as it is
 //! applied in memory — a new blob is appended to a segment, the WAL
-//! record is queued — and [`ContentStore::commit`] makes everything
+//! record is queued — and `ContentStore::commit` makes everything
 //! logged durable at once (segments synced first, then one WAL append
 //! and one sync). The owner of the store calls it once per repository
 //! operation, on every exit, before reporting success: what returned
@@ -53,7 +53,7 @@
 //! *logical* (uncompressed) bytes, so every simulated metric is
 //! codec-invariant by construction — re-encoding a blob cannot change
 //! what the oracle observes. What the codec does change is real CPU and
-//! the physical footprint tracked by [`ContentStore::encoded_bytes`].
+//! the physical footprint tracked by `ContentStore::encoded_bytes`.
 //!
 //! Temperature drives the tier: `get` / `get_range` bump a per-blob
 //! read counter (audits do not), and [`ContentStore::maintain`] sweeps
@@ -196,7 +196,7 @@ pub struct TierSweep {
     pub promoted: usize,
     /// Blobs re-encoded back to the base codec.
     pub demoted: usize,
-    /// Net change of the physical [`ContentStore::encoded_bytes`]
+    /// Net change of the physical `ContentStore::encoded_bytes`
     /// ledger (logical bytes never move).
     pub encoded_delta: i64,
 }
@@ -319,7 +319,7 @@ impl ContentStore {
     }
 
     /// A store whose mutations are logged to a durable log-structured
-    /// backend and made durable by [`ContentStore::commit`].
+    /// backend and made durable by `ContentStore::commit`.
     pub fn new_durable(device: Arc<SimDevice>, durable: Arc<DurableContentStore>) -> Self {
         let mut store = Self::new(device);
         store.durable = Some(durable);
@@ -453,7 +453,7 @@ impl ContentStore {
 
     /// Read a blob back (charges open + read). The hot path only checks
     /// the cheap length invariant; bit-level verification is the opt-in
-    /// [`ContentStore::verify`] / deep [`ContentStore::check_integrity`].
+    /// deep [`ContentStore::check_integrity`].
     pub fn get(&self, digest: &Digest) -> Result<Arc<Vec<u8>>, CasError> {
         let shard = self.shard(digest).read().unwrap();
         let b = shard.get(digest).ok_or(CasError::NotFound(*digest))?;

@@ -360,20 +360,22 @@ impl StreamHeader {
 /// [`QcowImage::serialize`] stream without materializing the image.
 ///
 /// `fetch(off, len)` returns `len` bytes at stream offset `off`; the
-/// caller typically backs it with a blocked-container reader so only the
-/// compressed blocks the answer needs are ever inflated. The function
-/// touches: the fixed header, O(log mapped) 8-byte guest-cluster keys
-/// per cluster of the span (binary search over the guest-ordered
-/// mapping, with a monotonic hint so sequential clusters don't restart
-/// the search), and the overlapping cluster payload slices. Unmapped
-/// clusters read as zeros; the range clamps to the virtual size like a
-/// slice.
+/// caller backs it with the raw stream or with a blocked-container
+/// reader, so only the compressed blocks the answer needs are ever
+/// inflated. The function touches: the fixed header, O(log mapped)
+/// 8-byte guest-cluster keys per cluster of the span (binary search
+/// over the guest-ordered mapping, with a monotonic hint so sequential
+/// clusters don't restart the search), and the overlapping cluster
+/// payload slices. Unmapped clusters read as zeros; the range clamps
+/// to the virtual size like a slice. A mapping key it meets past the
+/// virtual size is `Corrupt`.
 pub fn read_serialized_range<F>(mut fetch: F, start: u64, len: u64) -> Result<Vec<u8>, QcowError>
 where
     F: FnMut(u64, u64) -> Result<Vec<u8>, QcowError>,
 {
     let header = StreamHeader::parse(&fetch(0, STREAM_HEADER)?)?;
     let cs = 1u64 << header.cluster_bits;
+    let clusters_total = header.virtual_size.div_ceil(cs);
     let entry_len = 8 + cs;
     // Stream offset of mapping entry `i` (plus `within`), checked: the
     // mapped count is untrusted.
@@ -401,6 +403,9 @@ where
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             let k = le_u64(&fetch(entry_at(mid, 0)?, 8)?, 0)?;
+            if k >= clusters_total {
+                return Err(QcowError::Corrupt("cluster out of range"));
+            }
             match k.cmp(&gc) {
                 std::cmp::Ordering::Less => lo = mid + 1,
                 std::cmp::Ordering::Greater => hi = mid,
@@ -515,10 +520,11 @@ mod tests {
     fn deserialize_rejects_a_key_whose_offset_overflows() {
         let mut bytes = two_cluster_stream();
         bytes[24..32].copy_from_slice(&(1u64 << 63).to_le_bytes());
-        assert_eq!(
-            QcowImage::deserialize(&bytes).err(),
-            Some(QcowError::Corrupt("cluster out of range"))
-        );
+        let err = Some(QcowError::Corrupt("cluster out of range"));
+        assert_eq!(QcowImage::deserialize(&bytes).err(), err);
+        // The range reader meets the forged key in its binary search.
+        let fetch = |off: u64, len: u64| Ok(bytes[off as usize..(off + len) as usize].to_vec());
+        assert_eq!(read_serialized_range(fetch, 0, 8).err(), err);
     }
 
     #[test]
