@@ -1,4 +1,5 @@
-//! `repro` — regenerate every table and figure of the paper.
+//! `repro` — regenerate every table and figure of the paper, and drive
+//! the replay, serving and audit harnesses CI gates on.
 //!
 //! ```text
 //! repro table2        Table II (19-image characteristics + times)
@@ -10,370 +11,367 @@
 //! repro fig5a         Figure 5a (retrieval breakdown)
 //! repro fig5b         Figure 5b (retrieval comparison)
 //! repro ablations     chunk-size sweep + master-graph speedup + codec tiers
-//! repro ablate-codec [--payload-mib N] [--json F]
-//!                     the hot/cold codec trade-off table: size ratio,
-//!                     compress/decompress throughput, and range-read
-//!                     throughput of raw vs blocked-DEFLATE vs
-//!                     blocked-LZ4 over one seeded payload (default
-//!                     8 MiB). Every row is round-trip-verified.
-//! repro churn [--seed N] [--ops N] [--scale small|standard] [--json F]
-//!             [--threads N] [--durable] [--crashes K] [--crash-seed N]
-//!             [--codec raw|deflate|lz4|mixed]
-//!                     trace-driven lifecycle replay + differential oracle
-//!                     (exits 1 on any oracle violation). Store replicas
-//!                     and per-image retrieval groups replay on a pool
-//!                     of --threads workers (default 1); the report is
-//!                     byte-identical for every thread count.
-//!                     With --durable, Expelliarmus and Mirage write
-//!                     through to log-structured on-disk backends
-//!                     (xpl-persist) and the trace gains K (default 3)
-//!                     crash-recovery pairs; the oracle additionally
-//!                     checks every recovery converges to the uncrashed
-//!                     in-memory state. --codec picks the tier policy
-//!                     the compressing stores run under (default mixed:
-//!                     DEFLATE base, read-hot blobs recompressed onto
-//!                     LZ4 by the trace's maintenance sweeps); the
-//!                     oracle report is codec-invariant.
-//! repro serve [--seed N] [--scale small|standard] [--tenants N]
-//!             [--requests N] [--queue-depth N] [--store S] [--threads N]
-//!             [--codec raw|deflate|lz4|mixed] [--net-faults R]
-//!             [--net-seed N] [--conns N] [--json F]
-//!                     multi-tenant serving benchmark over the xpl-net
-//!                     wire layer: a seeded Zipf-skewed schedule is
-//!                     served by a threaded server in front of a real
-//!                     store (default expelliarmus), behind per-tenant
-//!                     admission and request coalescing, and driven by
-//!                     a pool of retrying clients (N connections per
-//!                     tenant). Clean runs use real TCP on loopback;
-//!                     --net-faults R switches to the deterministic
-//!                     in-memory transport with seeded resets, torn
-//!                     writes, short reads, and delays at rate R/256.
-//!                     The key->digest table assembled from wire
-//!                     responses must be byte-identical to the table
-//!                     computed in process, at any fault rate; exits 1
-//!                     otherwise. --threads pins the worker pool the
-//!                     in-process setup and memo pass run on.
-//! repro profile [--images N] [--seed N] [--json F]
-//!                     span-tree profile of the dedup publish pipeline:
-//!                     each image's publish is traced through its
-//!                     chunk / dedup / compress / append phases and the
-//!                     aggregated tree is printed with per-phase totals.
-//!                     Exits 1 if the span accounting does not nest
-//!                     (sum of phases <= publish <= run wall).
-//! repro audit [--world small]
-//!                     publish the world into all five stores, delete a
-//!                     third of the images, then run every store's deep
-//!                     integrity audit (refcounts + full content re-hash);
-//!                     exits 1 if any store fails.
-//! repro all [dir] [--threads N]
-//!                     everything; JSON results into dir (default results/).
-//!                     Multi-store sweeps run one store per pool worker
-//!                     (JSON byte-identical to a sequential run);
-//!                     --threads pins the pool size.
+//! repro all [DIR]     all of the above (figure JSON into DIR, default results/)
+//! repro ablate-codec  raw vs blocked-DEFLATE vs blocked-LZ4 over one seeded
+//!                     payload: size ratio, codec and range-read throughput
+//! repro churn         trace-driven lifecycle replay of all five stores under
+//!                     the differential oracle; --durable adds xpl-persist
+//!                     backends and K (default 3) crash-recovery pairs
+//! repro serve         the multi-tenant wire serving benchmark: TCP on
+//!                     loopback, or with --net-faults R the in-memory
+//!                     transport with seeded faults at rate R/256
+//! repro profile       span-tree profile of the dedup publish pipeline
+//! repro audit         publish the world into all five stores, delete a
+//!                     third, then deep-audit every store
+//! repro diff A.json B.json --fields POINTERS
+//!                     compare two reports at comma-separated RFC 6901
+//!                     JSON Pointers (`~1` is a `/` inside a key)
 //! ```
 //!
-//! `--world small` swaps the paper-scale world for the fast 4-image
-//! test world (used by the CLI smoke tests). It applies to the
-//! catalog-driven commands — table2, fig3b, fig4b, fig5a, fig5b;
-//! fig3a/fig3c/fig4a reference images only the standard world defines.
+//! Each command's usage line (`COMMANDS`; the figures, the ablations and
+//! `all` take `--world small|standard` and `--threads N`) is checked
+//! before any work starts: an unknown, repeated or value-less flag, a
+//! bad value or a stray operand exits 2 with a one-line usage error,
+//! never a silent default. `--world small` is the fast 4-image test
+//! world; fig3a, fig3c, fig4a and the ablations use images only the
+//! standard world defines, so they, and `all`, refuse it.
 //!
-//! `churn` and `serve` additionally take `--metrics FILE`:
-//! an xpl-obs registry is attached to the run (churn: every store;
-//! serve: the wire server) and its snapshot (deterministic + wall
-//! sections, with fingerprints) is written to FILE as canonical JSON.
-//! Attaching the registry never changes the run's report or exit code.
-//! The det section is a pure function of the executed ops, so churn's
-//! is byte-identical at any `--threads`; serve exports Wall counters
-//! only, because which requests coalesce, and so how many reach the
-//! store, varies run to run.
-//! `--no-metrics` spells the default explicitly.
-//!
-//! `repro all` writes only seed-determined text to stdout; its two
-//! wall-clock tables (codec MiB/s, master-graph CPU time) go to stderr.
+//! The harnesses exit 1 on any oracle or invariant violation, `diff` if
+//! a value differs or is absent, null or empty in either file. Reports,
+//! and churn's `--metrics F` det section, are byte-identical at any
+//! `--threads`; attaching the metrics registry never changes a report or
+//! an exit code. `repro all` writes only seed-determined text to stdout;
+//! its wall-clock tables go to stderr.
 
-use std::io::Write as _;
+use serde::{Json, Serialize};
+use std::sync::Arc;
 use xpl_bench::experiments::*;
 use xpl_bench::{ablations, churn, render};
+use xpl_store::TierPolicy;
 use xpl_workloads::World;
+use Fig3Scenario::{FourImages, IdeBuilds, Nineteen};
 
-/// `--flag VALUE`. A flag that is last, or followed by another `--…`
-/// token, is a usage error: treating it as absent (or swallowing the
-/// next flag as its value) would silently drop the output it names.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    match args.get(i + 1) {
-        Some(value) if !value.starts_with("--") => Some(value.clone()),
-        _ => fail(format!("{flag} needs a value")),
+/// A command: its name, its usage line and its body, which returns the
+/// exit code. The usage line is also the spec the command line is
+/// checked against: operands first (`[X]` is optional), then flags. A
+/// flag followed by a placeholder takes a value: `N` is a count of at
+/// least 1; `SEED`, `K` and `R` are any unsigned integer (decimal or 0x
+/// hex); `a|b` is one of the words listed; anything else is text the
+/// command checks.
+#[derive(Clone, Copy)]
+struct Command {
+    name: &'static str,
+    usage: &'static str,
+    run: fn(&Args) -> i32,
+}
+
+const WORLD: &str = "[--world small|standard] [--threads N]";
+const FIG3C: &str = "[N] [--world small|standard] [--threads N]";
+
+/// Every command but the figures'.
+#[rustfmt::skip]
+const COMMANDS: [Command; 8] = [
+    Command { name: "ablations", usage: WORLD, run: |args| with_world(args, false, run_ablations) },
+    Command { name: "ablate-codec", usage: "[--payload-mib N] [--json F]", run: run_ablate_codec_cmd },
+    Command { name: "churn", usage: CHURN, run: run_churn_cmd },
+    Command { name: "serve", usage: SERVE, run: run_serve_cmd },
+    Command { name: "profile", usage: "[--images N] [--seed SEED] [--json F]", run: run_profile_cmd },
+    Command { name: "audit", usage: "[--world small|standard]", run: |args| with_world(args, true, run_audit) },
+    Command { name: "diff", usage: "A.json B.json --fields POINTERS", run: run_diff_cmd },
+    Command { name: "all", usage: "[DIR] [--world small|standard] [--threads N]", run: run_all_cmd },
+];
+
+/// One of the paper's tables or figures, and so a command. `small_world`:
+/// the small test world defines every image it uses. `run` returns the
+/// rendered text and the JSON result; the `u32` is fig3c's IDE builds.
+struct Figure {
+    name: &'static str,
+    small_world: bool,
+    run: fn(&World, u32) -> (String, Json),
+}
+
+#[rustfmt::skip]
+const FIGURES: [Figure; 8] = [
+    Figure { name: "table2", small_world: true, run: |w, _| shown(table2(w), render::render_table2) },
+    Figure { name: "fig3a", small_world: false, run: |w, _| fig3(w, "FIGURE 3a", FourImages) },
+    Figure { name: "fig3b", small_world: true, run: |w, _| fig3(w, "FIGURE 3b", Nineteen) },
+    Figure { name: "fig3c", small_world: false, run: |w, n| fig3(w, "FIGURE 3c", IdeBuilds(n)) },
+    Figure { name: "fig4a", small_world: false, run: |w, _| fig4(fig4a_publish(w), "FIGURE 4a") },
+    Figure { name: "fig4b", small_world: true, run: |w, _| fig4(fig4b_publish(w), "FIGURE 4b") },
+    Figure { name: "fig5a", small_world: true, run: |w, _| shown(fig5a_breakdown(w), render::render_fig5a) },
+    Figure { name: "fig5b", small_world: true, run: |w, _| shown(fig5b_retrieval(w), render::render_fig5b) },
+];
+
+fn shown<T: Serialize>(r: T, render: impl Fn(&T) -> String) -> (String, Json) {
+    (render(&r), r.to_json())
+}
+
+fn fig3(world: &World, title: &str, scenario: Fig3Scenario) -> (String, Json) {
+    shown(fig3_sizes(world, scenario), |r| {
+        render::render_fig3(title, r)
+    })
+}
+
+fn fig4(r: PublishTimesResult, title: &str) -> (String, Json) {
+    shown(r, |r| render::render_publish(title, r))
+}
+
+/// The command called `name`: a figure's, or one of `COMMANDS`.
+fn command(name: &str) -> Option<Command> {
+    let usage = if name == "fig3c" { FIG3C } else { WORLD };
+    let figure = FIGURES.iter().find(|f| f.name == name).map(|f| Command {
+        name: f.name,
+        usage,
+        run: run_figure_cmd,
+    });
+    figure.or_else(|| COMMANDS.iter().find(|c| c.name == name).copied())
+}
+
+impl Command {
+    /// The usage line's operands (`[X]` when optional) and its flag
+    /// words (flags and placeholders, brackets stripped).
+    fn words(&self) -> (Vec<&'static str>, Vec<&'static str>) {
+        let words: Vec<&str> = self.usage.split_whitespace().collect();
+        let at = words
+            .iter()
+            .position(|w| w.trim_start_matches('[').starts_with("--"));
+        let (operands, flags) = words.split_at(at.unwrap_or(words.len()));
+        let flags = flags.iter().map(|w| w.trim_matches(['[', ']'])).collect();
+        (operands.to_vec(), flags)
     }
 }
 
-/// Print a one-line usage error and exit 2.
-fn fail(msg: String) -> ! {
+/// Print `repro: MSG` and exit 2.
+fn die(msg: String) -> ! {
     eprintln!("repro: {msg}");
     std::process::exit(2);
 }
 
-/// Strict `--flag N` parsing: a present-but-unparseable value is an
-/// error, never a silent fall-back onto a default the user didn't ask
-/// for. Accepts decimal or 0x-prefixed hex.
-fn parse_u64_flag(args: &[String], flag: &str) -> Option<u64> {
-    flag_value(args, flag).map(|s| {
-        let parsed = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => s.parse(),
+/// The command line, parsed once: the command, its operands, and every
+/// flag it was given with its checked value.
+struct Args {
+    cmd: Command,
+    operands: Vec<String>,
+    /// Each flag given, with its value (`None` for a switch).
+    flags: Vec<(String, Option<String>)>,
+}
+
+impl Args {
+    fn parse(argv: Vec<String>) -> Args {
+        let mut argv = argv.into_iter();
+        let name = argv.next().unwrap_or_else(|| "all".into());
+        let Some(cmd) = command(&name) else {
+            let figures = FIGURES.iter().map(|f| f.name);
+            let names: Vec<&str> = figures.chain(COMMANDS.iter().map(|c| c.name)).collect();
+            die(format!(
+                "unknown command {name:?}; usage: repro [{}] …",
+                names.join("|")
+            ))
         };
-        parsed.unwrap_or_else(|_| {
-            fail(format!(
-                "invalid {flag} value {s:?} (expected an unsigned integer)"
-            ))
-        })
-    })
-}
-
-/// Strict `--flag N` where zero makes no sense (thread counts, op
-/// counts, queue depths…).
-fn parse_nonzero_flag(args: &[String], flag: &str) -> Option<u64> {
-    parse_u64_flag(args, flag).inspect(|&n| {
-        if n == 0 {
-            fail(format!("{flag} must be at least 1"));
+        let mut args = Args {
+            cmd,
+            operands: Vec::new(),
+            flags: Vec::new(),
+        };
+        let (operands, flags) = cmd.words();
+        while let Some(token) = argv.next() {
+            if !token.starts_with("--") {
+                args.operands.push(token);
+                continue;
+            }
+            let Some(at) = flags.iter().position(|f| *f == token) else {
+                args.fail(format!("{} does not take {token}", cmd.name))
+            };
+            if args.has(&token) {
+                args.fail(format!("{token} is given twice"));
+            }
+            let value = match flags.get(at + 1).filter(|m| !m.starts_with("--")) {
+                None => None,
+                // A flag that is last, or followed by another `--…`
+                // token, has no value: the next flag is never taken as one.
+                Some(meta) => match argv.next().filter(|v| !v.starts_with("--")) {
+                    None => args.fail(format!("{token} needs a value")),
+                    Some(v) => {
+                        if matches!(*meta, "N" | "SEED" | "K" | "R") {
+                            args.int_value(&token, &v, *meta == "N");
+                        } else if meta.contains('|') && !meta.split('|').any(|w| w == v) {
+                            let msg = format!("invalid {token} value {v:?} (expected {meta})");
+                            args.fail(msg);
+                        }
+                        Some(v)
+                    }
+                },
+            };
+            args.flags.push((token, value));
         }
-    })
-}
+        if let Some(extra) = args.operands.get(operands.len()) {
+            args.fail(format!("unexpected operand {extra:?}"));
+        }
+        let missing = operands[args.operands.len()..].first();
+        if let Some(missing) = missing.filter(|o| !o.starts_with('[')) {
+            args.fail(format!("missing {missing}"));
+        }
+        args
+    }
 
-/// Arguments with `--flag value` pairs stripped, so positional parsing
-/// (`fig3c N`, `all DIR`) composes with flags like `--world small`.
-fn positionals(args: &[String]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i].starts_with("--") {
-            i += 2;
-        } else {
-            out.push(args[i].clone());
-            i += 1;
+    /// Print a one-line usage error for this command and exit 2.
+    fn fail(&self, msg: String) -> ! {
+        die(format!(
+            "{msg}; usage: repro {} {}",
+            self.cmd.name, self.cmd.usage
+        ))
+    }
+
+    /// An integer value, decimal or 0x-prefixed hex; `nonzero` for
+    /// counts, where zero makes no sense.
+    fn int_value(&self, flag: &str, text: &str, nonzero: bool) -> u64 {
+        let parsed = match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
+            Some(hex) => u64::from_str_radix(hex, 16),
+            None => text.parse(),
+        };
+        match parsed {
+            Ok(0) if nonzero => self.fail(format!("{flag} must be at least 1")),
+            Ok(n) => n,
+            Err(_) => self.fail(format!(
+                "invalid {flag} value {text:?} (expected an unsigned integer)"
+            )),
         }
     }
-    out
-}
 
-/// `--threads N`, strictly: an unparseable or zero value is an error,
-/// not a silent fall-back onto a different driver or pool size.
-fn parse_threads(args: &[String]) -> Option<usize> {
-    parse_nonzero_flag(args, "--threads").map(|n| n as usize)
-}
-
-/// `--scale small|standard`, strictly: a typo'd scale must not fall
-/// back to a world the user didn't ask for (e.g. an empty or unknown
-/// value silently benchmarking the 32-image world as "standard").
-fn parse_scale(args: &[String]) -> &'static str {
-    match flag_value(args, "--scale").as_deref() {
-        None | Some("small") => "small",
-        Some("standard") => "standard",
-        Some(other) => fail(format!(
-            "invalid --scale value {other:?} (expected small or standard)"
-        )),
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| f == flag)
     }
-}
 
-/// `--codec raw|deflate|lz4|mixed`, strictly: an unknown codec must
-/// not fall back onto a tier policy the user didn't ask for.
-fn parse_codec_tier(args: &[String]) -> Option<xpl_store::TierPolicy> {
-    flag_value(args, "--codec").map(|s| {
-        xpl_store::TierPolicy::parse(&s).unwrap_or_else(|| {
-            fail(format!(
-                "unknown --codec {s:?} (expected raw, deflate, lz4, or mixed)"
-            ))
-        })
-    })
-}
+    fn text(&self, flag: &str) -> Option<&str> {
+        self.flags.iter().find(|(f, _)| f == flag)?.1.as_deref()
+    }
 
-/// `--metrics FILE`: an xpl-obs registry attached to the run and
-/// snapshotted to FILE afterwards (canonical JSON, det + wall
-/// sections). `--no-metrics` spells the default explicitly so CI
-/// invocations that pin "report unchanged by metrics" are
-/// self-documenting. Attaching a registry never changes any report or
-/// exit code — only whether FILE is written.
-struct Metrics {
-    path: String,
-    registry: std::sync::Arc<xpl_obs::Registry>,
-}
+    /// An integer flag (checked by `parse`).
+    fn int(&self, flag: &str) -> Option<u64> {
+        self.text(flag)
+            .map(|text| self.int_value(flag, text, false))
+    }
 
-fn parse_metrics(args: &[String]) -> Option<Metrics> {
-    let path = flag_value(args, "--metrics");
-    if args.iter().any(|a| a == "--no-metrics") {
-        if path.is_some() {
-            fail("--metrics and --no-metrics are mutually exclusive".to_string());
+    /// `--metrics F`: a registry to attach to the run; `finish` writes
+    /// its snapshot.
+    fn registry(&self) -> Option<Arc<xpl_obs::Registry>> {
+        if self.has("--metrics") && self.has("--no-metrics") {
+            self.fail("--metrics and --no-metrics are mutually exclusive".into());
         }
-        return None;
+        self.text("--metrics").map(|_| xpl_obs::Registry::new())
     }
-    path.map(|path| Metrics {
-        path,
-        registry: xpl_obs::Registry::new(),
-    })
+
+    /// The shared tail of `churn` and `serve`: write the `--json` report
+    /// and the `--metrics` snapshot (both even when the oracle failed,
+    /// so a red CI job still uploads them), then exit 0 on a clean
+    /// oracle, or 1 after printing the first 20 violations.
+    fn finish(
+        &self,
+        report: &impl Serialize,
+        violations: &[String],
+        registry: Option<Arc<xpl_obs::Registry>>,
+    ) -> i32 {
+        if let Some(path) = self.text("--json") {
+            write_file(path, &pretty(report));
+        }
+        if let (Some(path), Some(registry)) = (self.text("--metrics"), registry) {
+            let snap = registry.snapshot();
+            write_file(path, &snap.render_json());
+            eprintln!("[repro] det fingerprint {}", snap.det_fingerprint());
+        }
+        if violations.is_empty() {
+            println!("  oracle: PASS");
+            return 0;
+        }
+        eprintln!("  oracle: {} VIOLATIONS", violations.len());
+        for v in violations.iter().take(20) {
+            eprintln!("    {v}");
+        }
+        1
+    }
 }
 
-impl Metrics {
-    /// Snapshot the registry into the requested file. Written even when
-    /// the run's oracle fails, so a red CI job still uploads metrics.
-    fn finish(&self) {
-        let snap = self.registry.snapshot();
-        std::fs::File::create(&self.path)
-            .and_then(|mut f| f.write_all(snap.render_json().as_bytes()))
-            .expect("write metrics JSON");
-        eprintln!(
-            "[repro] wrote {} (det fingerprint {})",
-            self.path,
-            snap.det_fingerprint()
-        );
-    }
+fn pretty(value: &impl Serialize) -> String {
+    serde_json::to_string_pretty(value).expect("the JSON printer is total")
 }
 
-fn run_churn_cmd(args: &[String]) -> ! {
-    let seed: u64 = parse_u64_flag(args, "--seed").unwrap_or(0xDEADBEEF);
-    let ops: usize = parse_nonzero_flag(args, "--ops").unwrap_or(500) as usize;
-    let mut cfg = match parse_scale(args) {
-        "standard" => churn::ChurnConfig::standard(seed, ops),
+/// Write `text` to `path`; a path that cannot be written exits 2.
+fn write_file(path: &str, text: &str) {
+    std::fs::write(path, text).unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
+    eprintln!("[repro] wrote {path}");
+}
+
+fn main() {
+    let args = Args::parse(std::env::args().skip(1).collect());
+    std::process::exit((args.cmd.run)(&args));
+}
+
+const CHURN: &str = "[--seed SEED] [--ops N] [--scale small|standard] [--json F] \
+    [--threads N] [--durable] [--crashes K] [--crash-seed SEED] \
+    [--codec raw|deflate|lz4|mixed] [--metrics F] [--no-metrics]";
+
+fn run_churn_cmd(args: &Args) -> i32 {
+    let seed = args.int("--seed").unwrap_or(0xDEADBEEF);
+    let ops = args.int("--ops").unwrap_or(500) as usize;
+    let mut cfg = match args.text("--scale") {
+        Some("standard") => churn::ChurnConfig::standard(seed, ops),
         _ => churn::ChurnConfig::small(seed, ops),
     };
-    if let Some(tier) = parse_codec_tier(args) {
-        cfg = cfg.with_tier(tier);
+    cfg.tier = args
+        .text("--codec")
+        .and_then(TierPolicy::parse)
+        .unwrap_or(cfg.tier);
+    if let Some(k) = args.int("--crashes").filter(|&k| k as usize > ops) {
+        args.fail(format!(
+            "--crashes {k} exceeds the trace's {ops} ops (each crash needs an op to land after)"
+        ));
     }
-    let durable = args.iter().any(|a| a == "--durable");
+    let durable = args.has("--durable");
     if durable {
-        let mut dcfg = churn::DurableCfg::default();
-        if let Some(k) = parse_u64_flag(args, "--crashes") {
-            if k as usize > ops {
-                fail(format!(
-                    "--crashes {k} exceeds the trace's {ops} ops (each crash needs an op to land after)"
-                ));
-            }
-            dcfg.crashes = k as usize;
-        }
-        if let Some(s) = parse_u64_flag(args, "--crash-seed") {
-            dcfg.crash_seed = s;
-        }
-        cfg = cfg.with_durable(dcfg);
+        let d = churn::DurableCfg::default();
+        cfg = cfg.with_durable(churn::DurableCfg {
+            crashes: args.int("--crashes").map_or(d.crashes, |k| k as usize),
+            crash_seed: args.int("--crash-seed").unwrap_or(d.crash_seed),
+        });
+    } else if args.has("--crashes") || args.has("--crash-seed") {
+        args.fail("--crashes and --crash-seed need --durable".into());
     }
-    let json = flag_value(args, "--json");
-    let metrics = parse_metrics(args);
-    cfg.registry = metrics.as_ref().map(|m| m.registry.clone());
-    match parse_threads(args) {
-        Some(n) => {
-            eprintln!(
-                "[repro] churn replay: seed={seed:#x} ops={ops} threads={n} durable={durable}"
-            );
-            cfg.threads = n;
-        }
-        None => eprintln!("[repro] churn replay: seed={seed:#x} ops={ops} durable={durable}"),
-    }
+    let registry = args.registry();
+    cfg.registry = registry.clone();
+    cfg.threads = args.int("--threads").map_or(cfg.threads, |n| n as usize);
+    eprintln!(
+        "[repro] churn replay: seed={seed:#x} ops={ops} threads={} durable={durable}",
+        cfg.threads
+    );
     let report = churn::run_churn(&cfg);
-    println!("CHURN: {} ops replayed against 5 stores", report.ops);
-    println!(
-        "  mix: {} publish / {} retrieve (+{} ranged) / {} upgrade / {} delete / \
-         {} burst ({} retrievals)",
-        report.publishes,
-        report.retrieves,
-        report.range_retrieves,
-        report.upgrades,
-        report.deletes,
-        report.bursts,
-        report.burst_retrieves
-    );
-    println!("  oracle checks: {}", report.oracle_checks);
-    println!(
-        "  codec tier: {} ({} maintenance sweeps)",
-        report.tier, report.maintains
-    );
-    println!("  trace sha256:  {}", report.trace_sha256);
-    for s in &report.stores {
-        println!(
-            "  {:<14} {:>12} bytes, {:>4} live images, {:>10.1} sim-s",
-            s.store, s.final_repo_bytes, s.final_images, s.sim_seconds
-        );
-    }
-    if let Some(durable) = &report.durable {
-        println!(
-            "  durable: {} crash-recovery pairs injected",
-            report.crashes
-        );
-        for d in durable {
-            println!(
-                "  {:<14} {} recoveries, {} WAL records replayed, {} torn tails, \
-                 {} WAL appends, {} checkpoints",
-                d.store,
-                d.recoveries,
-                d.wal_records_replayed,
-                d.torn_tails,
-                d.wal_appends,
-                d.checkpoints
-            );
-        }
-    }
-    finish_oracle_run("churn", &report, &report.violations, json, metrics)
-}
-
-/// The shared tail of `churn` and `serve`: write the
-/// `--json` report and the `--metrics` snapshot (both even when the
-/// oracle failed, so a red CI job still uploads them), then exit 0 on
-/// a clean oracle, or 1 after printing the first 20 violations.
-fn finish_oracle_run(
-    what: &str,
-    report: &impl serde::Serialize,
-    violations: &[String],
-    json: Option<String>,
-    metrics: Option<Metrics>,
-) -> ! {
-    if let Some(path) = json {
-        let json = serde_json::to_string_pretty(report)
-            .unwrap_or_else(|e| panic!("serialize {what} report: {e:?}"));
-        std::fs::File::create(&path)
-            .and_then(|mut f| f.write_all(json.as_bytes()))
-            .unwrap_or_else(|e| panic!("write {what} JSON: {e:?}"));
-        eprintln!("[repro] wrote {path}");
-    }
-    if let Some(m) = metrics {
-        m.finish();
-    }
-    if violations.is_empty() {
-        println!("  oracle: PASS");
-        std::process::exit(0);
-    }
-    eprintln!("  oracle: {} VIOLATIONS", violations.len());
-    for v in violations.iter().take(20) {
-        eprintln!("    {v}");
-    }
-    std::process::exit(1);
+    print!("{}", churn::render_churn(&report));
+    args.finish(&report, &report.violations, registry)
 }
 
 /// `repro audit` — the deep integrity audit (`check_integrity_deep`:
 /// refcount coherence + every stored blob re-hashed) across all five
 /// stores, after a publish + delete workload. Exits 1 if any store
 /// fails the audit.
-fn run_audit_cmd(args: &[String]) -> ! {
+fn run_audit(world: &World) -> i32 {
     use xpl_store::ImageStore;
-    let world = if flag_value(args, "--world").as_deref() == Some("small") {
-        eprintln!("[repro] audit over the small world…");
-        World::small()
-    } else {
-        eprintln!("[repro] audit over the standard world…");
-        World::standard()
-    };
     let names = world.image_names();
     let stores: Vec<Box<dyn ImageStore>> = churn::five_stores(|| world.env());
     let vmis: Vec<_> = names.iter().map(|n| world.build_image(n)).collect();
     for store in &stores {
         for vmi in &vmis {
-            store.publish(&world.catalog, vmi).unwrap_or_else(|e| {
-                eprintln!("audit setup: {} publish {}: {e}", store.name(), vmi.name);
-                std::process::exit(2);
-            });
+            if let Err(e) = store.publish(&world.catalog, vmi) {
+                die(format!(
+                    "audit setup: {} publish {}: {e}",
+                    store.name(),
+                    vmi.name
+                ));
+            }
         }
         // Exercise the release paths too: every third image is deleted.
         for name in names.iter().step_by(3) {
-            store.delete(name).unwrap_or_else(|e| {
-                eprintln!("audit setup: {} delete {name}: {e}", store.name());
-                std::process::exit(2);
-            });
+            if let Err(e) = store.delete(name) {
+                die(format!("audit setup: {} delete {name}: {e}", store.name()));
+            }
         }
     }
     println!(
@@ -394,44 +392,43 @@ fn run_audit_cmd(args: &[String]) -> ! {
     }
     if failures > 0 {
         eprintln!("AUDIT: {failures} store(s) failed the deep audit");
-        std::process::exit(1);
+        return 1;
     }
     println!("AUDIT: PASS");
-    std::process::exit(0);
+    0
 }
+
+const SERVE: &str = "[--seed SEED] [--scale small|standard] [--tenants N] \
+    [--requests N] [--queue-depth N] [--store qcow2|gzip|mirage|hemera|expelliarmus] \
+    [--threads N] [--codec raw|deflate|lz4|mixed] [--net-faults R] [--net-seed SEED] \
+    [--conns N] [--json F] [--metrics F] [--no-metrics]";
 
 /// `repro serve` — the multi-tenant wire serving benchmark (see
 /// `xpl_bench::serve_net` for the three legs).
-fn run_serve_cmd(args: &[String]) -> ! {
-    use xpl_bench::{NetServeConfig, NetTransportKind, ServeRunConfig, StoreKind};
-    let seed: u64 = parse_u64_flag(args, "--seed").unwrap_or(0xC0FFEE);
-    let mut cfg = match parse_scale(args) {
-        "standard" => ServeRunConfig::standard(seed),
+fn run_serve_cmd(args: &Args) -> i32 {
+    use xpl_bench::serve_net::{self, NetServeConfig, NetTransportKind, ServeRunConfig, StoreKind};
+    let seed = args.int("--seed").unwrap_or(0xC0FFEE);
+    let mut cfg = match args.text("--scale") {
+        Some("standard") => ServeRunConfig::standard(seed),
         _ => ServeRunConfig::small(seed),
     };
-    if let Some(t) = parse_nonzero_flag(args, "--tenants") {
-        cfg.tenants = t as u32;
-    }
-    if let Some(r) = parse_nonzero_flag(args, "--requests") {
-        cfg.requests = r as usize;
-    }
-    if let Some(q) = parse_nonzero_flag(args, "--queue-depth") {
-        cfg.queue_depth = q as usize;
-    }
-    if let Some(s) = flag_value(args, "--store") {
-        cfg.store = StoreKind::parse(&s).unwrap_or_else(|| {
-            fail(format!(
-                "unknown --store {s:?} (expected qcow2, gzip, mirage, hemera, or expelliarmus)"
-            ))
-        });
-    }
-    if let Some(tier) = parse_codec_tier(args) {
-        cfg.tier = tier;
-    }
+    cfg.tenants = args.int("--tenants").map_or(cfg.tenants, |t| t as u32);
+    cfg.requests = args.int("--requests").map_or(cfg.requests, |r| r as usize);
+    cfg.queue_depth = args
+        .int("--queue-depth")
+        .map_or(cfg.queue_depth, |q| q as usize);
+    cfg.store = args
+        .text("--store")
+        .and_then(StoreKind::parse)
+        .unwrap_or(cfg.store);
+    cfg.tier = args
+        .text("--codec")
+        .and_then(TierPolicy::parse)
+        .unwrap_or(cfg.tier);
     let mut net = NetServeConfig::default();
-    if let Some(rate) = parse_u64_flag(args, "--net-faults") {
+    if let Some(rate) = args.int("--net-faults") {
         if rate > 256 {
-            fail(format!(
+            args.fail(format!(
                 "--net-faults {rate} exceeds the 256/256 maximum rate"
             ));
         }
@@ -439,262 +436,144 @@ fn run_serve_cmd(args: &[String]) -> ! {
     }
     // Fault injection needs the deterministic in-memory transport;
     // clean runs exercise real TCP on a loopback socket.
-    net.transport = if net.fault_rate > 0 {
-        NetTransportKind::Mem
-    } else {
-        NetTransportKind::Tcp
-    };
-    if let Some(s) = parse_u64_flag(args, "--net-seed") {
-        net.net_seed = s;
+    if net.fault_rate > 0 {
+        net.transport = NetTransportKind::Mem;
     }
-    if let Some(c) = parse_nonzero_flag(args, "--conns") {
-        net.conns_per_tenant = c as usize;
-    }
-    let threads = parse_threads(args);
-    let json = flag_value(args, "--json");
-    let metrics = parse_metrics(args);
-    cfg.registry = metrics.as_ref().map(|m| m.registry.clone());
+    net.net_seed = args.int("--net-seed").unwrap_or(net.net_seed);
+    net.conns_per_tenant = args
+        .int("--conns")
+        .map_or(net.conns_per_tenant, |c| c as usize);
+    let registry = args.registry();
+    cfg.registry = registry.clone();
 
     eprintln!(
         "[repro] serve: seed={seed:#x} scale={} tenants={} requests={} store={:?} \
          transport={:?} faults={}/256",
         cfg.scale_name, cfg.tenants, cfg.requests, cfg.store, net.transport, net.fault_rate
     );
-    let run = || xpl_bench::run_serve_net(&cfg, &net);
-    let report = match threads {
-        Some(n) => rayon::with_num_threads(n, run),
+    let run = || serve_net::run_serve_net(&cfg, &net);
+    let report = match args.int("--threads") {
+        Some(n) => rayon::with_num_threads(n as usize, run),
         None => run(),
     };
-    print!("{}", xpl_bench::serve_net::render_net(&report));
-    finish_oracle_run("serve", &report, &report.violations, json, metrics)
+    print!("{}", serve_net::render_net(&report));
+    args.finish(&report, &report.violations, registry)
 }
 
 /// `repro profile` — the span-tree profile of the publish pipeline
 /// (see `xpl_bench::profile`). Exits 1 if the span accounting
 /// invariant (`sum(phases) <= publish <= wall`) fails.
-fn run_profile_cmd(args: &[String]) -> ! {
-    use xpl_bench::{render_profile, run_profile, ProfileConfig};
+fn run_profile_cmd(args: &Args) -> i32 {
+    use xpl_bench::profile::{render_profile, run_profile, ProfileConfig};
     let mut cfg = ProfileConfig::default();
-    if let Some(n) = parse_nonzero_flag(args, "--images") {
-        cfg.images = n as usize;
-    }
-    if let Some(s) = parse_u64_flag(args, "--seed") {
-        cfg.seed = s;
-    }
-    let json = flag_value(args, "--json");
+    cfg.images = args.int("--images").map_or(cfg.images, |n| n as usize);
+    cfg.seed = args.int("--seed").unwrap_or(cfg.seed);
     eprintln!(
         "[repro] profiling the publish pipeline: images={} seed={:#x}",
         cfg.images, cfg.seed
     );
     let report = run_profile(&cfg);
     print!("{}", render_profile(&report));
-    if let Some(path) = json {
-        let json = serde_json::to_string_pretty(&report).expect("serialize profile report");
-        std::fs::File::create(&path)
-            .and_then(|mut f| f.write_all(json.as_bytes()))
-            .expect("write profile JSON");
-        eprintln!("[repro] wrote {path}");
+    if let Some(path) = args.text("--json") {
+        write_file(path, &pretty(&report));
     }
     if !report.spans_nest {
         eprintln!("PROFILE: span accounting violated (sum(phases) <= publish <= wall failed)");
-        std::process::exit(1);
+        return 1;
     }
-    std::process::exit(0);
+    0
 }
 
 /// `repro ablate-codec` — the storage-codec trade-off table. Needs no
 /// world: the sweep runs over one seeded synthetic payload.
-fn run_ablate_codec_cmd(args: &[String]) -> ! {
-    let mib = parse_nonzero_flag(args, "--payload-mib").unwrap_or(8) as usize;
-    let json = flag_value(args, "--json");
+fn run_ablate_codec_cmd(args: &Args) -> i32 {
+    let mib = args.int("--payload-mib").unwrap_or(8) as usize;
     eprintln!("[repro] codec ablation over a {mib} MiB seeded payload…");
     let rows = ablations::codec_ablation_sweep(mib * 1024 * 1024, 0.2);
-    print_codec_ablation(&mut std::io::stdout(), &rows);
-    if let Some(path) = json {
-        let json = serde_json::to_string_pretty(&rows).expect("serialize codec ablation");
-        std::fs::File::create(&path)
-            .and_then(|mut f| f.write_all(json.as_bytes()))
-            .expect("write codec ablation JSON");
-        eprintln!("[repro] wrote {path}");
+    println!("{}", codec_ablation_table(&rows));
+    if let Some(path) = args.text("--json") {
+        write_file(path, &pretty(&rows));
     }
-    std::process::exit(0);
+    0
 }
 
-fn print_codec_ablation(out: &mut dyn std::io::Write, rows: &[ablations::CodecAblationRow]) {
-    let mut line = |s: String| writeln!(out, "{s}").expect("write codec ablation table");
-    line("CODEC ABLATION: storage tiers over one seeded payload".into());
-    line(format!(
-        "{:<16} {:>12} {:>8} {:>16} {:>18} {:>14}",
+fn codec_ablation_table(rows: &[ablations::CodecAblationRow]) -> String {
+    let mut table = format!(
+        "CODEC ABLATION: storage tiers over one seeded payload\n\
+         {:<16} {:>12} {:>8} {:>16} {:>18} {:>14}",
         "codec", "bytes", "ratio", "compress MiB/s", "decompress MiB/s", "range MiB/s"
-    ));
+    );
     for r in rows {
-        line(format!(
-            "{:<16} {:>12} {:>8.3} {:>16.1} {:>18.1} {:>14.1}",
+        table += &format!(
+            "\n{:<16} {:>12} {:>8.3} {:>16.1} {:>18.1} {:>14.1}",
             r.codec,
             r.encoded_bytes,
             r.ratio,
             r.compress_mib_per_s,
             r.decompress_mib_per_s,
             r.range_read_mib_per_s
-        ));
+        );
     }
+    table
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("all");
-    if cmd == "churn" {
-        // The churn replay generates its own scaled world.
-        run_churn_cmd(&args);
-    }
-    if cmd == "ablate-codec" {
-        // The codec sweep builds its own payload.
-        run_ablate_codec_cmd(&args);
-    }
-    if cmd == "serve" {
-        // The serving benchmark generates its own scaled world.
-        run_serve_cmd(&args);
-    }
-    if cmd == "profile" {
-        // The profile generates its own scaled world.
-        run_profile_cmd(&args);
-    }
-    if cmd == "audit" {
-        // The audit builds its own world (honoring --world small).
-        run_audit_cmd(&args);
-    }
-    const KNOWN: [&str; 10] = [
-        "table2",
-        "fig3a",
-        "fig3b",
-        "fig3c",
-        "fig4a",
-        "fig4b",
-        "fig5a",
-        "fig5b",
-        "ablations",
-        "all",
-    ];
-    if !KNOWN.contains(&cmd) {
-        eprintln!("unknown experiment: {cmd}");
-        eprintln!(
-            "usage: repro [table2|fig3a|fig3b|fig3c|fig4a|fig4b|fig5a|fig5b|ablations|ablate-codec|churn|serve|profile|audit|all]"
-        );
-        std::process::exit(2);
+/// Build the `--world` (default standard) and run `body` on it under
+/// the `--threads` pool (multi-store sweeps fan stores out across it;
+/// results are byte-identical at any size). `small_ok` is false for
+/// commands that use images only the standard world defines.
+fn with_world(args: &Args, small_ok: bool, body: impl FnOnce(&World) -> i32) -> i32 {
+    let standard = args.text("--world") != Some("small");
+    if !standard && !small_ok {
+        let msg = " uses images only the standard world defines";
+        args.fail([args.cmd.name, msg].concat());
     }
     let t0 = std::time::Instant::now();
-    let world = if flag_value(&args, "--world").as_deref() == Some("small") {
-        eprintln!("[repro] building small world (test scale)…");
-        World::small()
-    } else {
+    let world = if standard {
         eprintln!("[repro] building standard world (catalog + base template)…");
         World::standard()
+    } else {
+        eprintln!("[repro] building small world (test scale)…");
+        World::small()
     };
     eprintln!("[repro] world ready in {:.1}s", t0.elapsed().as_secs_f64());
-
-    // Pin the worker pool for every experiment launched from this thread
-    // (multi-store sweeps fan stores out across it; results are
-    // byte-identical at any size).
-    let run = || run_experiment(cmd, &args, &world);
-    match parse_threads(&args) {
-        Some(n) => rayon::with_num_threads(n, run),
-        None => run(),
-    }
+    let code = match args.int("--threads") {
+        Some(n) => rayon::with_num_threads(n as usize, || body(&world)),
+        None => body(&world),
+    };
     eprintln!("[repro] done in {:.1}s", t0.elapsed().as_secs_f64());
+    code
 }
 
-fn run_experiment(cmd: &str, args: &[String], world: &World) {
-    match cmd {
-        "table2" => {
-            let r = table2(world);
-            println!("{}", render::render_table2(&r));
-        }
-        "fig3a" => {
-            let r = fig3_sizes(world, Fig3Scenario::FourImages);
-            println!("{}", render::render_fig3("FIGURE 3a", &r));
-        }
-        "fig3b" => {
-            let r = fig3_sizes(world, Fig3Scenario::Nineteen);
-            println!("{}", render::render_fig3("FIGURE 3b", &r));
-        }
-        "fig3c" => {
-            let n: u32 = positionals(args)
-                .get(1)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(40);
-            let r = fig3_sizes(world, Fig3Scenario::IdeBuilds(n));
-            println!("{}", render::render_fig3("FIGURE 3c", &r));
-        }
-        "fig4a" => {
-            let r = fig4a_publish(world);
-            println!("{}", render::render_publish("FIGURE 4a", &r));
-        }
-        "fig4b" => {
-            let r = fig4b_publish(world);
-            println!("{}", render::render_publish("FIGURE 4b", &r));
-        }
-        "fig5a" => {
-            let r = fig5a_breakdown(world);
-            println!("{}", render::render_fig5a(&r));
-        }
-        "fig5b" => {
-            let r = fig5b_retrieval(world);
-            println!("{}", render::render_fig5b(&r));
-        }
-        "ablations" => {
-            run_ablations(world);
-        }
-        "all" => {
-            let pos = positionals(args);
-            let dir = pos.get(1).map(String::as_str).unwrap_or("results");
-            std::fs::create_dir_all(dir).expect("create results dir");
-            let save = |name: &str, json: String| {
-                let path = format!("{dir}/{name}.json");
-                std::fs::File::create(&path)
-                    .and_then(|mut f| f.write_all(json.as_bytes()))
-                    .expect("write results");
-                eprintln!("[repro] wrote {path}");
-            };
-
-            let r = table2(world);
-            println!("{}", render::render_table2(&r));
-            save("table2", serde_json::to_string_pretty(&r).unwrap());
-
-            let r = fig3_sizes(world, Fig3Scenario::FourImages);
-            println!("{}", render::render_fig3("FIGURE 3a", &r));
-            save("fig3a", serde_json::to_string_pretty(&r).unwrap());
-
-            let r = fig3_sizes(world, Fig3Scenario::Nineteen);
-            println!("{}", render::render_fig3("FIGURE 3b", &r));
-            save("fig3b", serde_json::to_string_pretty(&r).unwrap());
-
-            let r = fig3_sizes(world, Fig3Scenario::IdeBuilds(40));
-            println!("{}", render::render_fig3("FIGURE 3c", &r));
-            save("fig3c", serde_json::to_string_pretty(&r).unwrap());
-
-            let r = fig4a_publish(world);
-            println!("{}", render::render_publish("FIGURE 4a", &r));
-            save("fig4a", serde_json::to_string_pretty(&r).unwrap());
-
-            let r = fig4b_publish(world);
-            println!("{}", render::render_publish("FIGURE 4b", &r));
-            save("fig4b", serde_json::to_string_pretty(&r).unwrap());
-
-            let r = fig5a_breakdown(world);
-            println!("{}", render::render_fig5a(&r));
-            save("fig5a", serde_json::to_string_pretty(&r).unwrap());
-
-            let r = fig5b_retrieval(world);
-            println!("{}", render::render_fig5b(&r));
-            save("fig5b", serde_json::to_string_pretty(&r).unwrap());
-
-            run_ablations(world);
-        }
-        _ => unreachable!("command validated against KNOWN before the world is built"),
-    }
+/// One table or figure, printed to stdout.
+fn run_figure_cmd(args: &Args) -> i32 {
+    let Some(figure) = FIGURES.iter().find(|f| f.name == args.cmd.name) else {
+        unreachable!("figure commands come from FIGURES")
+    };
+    let builds = match args.operands.first() {
+        Some(n) => args.int_value("N", n, true) as u32,
+        None => 40,
+    };
+    with_world(args, figure.small_world, |world| {
+        println!("{}", (figure.run)(world, builds).0);
+        0
+    })
 }
 
-fn run_ablations(world: &World) {
+/// Every figure (JSON into DIR), then the ablations.
+fn run_all_cmd(args: &Args) -> i32 {
+    let dir = args.operands.first().map_or("results", String::as_str);
+    with_world(args, false, |world| {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| die(format!("cannot create {dir}: {e}")));
+        for figure in &FIGURES {
+            let (text, json) = (figure.run)(world, 40);
+            println!("{text}");
+            write_file(&format!("{dir}/{}.json", figure.name), &pretty(&json));
+        }
+        run_ablations(world)
+    })
+}
+
+fn run_ablations(world: &World) -> i32 {
     println!("ABLATION: chunk-size sweep (4-image workload)");
     println!(
         "{:<14} {:>14} {:>14} {:>12} {:>12}",
@@ -720,7 +599,7 @@ fn run_ablations(world: &World) {
     // function of the seed. The codec-tier trade-off, small shape
     // (`repro ablate-codec` runs the full-size sweep standalone):
     let codec = ablations::codec_ablation_sweep(1024 * 1024, 0.05);
-    print_codec_ablation(&mut std::io::stderr(), &codec);
+    eprintln!("{}", codec_ablation_table(&codec));
     eprintln!();
     eprintln!("ABLATION: master graph vs pairwise similarity (real CPU time)");
     eprintln!(
@@ -735,4 +614,114 @@ fn run_ablations(world: &World) {
         );
     }
     eprintln!();
+    0
+}
+
+/// `repro diff A B --fields P,…` — the one comparison CI and the smoke
+/// tests make between two reports. Each pointer must name a present,
+/// non-null, non-empty value, equal in both files as parsed JSON.
+fn run_diff_cmd(args: &Args) -> i32 {
+    let Some(fields) = args.text("--fields") else {
+        args.fail("diff needs --fields".into())
+    };
+    let pointers: Vec<&str> = fields.split(',').collect();
+    if let Some(bad) = pointers
+        .iter()
+        .find(|p| !p.is_empty() && !p.starts_with('/'))
+    {
+        args.fail(format!("{bad:?} is not a JSON Pointer (/key/0/key)"));
+    }
+    let docs: Vec<Json> = (args.operands.iter())
+        .map(|path| match std::fs::read_to_string(path) {
+            Ok(text) => serde_json::from_str(&text)
+                .unwrap_or_else(|e| die(format!("{path} is not JSON: {e}"))),
+            Err(e) => die(format!("cannot read {path}: {e}")),
+        })
+        .collect();
+    let mut failed = 0;
+    for ptr in &pointers {
+        let [a, b] = [&docs[0], &docs[1]].map(|doc| pointer(doc, ptr));
+        let verdict = match vacancy(a).or(vacancy(b)) {
+            Some(vacant) => vacant,
+            None if a == b => "equal",
+            None => "different",
+        };
+        println!("  {ptr}: {verdict}");
+        if verdict != "equal" {
+            failed += 1;
+            for (path, value) in args.operands.iter().zip([a, b]) {
+                let json = value.and_then(|v| serde_json::to_string(v).ok());
+                println!("    {path}: {}", json.as_deref().unwrap_or("(absent)"));
+            }
+        }
+    }
+    println!("diff: {failed} of {} fields differ", pointers.len());
+    i32::from(failed > 0)
+}
+
+/// The value at an RFC 6901 JSON Pointer: `/`-separated reference
+/// tokens, with `~1` for `/` and `~0` for `~` inside a token.
+fn pointer<'a>(doc: &'a Json, ptr: &str) -> Option<&'a Json> {
+    ptr.split('/').skip(1).try_fold(doc, |node, token| {
+        let token = token.replace("~1", "/").replace("~0", "~");
+        match node {
+            Json::Obj(_) => node.get(&token),
+            // An index is a decimal without leading zeros.
+            Json::Arr(items) if token == "0" || !token.starts_with('0') => {
+                let digits = token.bytes().all(|b| b.is_ascii_digit());
+                items.get(token.parse::<usize>().ok().filter(|_| digits)?)
+            }
+            _ => None,
+        }
+    })
+}
+
+/// Why a value cannot stand in a comparison, if it cannot.
+fn vacancy(value: Option<&Json>) -> Option<&'static str> {
+    match value {
+        None => Some("absent"),
+        Some(Json::Null) => Some("null"),
+        Some(Json::Str(s)) if s.is_empty() => Some("empty"),
+        Some(Json::Arr(a)) if a.is_empty() => Some("empty"),
+        Some(Json::Obj(o)) if o.is_empty() => Some("empty"),
+        Some(_) => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pointers_follow_rfc_6901() {
+        let doc: Json =
+            serde_json::from_str(r#"{"a/b": {"~x": [10, 11]}, "": 1, "cas.put.new": 2}"#).unwrap();
+        let at = |ptr| pointer(&doc, ptr).and_then(Json::as_f64);
+        assert_eq!(at("/a~1b/~0x/1"), Some(11.0));
+        assert_eq!(at("/"), Some(1.0));
+        assert_eq!(at("/cas.put.new"), Some(2.0));
+        assert_eq!(pointer(&doc, ""), Some(&doc));
+        for absent in [
+            "/a~1b/~0x/2",
+            "/a~1b/~0x/01",
+            "/a~1b/~0x/+1",
+            "/a/b",
+            "/cas",
+        ] {
+            assert_eq!(pointer(&doc, absent), None, "{absent}");
+        }
+    }
+
+    #[test]
+    fn every_usage_line_names_each_flag_once() {
+        let figures = FIGURES.iter().filter_map(|f| command(f.name));
+        for cmd in figures.chain(COMMANDS) {
+            let (_, words) = cmd.words();
+            let mut flags: Vec<_> = words.iter().filter(|w| w.starts_with("--")).collect();
+            let named = flags.len();
+            flags.sort();
+            flags.dedup();
+            assert_eq!(flags.len(), named, "{}: {}", cmd.name, cmd.usage);
+        }
+    }
 }

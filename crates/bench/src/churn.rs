@@ -1146,6 +1146,55 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
     })
 }
 
+/// Console rendering of a churn report.
+pub fn render_churn(r: &ChurnReport) -> String {
+    use std::fmt::Write as _;
+    let mut s = format!("CHURN: {} ops replayed against 5 stores\n", r.ops);
+    let _ = writeln!(
+        s,
+        "  mix: {} publish / {} retrieve (+{} ranged) / {} upgrade / {} delete / \
+         {} burst ({} retrievals)",
+        r.publishes,
+        r.retrieves,
+        r.range_retrieves,
+        r.upgrades,
+        r.deletes,
+        r.bursts,
+        r.burst_retrieves
+    );
+    let _ = writeln!(s, "  oracle checks: {}", r.oracle_checks);
+    let _ = writeln!(
+        s,
+        "  codec tier: {} ({} maintenance sweeps)",
+        r.tier, r.maintains
+    );
+    let _ = writeln!(s, "  trace sha256:  {}", r.trace_sha256);
+    for st in &r.stores {
+        let _ = writeln!(
+            s,
+            "  {:<14} {:>12} bytes, {:>4} live images, {:>10.1} sim-s",
+            st.store, st.final_repo_bytes, st.final_images, st.sim_seconds
+        );
+    }
+    if let Some(durable) = &r.durable {
+        let _ = writeln!(s, "  durable: {} crash-recovery pairs injected", r.crashes);
+        for d in durable {
+            let _ = writeln!(
+                s,
+                "  {:<14} {} recoveries, {} WAL records replayed, {} torn tails, \
+                 {} WAL appends, {} checkpoints",
+                d.store,
+                d.recoveries,
+                d.wal_records_replayed,
+                d.torn_tails,
+                d.wal_appends,
+                d.checkpoints
+            );
+        }
+    }
+    s
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1188,6 +1237,44 @@ mod tests {
                     tier.describe()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn ci_trace_holds_range_retrievals_and_maintenance_sweeps() {
+        // CI replays this trace and diffs its reports; the comparisons
+        // only mean something if the trace exercises these paths.
+        let (_, trace) = churn_trace(&ChurnConfig::standard(3735928559, 500));
+        let ranged = trace
+            .ops
+            .iter()
+            .filter(|op| matches!(op, TraceOp::RetrieveRange { .. }));
+        assert!(ranged.count() > 0, "no range retrievals");
+        assert!(
+            trace.ops.iter().any(|op| matches!(op, TraceOp::Maintain)),
+            "no sweeps"
+        );
+    }
+
+    #[test]
+    fn attached_registry_counts_every_cas_path() {
+        let registry = xpl_obs::Registry::new();
+        let mut cfg = ChurnConfig::small(3735928559, 120);
+        cfg.registry = Some(Arc::clone(&registry));
+        let r = run_churn(&cfg);
+        assert!(r.violations.is_empty(), "{:#?}", r.violations);
+        let snap = registry.snapshot();
+        for name in [
+            "cas.put.new",
+            "cas.put.dedup",
+            "cas.get.hits",
+            "cas.release.frees",
+        ] {
+            let count = snap
+                .counters
+                .iter()
+                .find(|(n, section, _)| n == name && *section == xpl_obs::Section::Det);
+            assert!(count.is_some_and(|c| c.2 > 0), "det counter {name} is zero");
         }
     }
 

@@ -8,7 +8,7 @@
 
 use rayon::prelude::*;
 use serde::Serialize;
-use xpl_baselines::{GzipStore, HemeraStore, MirageStore, QcowStore};
+use xpl_baselines::{HemeraStore, MirageStore};
 use xpl_core::{ExpelliarmusRepo, PublishMode};
 use xpl_guestfs::Vmi;
 use xpl_store::{ImageStore, RetrieveRequest};
@@ -99,13 +99,7 @@ pub fn fig3_sizes(world: &World, scenario: Fig3Scenario) -> Fig3Result {
         })
         .collect();
 
-    let stores: Vec<Box<dyn ImageStore>> = vec![
-        Box::new(QcowStore::new(world.env())),
-        Box::new(GzipStore::new(world.env())),
-        Box::new(MirageStore::new(world.env())),
-        Box::new(HemeraStore::new(world.env())),
-        Box::new(ExpelliarmusRepo::new(world.env())),
-    ];
+    let stores = crate::churn::five_stores(|| world.env());
     let series: Vec<(String, Vec<f64>)> = stores
         .into_par_iter()
         .map(|store| {

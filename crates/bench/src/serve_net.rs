@@ -633,10 +633,11 @@ pub fn run_serve_net(cfg: &ServeRunConfig, net: &NetServeConfig) -> NetServeRepo
             cfg.requests
         ));
     }
+    let overloads_seen: u64 = pool_stats.iter().map(|s| s.overloads_seen).sum();
+    violations.extend(overload_violation(overloads_seen, srv.overloads));
 
     let retries: u64 = pool_stats.iter().map(|s| s.retries).sum();
     let reconnects: u64 = pool_stats.iter().map(|s| s.reconnects).sum();
-    let overloads_seen: u64 = pool_stats.iter().map(|s| s.overloads_seen).sum();
     if let Some(reg) = registry {
         // Fold the client-pool and injected-fault accounting onto the
         // canonical metric names, so the snapshot carries the same
@@ -707,6 +708,11 @@ pub fn run_serve_net(cfg: &ServeRunConfig, net: &NetServeConfig) -> NetServeRepo
         },
         violations,
     }
+}
+
+/// A client cannot see an overload the server never sent.
+fn overload_violation(seen: u64, sent: u64) -> Option<String> {
+    (seen > sent).then(|| format!("clients saw {seen} overloads, the server sent {sent}"))
 }
 
 /// Console rendering of a net serve report.
@@ -826,6 +832,16 @@ mod tests {
     }
 
     #[test]
+    fn an_overload_no_server_sent_is_a_violation() {
+        assert_eq!(overload_violation(0, 0), None);
+        assert_eq!(overload_violation(3, 5), None);
+        assert_eq!(
+            overload_violation(6, 5).as_deref(),
+            Some("clients saw 6 overloads, the server sent 5")
+        );
+    }
+
+    #[test]
     fn store_kind_parses_all_five() {
         for (name, kind) in [
             ("qcow2", StoreKind::Qcow2),
@@ -891,6 +907,28 @@ mod tests {
             registry.snapshot().det_fingerprint()
         };
         assert_eq!(det(), det());
+    }
+
+    #[test]
+    fn ci_fault_storm_fires_retries_and_loses_nothing() {
+        // CI's storm step runs this config through `repro serve`, whose
+        // exit code holds every violation; what it cannot hold is that
+        // the storm was not vacuous.
+        let mut cfg = ServeRunConfig::small(3735928559);
+        cfg.requests = 600;
+        cfg.queue_depth = 2;
+        let net = NetServeConfig {
+            transport: NetTransportKind::Mem,
+            fault_rate: 48,
+            net_seed: 660271,
+            conns_per_tenant: 6,
+        };
+        let r = run_serve_net(&cfg, &net);
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
+        let injected =
+            r.faults_resets + r.faults_torn_writes + r.faults_short_reads + r.faults_delays;
+        assert!(injected > 0, "the storm never fired");
+        assert!(r.retries > 0, "a 48/256 storm must force client retries");
     }
 
     #[test]

@@ -10,6 +10,29 @@ fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
 }
 
+/// A fresh, empty scratch directory for one test.
+fn scratch(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("repro-smoke-{}-{name}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// `repro diff A B --fields F`: its exit code and its output.
+fn diff(a: &std::path::Path, b: &std::path::Path, fields: &str) -> (Option<i32>, String) {
+    let out = repro()
+        .arg("diff")
+        .args([a, b])
+        .args(["--fields", fields])
+        .output()
+        .expect("spawn repro");
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    (
+        out.status.code(),
+        stdout + &String::from_utf8_lossy(&out.stderr),
+    )
+}
+
 #[test]
 fn table2_runs_on_the_small_world() {
     let out = repro()
@@ -125,23 +148,21 @@ fn churn_durable_replays_with_crash_recovery() {
     // The durable replay's converged fingerprints must equal the
     // in-memory replay's (same base trace, no crash ops) — the diff CI
     // performs at standard scale.
+    let dir = scratch("durable");
+    std::fs::write(dir.join("durable.json"), json).unwrap();
     let mem = repro()
-        .args(["churn", "--seed", "7", "--ops", "40"])
-        .args(["--json", path.to_str().unwrap()])
+        .args(["churn", "--seed", "7", "--ops", "40", "--json"])
+        .arg(dir.join("mem.json"))
         .output()
         .expect("spawn repro");
     assert!(mem.status.success());
-    let mem_json = std::fs::read_to_string(&path).expect("in-memory churn JSON written");
-    std::fs::remove_file(&path).ok();
-    let fingerprints = |j: &str| -> Vec<String> {
-        j.lines()
-            .filter(|l| l.contains("\"fingerprint\""))
-            .map(|l| l.trim().to_string())
-            .collect()
-    };
-    let (durable_fps, mem_fps) = (fingerprints(&json), fingerprints(&mem_json));
-    assert!(!durable_fps.is_empty());
-    assert_eq!(durable_fps, mem_fps, "converged fingerprints must match");
+    let (code, out) = diff(
+        &dir.join("durable.json"),
+        &dir.join("mem.json"),
+        "/cas_fingerprints",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(code, Some(0), "converged fingerprints must match: {out}");
 }
 
 #[test]
@@ -280,9 +301,9 @@ fn cli_validation_errors_are_one_line_and_exit_2() {
             vec!["serve", "--tenants", "0"],
             "--tenants must be at least 1",
         ),
-        (vec!["serve", "--store", "zfs"], "unknown --store"),
-        (vec!["churn", "--codec", "zstd"], "unknown --codec"),
-        (vec!["serve", "--codec", "zstd"], "unknown --codec"),
+        (vec!["serve", "--store", "zfs"], "invalid --store value"),
+        (vec!["churn", "--codec", "zstd"], "invalid --codec value"),
+        (vec!["serve", "--codec", "zstd"], "invalid --codec value"),
         // A value-taking flag with no value is not "absent", and the
         // next flag is not its value.
         (
@@ -320,11 +341,12 @@ fn churn_codec_tiers_replay_to_identical_fingerprints() {
     // trace replayed under the mixed hot/cold tier and under the
     // all-DEFLATE tier must converge every CAS store to identical
     // content fingerprints (recompression never changes logical bytes).
-    let path = std::env::temp_dir().join(format!("churn-codec-{}.json", std::process::id()));
-    let run = |codec: &str| {
+    let dir = scratch("codec");
+    for codec in ["mixed", "deflate"] {
         let out = repro()
             .args(["churn", "--seed", "7", "--ops", "40", "--codec", codec])
-            .args(["--json", path.to_str().unwrap()])
+            .arg("--json")
+            .arg(dir.join(format!("{codec}.json")))
             .output()
             .expect("spawn repro");
         assert!(
@@ -334,17 +356,36 @@ fn churn_codec_tiers_replay_to_identical_fingerprints() {
         );
         let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
         assert!(stdout.contains(&format!("codec tier: {codec}")), "{stdout}");
-        let json = std::fs::read_to_string(&path).expect("churn JSON written");
-        std::fs::remove_file(&path).ok();
-        json.lines()
-            .filter(|l| l.contains("\"fingerprint\""))
-            .map(|l| l.trim().to_string())
-            .collect::<Vec<_>>()
-    };
-    let mixed = run("mixed");
-    let dense = run("deflate");
-    assert!(!mixed.is_empty(), "CAS fingerprints must be reported");
-    assert_eq!(mixed, dense, "codec tiers must not change content identity");
+    }
+    let (code, out) = diff(
+        &dir.join("mixed.json"),
+        &dir.join("deflate.json"),
+        "/cas_fingerprints",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        code,
+        Some(0),
+        "codec tiers must not change content identity: {out}"
+    );
+}
+
+#[test]
+fn churn_det_metrics_are_identical_at_1_and_4_threads() {
+    let dir = scratch("metrics");
+    for threads in ["1", "4"] {
+        let out = repro()
+            .args(["churn", "--seed", "7", "--ops", "40", "--threads", threads])
+            .arg("--metrics")
+            .arg(dir.join(format!("m{threads}.json")))
+            .output()
+            .expect("spawn repro");
+        assert!(out.status.success(), "{threads} threads");
+    }
+    let fields = "/det_fingerprint,/sections/det";
+    let (code, out) = diff(&dir.join("m1.json"), &dir.join("m4.json"), fields);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(code, Some(0), "det section diverged across pools: {out}");
 }
 
 #[test]
@@ -367,15 +408,25 @@ fn ablate_codec_emits_all_three_tiers() {
     }
     let json = std::fs::read_to_string(&path).expect("ablation JSON written");
     std::fs::remove_file(&path).ok();
-    for key in [
-        "\"codec\"",
-        "\"ratio\"",
-        "\"compress_mib_per_s\"",
-        "\"decompress_mib_per_s\"",
-        "\"range_read_mib_per_s\"",
-        "\"blocked-lz4\"",
-    ] {
-        assert!(json.contains(key), "JSON missing {key}: {json}");
+    let rows: serde::Json = serde_json::from_str(&json).expect("ablation JSON parses");
+    let rows = rows.as_arr().expect("one row per codec");
+    let codecs: Vec<_> = rows
+        .iter()
+        .map(|r| r.get("codec").and_then(|c| c.as_str()))
+        .collect();
+    assert_eq!(
+        codecs,
+        [Some("raw"), Some("blocked-deflate"), Some("blocked-lz4")]
+    );
+    for row in rows {
+        for key in [
+            "compress_mib_per_s",
+            "decompress_mib_per_s",
+            "range_read_mib_per_s",
+        ] {
+            let v = row.get(key).and_then(|v| v.as_f64());
+            assert!(v.is_some_and(|v| v > 0.0), "{key} not above 0 in {row:?}");
+        }
     }
 }
 
@@ -388,4 +439,80 @@ fn unknown_subcommand_fails_with_usage() {
         assert_eq!(out.status.code(), Some(2), "{cmd}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
     }
+}
+
+#[test]
+fn input_repro_does_not_recognise_is_a_usage_error() {
+    // Each was once dropped or fell back onto a default (or panicked):
+    // now each exits 2 with a usage line before any work, and writes
+    // nothing into the directory it runs in.
+    for args in [
+        vec!["churn", "--sed", "5", "--json", "out.json"],
+        vec!["churn", "--thread", "4", "--json", "out.json"],
+        vec!["churn", "--crashes", "2", "--json", "out.json"],
+        vec!["audit", "--wrld", "small"],
+        vec!["ablate-codec", "--payload-mb", "1", "--json", "out.json"],
+        vec!["fig3a", "--world", "small"],
+        vec!["all", "out", "--world", "small"],
+        vec!["table2", "extra", "--world", "small"],
+        vec!["churn", "--ops", "5", "--ops", "6", "--json", "out.json"],
+    ] {
+        let dir = scratch("usage");
+        let out = repro()
+            .args(&args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn repro");
+        let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        std::fs::remove_dir_all(&dir).ok();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr
+                .lines()
+                .any(|l| l.starts_with("repro: ") && l.contains("usage: repro")),
+            "{args:?}: no usage line in {stderr:?}"
+        );
+        assert!(written.is_empty(), "{args:?} wrote {written:?}");
+    }
+}
+
+#[test]
+fn diff_fails_on_any_difference_or_vacancy() {
+    let dir = scratch("diff");
+    let write = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        path
+    };
+    let a = write(
+        "a.json",
+        r#"{"cas": [{"store": "Mirage", "fingerprint": "9f2c"}], "m": {"a/b": 1}, "e": []}"#,
+    );
+    let same = write(
+        "same.json",
+        r#"{"cas": [{"store": "Mirage", "fingerprint": "9f2c"}], "m": {"a/b": 1}, "e": []}"#,
+    );
+    let flipped = write(
+        "flipped.json",
+        r#"{"cas": [{"store": "Mirage", "fingerprint": "9f2d"}], "m": {"a/b": 1}, "e": []}"#,
+    );
+    let torn = write("torn.json", r#"{"cas": [{"store": "#);
+    let cases = [
+        (&same, "/cas,/m/a~1b,/cas/0/fingerprint", Some(0)),
+        (&flipped, "/cas", Some(1)),
+        (&flipped, "/cas/0/fingerprint", Some(1)),
+        (&same, "/cas/1", Some(1)),
+        (&same, "/missing", Some(1)),
+        (&same, "/e", Some(1)),
+        (&torn, "/cas", Some(2)),
+        (&same, "cas", Some(2)),
+    ];
+    for (b, fields, want) in cases {
+        let (code, out) = diff(&a, b, fields);
+        assert_eq!(code, want, "{b:?} at {fields}: {out}");
+    }
+    let (code, out) = diff(&a, &dir.join("absent.json"), "/cas");
+    assert_eq!(code, Some(2), "{out}");
+    std::fs::remove_dir_all(&dir).ok();
 }
